@@ -95,8 +95,7 @@ def trading_function_infimum(
     """
     if grid_points < 16:
         raise InvalidParameterError(f"grid_points must be >= 16, got {grid_points}")
-    if r1 < 0.0 or r2 < 0.0:
-        raise InvalidReservesError(f"reserves must be nonnegative, got ({r1}, {r2})")
+    _check_reserves(tf, r1, r2)
     profile = tf.profile
     alpha, beta = profile.interval.alpha, profile.interval.beta
     if r2 == 0.0 and _unbounded_at_zero(tf):

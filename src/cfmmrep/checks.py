@@ -20,7 +20,7 @@ from .cfmm import (
     trading_function_infimum,
 )
 from .errors import UnboundedTradingFunctionError
-from .payoffs import ConstantProportion, constant_product_level
+from .payoffs import ConstantProportion, catalog_closed_forms, constant_product_level
 from .replication import ReplicationProfile, portfolio_value_integral
 from .simulate import GbmParams, gbm_path, run_arbitrage
 
@@ -146,15 +146,18 @@ def run_verification(profile: ReplicationProfile, seed: int = 7, samples: int = 
            resid / max(1.0, abs(report.total_w)), 1e-10)
     record("earnings nonnegative", -report.total_w, 1e-9)
 
-    # Constant-proportion pools must sit on the constant-product curve.
+    # Constant-proportion pools must sit on the constant-product curve.  A
+    # pool cut at a finite beta holds g(beta) less of the risky asset, the
+    # shift its closed forms carry: r1**(1-w) * (r2 + g(beta))**w == k.
     if isinstance(payoff.catalog, ConstantProportion) and payoff.catalog.c > 0.0:
         w = payoff.catalog.w
         level = constant_product_level(payoff.catalog)
+        shift = catalog_closed_forms(payoff.catalog).g(profile.interval.beta)
         worst_cp = 0.0
         pool = pool_init(profile, _log_uniform(rng, lo, hi))
         for _ in range(samples):
             pool, _ = arbitrage_to_price(pool, _log_uniform(rng, lo, hi))
-            product = pool.r1 ** (1.0 - w) * pool.r2 ** w
+            product = pool.r1 ** (1.0 - w) * (pool.r2 + shift) ** w
             worst_cp = max(worst_cp, abs(product - level) / level)
         record("constant product recovered", worst_cp, 1e-9)
 

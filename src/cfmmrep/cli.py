@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .cfmm import TradingFunction, trading_function_eval, trading_function_infimum
 from .checks import run_verification, sample_price_range
@@ -25,45 +25,22 @@ from .errors import (
     UnboundedTradingFunctionError,
 )
 from .payoffs import (
-    Logarithmic,
+    FAMILIES,
     PayoffSpec,
     PriceInterval,
-    catalog_params_from_mapping,
+    family,
     make_catalog_payoff,
-    natural_interval,
+    parse_payoff_document,
     parse_payoff_file,
 )
 from .replication import ReplicationProfile, g_inverse
-from .simulate import GbmParams, monte_carlo_reports
-
-_CATALOG_HELP = (
-    ("cash_or_nothing", "p0",
-     "pays 1 above p0, 0 at or below; needs p0 > 0",
-     "g, g_inverse, trading function (linear market maker)"),
-    ("capped_call", "p0, p1",
-     "pays p - p0 between p0 and p1, capped; needs 0 < p0 <= p1 < inf",
-     "g, g_inverse, trading function"),
-    ("black_scholes_binary", "K, sigma, tau",
-     "binary call under a lognormal model; needs K >= 0, sigma >= 0, tau > 0",
-     "g, g_inverse, trading function (via the normal CDF)"),
-    ("logarithmic", "p0",
-     "pays log(p/p0) above p0; needs p0 > 0",
-     "g, g_inverse, trading function"),
-    ("capped_power", "p0, p1, a",
-     "pays p**a - p0**a between p0 and p1, capped; needs 0 <= p0 <= p1, a > 0; "
-     "p1 must be finite when a >= 1 or the replication cost diverges",
-     "g, g_inverse, trading function"),
-    ("constant_proportion", "w, C",
-     "holds fixed value shares: f(p) = C * p**w; needs 0 < w < 1, C >= 0",
-     "g, g_inverse, trading function (constant product/mean form)"),
-)
-
+from .simulate import GbmParams, earnings_mean_stderr, monte_carlo_reports
 
 @dataclass(frozen=True)
 class RunConfig:
     command: str
     payoff_source: Optional[str] = None
-    params: tuple = ()
+    params: Sequence[str] = ()
     alpha: Optional[float] = None
     beta: Optional[float] = None
     grid: int = 50
@@ -92,18 +69,20 @@ def load_payoff(cfg: RunConfig) -> PayoffSpec:
     if cfg.payoff_source is None:
         raise PayoffParseError("--payoff is required")
     if cfg.payoff_source.startswith("catalog:"):
-        name = cfg.payoff_source[len("catalog:"):]
-        raw = {}
+        doc = {}
         for item in cfg.params:
-            if "=" not in item:
+            key, sep, value = item.partition("=")
+            if not sep:
                 raise PayoffParseError(f"--param expects key=value, got {item!r}")
-            key, value = item.split("=", 1)
-            raw[key] = _parse_bound(value)
-        params = catalog_params_from_mapping(name, raw)
-        base = natural_interval(params)
-        interval = PriceInterval(cfg.alpha if cfg.alpha is not None else base.alpha,
-                                 cfg.beta if cfg.beta is not None else base.beta)
-        return make_catalog_payoff(params, interval)
+            if key in ("catalog", "alpha", "beta"):
+                raise PayoffParseError(f"--param {key} is not a catalog parameter")
+            doc[key] = _parse_bound(value)
+        doc["catalog"] = cfg.payoff_source[len("catalog:"):]
+        if cfg.alpha is not None:
+            doc["alpha"] = cfg.alpha
+        if cfg.beta is not None:
+            doc["beta"] = cfg.beta
+        return parse_payoff_document(doc)
 
     if cfg.params:
         raise PayoffParseError("--param only applies to catalog payoffs")
@@ -173,7 +152,7 @@ def cmd_trading_function(cfg: RunConfig) -> int:
     lines = [header]
     mismatch = False
     for i in range(cfg.grid):
-        r2 = r2_hi * i / (cfg.grid - 1)
+        r2 = min(r2_hi * i / (cfg.grid - 1), r2_hi)  # the last row is exactly r2_hi
         try:
             psi = trading_function_eval(tf, 0.0, r2)
         except (UnboundedTradingFunctionError, CfmmRepError) as exc:
@@ -198,22 +177,17 @@ def cmd_simulate(cfg: RunConfig) -> int:
     params = GbmParams(p_start=cfg.p_start, sigma=cfg.sigma, horizon=cfg.horizon,
                        steps=cfg.steps, seed=cfg.seed)
     reports = monte_carlo_reports(profile, params, cfg.paths)
+    mean, stderr = earnings_mean_stderr([r.total_w for r in reports])
     lines = ["path_id,w,payoff_term,path_term"]
     for i, rep in enumerate(reports):
         lines.append(f"{i},{_fmt(rep.total_w)},{_fmt(rep.payoff_term)},"
                      f"{_fmt(rep.path_term)}")
     _write(cfg, lines)
 
-    totals = [r.total_w for r in reports]
-    mean = math.fsum(totals) / len(totals)
-    if len(totals) > 1:
-        var = math.fsum((w - mean) ** 2 for w in totals) / (len(totals) - 1)
-        stderr = math.sqrt(var / len(totals))
-    else:
-        stderr = 0.0
     theory = ""
-    if isinstance(payoff.catalog, Logarithmic):
-        theory = _fmt(0.5 * cfg.sigma * cfg.sigma * cfg.horizon)
+    earnings = family(payoff.catalog).earnings if payoff.catalog is not None else None
+    if earnings is not None:
+        theory = _fmt(earnings(cfg.sigma, cfg.horizon))
     print(f"{_fmt(mean)},{_fmt(stderr)},{theory}")
     return 0
 
@@ -229,15 +203,16 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_catalog(cfg: RunConfig) -> int:
-    entries = _CATALOG_HELP
+    entries = FAMILIES
     if cfg.catalog_entry is not None:
         name = cfg.catalog_entry.removeprefix("catalog:")
-        entries = [e for e in _CATALOG_HELP if e[0] == name]
+        entries = [fam for fam in FAMILIES if fam.name == name]
         if not entries:
             print(f"unknown catalog payoff {name!r}", file=sys.stderr)
             return 2
-    for name, params, constraint, closed in entries:
-        print(f"{name}")
+    for fam in entries:
+        params, constraint, closed = fam.help
+        print(f"{fam.name}")
         print(f"  parameters: {params}")
         print(f"  validity:   {constraint}")
         print(f"  closed forms: {closed}")
@@ -251,10 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_payoff_flags(p):
-        p.add_argument("--payoff", required=True,
+        p.add_argument("--payoff", required=True, dest="payoff_source",
                        help="payoff JSON file, or catalog:NAME with --param")
-        p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
-                       help="catalog parameter (repeatable)")
+        p.add_argument("--param", action="append", default=[], dest="params",
+                       metavar="KEY=VALUE", help="catalog parameter (repeatable)")
         p.add_argument("--alpha", type=_parse_bound, default=None,
                        help="lower price bound override")
         p.add_argument("--beta", type=_parse_bound, default=None,
@@ -288,35 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
 
     p = sub.add_parser("catalog", help="list built-in payoff families")
-    p.add_argument("name", nargs="?", default=None,
+    p.add_argument("catalog_entry", nargs="?", default=None, metavar="name",
                    help="show one family in detail")
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {}
-    for name in ("payoff", "param", "alpha", "beta", "grid", "out", "sigma",
-                 "horizon", "steps", "paths", "seed", "p_start",
-                 "check_infimum", "name"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    return RunConfig(
-        command=args.command,
-        payoff_source=fields.get("payoff"),
-        params=tuple(fields.get("param", ())),
-        alpha=fields.get("alpha"),
-        beta=fields.get("beta"),
-        grid=fields.get("grid", 50),
-        out=fields.get("out"),
-        sigma=fields.get("sigma", 0.5),
-        horizon=fields.get("horizon", 1.0),
-        steps=fields.get("steps", 1000),
-        paths=fields.get("paths", 1000),
-        seed=fields.get("seed", 7),
-        p_start=fields.get("p_start", 1.0),
-        check_infimum=fields.get("check_infimum", False),
-        catalog_entry=fields.get("name"),
-    )
 
 
 _COMMANDS = {
@@ -331,7 +280,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = config_from_args(args)
+    cfg = RunConfig(**vars(args))
     if cfg.command == "replicate" or cfg.command == "trading-function":
         if cfg.grid < 2:
             parser.error("--grid must be at least 2")

@@ -8,15 +8,17 @@ jump the payoff takes its lower value (lower semicontinuous), so the jump
 mass is carried separately and stays visible to the integration code.
 
 Six catalog families ship with closed forms for the replication quantities;
-everything else is expressed as a monotone piecewise-linear table.
+each is defined once, by its Family record in FAMILIES.  Everything else is
+expressed as a monotone piecewise-linear table, whose g and g_inverse are
+also exact.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 from .errors import (
@@ -86,6 +88,9 @@ class ConstantForm:
     def growth_exponent(self) -> float:
         return 0.0
 
+    def limit_at_infinity(self) -> float:
+        return self.c
+
     def price_anchors(self) -> tuple:
         return ()
 
@@ -111,6 +116,9 @@ class LinearForm:
 
     def growth_exponent(self) -> float:
         return 1.0 if self.m > 0.0 else 0.0
+
+    def limit_at_infinity(self) -> float:
+        return math.inf if self.m > 0.0 else self.y0
 
     def price_anchors(self) -> tuple:
         return ()
@@ -141,6 +149,9 @@ class PowerForm:
     def growth_exponent(self) -> float:
         return self.exponent if self.scale > 0.0 else 0.0
 
+    def limit_at_infinity(self) -> float:
+        return math.inf if self.scale > 0.0 else self.offset
+
     def price_anchors(self) -> tuple:
         return ()
 
@@ -167,6 +178,9 @@ class LogForm:
     def growth_exponent(self) -> float:
         # Slower than any positive power, fast enough for finite replication.
         return 0.0
+
+    def limit_at_infinity(self) -> float:
+        return math.inf
 
     def price_anchors(self) -> tuple:
         return (self.p0,)
@@ -201,6 +215,9 @@ class NormalCdfForm:
 
     def growth_exponent(self) -> float:
         return 0.0
+
+    def limit_at_infinity(self) -> float:
+        return 1.0
 
     def price_anchors(self) -> tuple:
         # Characteristic prices bracketing where f'(q)/q and its 1/q image
@@ -318,20 +335,6 @@ class ConstantProportion:
 CatalogParams = Union[CashOrNothing, CappedCall, BlackScholesBinary,
                       Logarithmic, CappedPower, ConstantProportion]
 
-CATALOG_NAMES = {
-    CashOrNothing: "cash_or_nothing",
-    CappedCall: "capped_call",
-    BlackScholesBinary: "black_scholes_binary",
-    Logarithmic: "logarithmic",
-    CappedPower: "capped_power",
-    ConstantProportion: "constant_proportion",
-}
-
-
-def catalog_name(params: CatalogParams) -> str:
-    return CATALOG_NAMES[type(params)]
-
-
 # ---------------------------------------------------------------------------
 # Payoff specification
 # ---------------------------------------------------------------------------
@@ -385,24 +388,9 @@ class PayoffSpec:
     def slope(self, p: float) -> float:
         return self._segment_at(p).form.slope(p)
 
-    def jump_at(self, q: float) -> float:
-        for loc, size in self.jumps:
-            if loc == q:
-                return size
-        return 0.0
-
     def limit_at_infinity(self) -> float:
         """lim f(p) as p grows; math.inf when the payoff is unbounded."""
-        last = self.segments[-1].form
-        if isinstance(last, ConstantForm):
-            return last.c
-        if isinstance(last, NormalCdfForm):
-            return 1.0
-        if isinstance(last, LinearForm):
-            return math.inf if last.m > 0.0 else last.value(self.segments[-1].lo)
-        if isinstance(last, PowerForm):
-            return math.inf if last.scale > 0.0 else last.offset
-        return math.inf  # LogForm
+        return self.segments[-1].form.limit_at_infinity()
 
     def tail_growth_exponent(self) -> float:
         """Power growth of f at large prices (0 covers bounded and log tails)."""
@@ -450,15 +438,11 @@ def payoff_price_anchors(spec: PayoffSpec) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Catalog construction
+# Catalog segments
 # ---------------------------------------------------------------------------
 
-def natural_interval(params: CatalogParams) -> PriceInterval:
-    """The interval each family is quoted on: [0, p1] for capped payoffs,
-    [0, inf) otherwise."""
-    if isinstance(params, (CappedCall, CappedPower)) and math.isfinite(params.p1):
-        return PriceInterval(0.0, params.p1)
-    return PriceInterval(0.0, math.inf)
+def _whole(form: SegmentForm):
+    return (Segment(0.0, math.inf, form),), ()
 
 
 def _step_segments(threshold: float, low: float, high: float):
@@ -467,80 +451,15 @@ def _step_segments(threshold: float, low: float, high: float):
     return segs, ((threshold, high - low),)
 
 
-def _catalog_segments(params: CatalogParams):
-    if isinstance(params, CashOrNothing):
-        return _step_segments(params.p0, 0.0, 1.0)
-
-    if isinstance(params, CappedCall):
-        if params.p0 == params.p1:
-            return (Segment(0.0, math.inf, ConstantForm(0.0)),), ()
-        segs = [Segment(0.0, params.p0, ConstantForm(0.0)),
-                Segment(params.p0, params.p1, LinearForm(params.p0, 0.0, 1.0))]
-        if math.isfinite(params.p1):
-            segs.append(Segment(params.p1, math.inf, ConstantForm(params.p1 - params.p0)))
-        else:
-            segs[-1] = Segment(params.p0, math.inf, LinearForm(params.p0, 0.0, 1.0))
-        return tuple(segs), ()
-
-    if isinstance(params, BlackScholesBinary):
-        if params.strike == 0.0:
-            return (Segment(0.0, math.inf, ConstantForm(1.0)),), ()
-        if params.sigma == 0.0:
-            return _step_segments(params.strike, 0.0, 1.0)
-        return (Segment(0.0, math.inf,
-                        NormalCdfForm(params.strike, params.sigma, params.tau)),), ()
-
-    if isinstance(params, Logarithmic):
-        return (Segment(0.0, params.p0, ConstantForm(0.0)),
-                Segment(params.p0, math.inf, LogForm(params.p0))), ()
-
-    if isinstance(params, CappedPower):
-        if params.p0 == params.p1:
-            return (Segment(0.0, math.inf, ConstantForm(0.0)),), ()
-        power = PowerForm(1.0, params.a, -params.p0**params.a)
-        segs = []
-        if params.p0 > 0.0:
-            segs.append(Segment(0.0, params.p0, ConstantForm(0.0)))
-        if math.isfinite(params.p1):
-            segs.append(Segment(params.p0, params.p1, power))
-            segs.append(Segment(params.p1, math.inf,
-                                ConstantForm(params.p1**params.a - params.p0**params.a)))
-        else:
-            segs.append(Segment(params.p0, math.inf, power))
-        return tuple(segs), ()
-
-    if isinstance(params, ConstantProportion):
-        if params.c == 0.0:
-            return (Segment(0.0, math.inf, ConstantForm(0.0)),), ()
-        return (Segment(0.0, math.inf, PowerForm(params.c, params.w, 0.0)),), ()
-
-    raise InvalidParameterError(f"unknown catalog params {params!r}")
-
-
-def make_catalog_payoff(
-    params: CatalogParams,
-    interval: Optional[PriceInterval] = None,
-    *,
-    allow_infinite_cost: bool = False,
-) -> PayoffSpec:
-    """Build a catalog payoff on the given (or natural) interval.
-
-    Raises InfiniteReplicationCostError for configurations whose risky-asset
-    requirement diverges (a linear or superlinear tail on an unbounded
-    interval), unless allow_infinite_cost is set, which is useful only for
-    growth classification.
-    """
-    if interval is None:
-        interval = natural_interval(params)
-    linear_tail = (
-        (isinstance(params, CappedPower) and params.a >= 1.0 and not math.isfinite(params.p1))
-        or (isinstance(params, CappedCall) and not math.isfinite(params.p1)))
-    if linear_tail and not interval.bounded and not allow_infinite_cost:
-        raise InfiniteReplicationCostError(
-            "payoff grows at least linearly up to an unbounded price: the required "
-            "risky reserve diverges; cap the payoff (finite p1) or bound the interval")
-    segments, jumps = _catalog_segments(params)
-    return PayoffSpec(segments=segments, jumps=jumps, interval=interval, catalog=params)
+def _capped_segments(p0: float, p1: float, form: SegmentForm):
+    """Zero below p0, form on [p0, p1], and form(p1) above a finite p1."""
+    if p0 == p1:
+        return _whole(ConstantForm(0.0))
+    segs = [Segment(0.0, p0, ConstantForm(0.0))] if p0 > 0.0 else []
+    segs.append(Segment(p0, p1, form))
+    if math.isfinite(p1):
+        segs.append(Segment(p1, math.inf, ConstantForm(form.value(p1))))
+    return tuple(segs), ()
 
 
 # ---------------------------------------------------------------------------
@@ -549,19 +468,17 @@ def make_catalog_payoff(
 
 @dataclass(frozen=True)
 class CatalogClosedForms:
-    """Family formulas for the replication quantities.
+    """Exact formulas for the replication quantities on one interval.
 
     g maps price to required risky amount, g_inverse maps a risky reserve in
     (0, g(alpha)] back to the rightmost matching price, psi is the trading
-    function over (numeraire, risky) reserves.  support_cap is the price at
-    and beyond which the payoff stops moving (math.inf when it never does);
-    the formulas stay valid only while the interval reaches it.
+    function over (numeraire, risky) reserves, or None where the generic
+    r1 + p* r2 - V(p*) is the exact form.
     """
 
     g: Callable[[float], float]
     g_inverse: Callable[[float], float]
-    psi: Callable[[float, float], float]
-    support_cap: float
+    psi: Optional[Callable[[float, float], float]]
 
 
 def _cash_or_nothing_forms(p0: float) -> CatalogClosedForms:
@@ -574,7 +491,7 @@ def _cash_or_nothing_forms(p0: float) -> CatalogClosedForms:
     def psi(r1, r2):
         return r1 + p0 * r2 - 1.0
 
-    return CatalogClosedForms(g, g_inv, psi, support_cap=p0)
+    return CatalogClosedForms(g, g_inv, psi)
 
 
 def _capped_call_forms(p0: float, p1: float) -> CatalogClosedForms:
@@ -593,7 +510,7 @@ def _capped_call_forms(p0: float, p1: float) -> CatalogClosedForms:
     def psi(r1, r2):
         return r1 + p0 - p1 * math.exp(-r2)
 
-    return CatalogClosedForms(g, g_inv, psi, support_cap=p1)
+    return CatalogClosedForms(g, g_inv, psi)
 
 
 def _bs_binary_forms(strike: float, sigma: float, tau: float) -> CatalogClosedForms:
@@ -617,7 +534,7 @@ def _bs_binary_forms(strike: float, sigma: float, tau: float) -> CatalogClosedFo
     def psi(r1, r2):
         return r1 - norm_cdf(norm_inv(1.0 - strike * r2) - vol)
 
-    return CatalogClosedForms(g, g_inv, psi, support_cap=math.inf)
+    return CatalogClosedForms(g, g_inv, psi)
 
 
 def _logarithmic_forms(p0: float) -> CatalogClosedForms:
@@ -630,7 +547,7 @@ def _logarithmic_forms(p0: float) -> CatalogClosedForms:
     def psi(r1, r2):
         return r1 + math.log(p0 * r2)
 
-    return CatalogClosedForms(g, g_inv, psi, support_cap=math.inf)
+    return CatalogClosedForms(g, g_inv, psi)
 
 
 def _capped_power_forms(p0: float, p1: float, a: float) -> CatalogClosedForms:
@@ -664,7 +581,7 @@ def _capped_power_forms(p0: float, p1: float, a: float) -> CatalogClosedForms:
             base = max(base, 0.0)
         return r1 + p0**a - base ** (a / (a - 1.0))
 
-    return CatalogClosedForms(g, g_inv, psi, support_cap=p1)
+    return CatalogClosedForms(g, g_inv, psi)
 
 
 def _constant_proportion_forms(w: float, c: float) -> CatalogClosedForms:
@@ -683,36 +600,161 @@ def _constant_proportion_forms(w: float, c: float) -> CatalogClosedForms:
     def psi(r1, r2):
         return r1 - c * ((1.0 - w) * r2 / (w * c)) ** (-w / (1.0 - w))
 
-    return CatalogClosedForms(g, g_inv, psi, support_cap=math.inf)
+    return CatalogClosedForms(g, g_inv, psi)
 
 
-def catalog_closed_forms(params: CatalogParams) -> Optional[CatalogClosedForms]:
-    """Closed forms for a catalog family, or None for degenerate parameters."""
-    if isinstance(params, CashOrNothing):
-        return _cash_or_nothing_forms(params.p0)
-    if isinstance(params, CappedCall):
-        if params.p0 == params.p1 or not math.isfinite(params.p1):
+# ---------------------------------------------------------------------------
+# The catalog registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """One catalog family: everything the package knows about it.
+
+    keys lists (key, field) pairs accepted in payoff documents and --param;
+    the first key naming a field is the canonical one serialization writes.
+    help is (parameters, validity, closed forms) as `cfmmrep catalog` prints
+    it.  segments and closed_forms build the payoff and its formulas from
+    the params (closed_forms returns None for flat, degenerate parameters).
+    capped families are capped at p1: their natural interval is [0, p1], and
+    lowering p1 to beta >= p0 leaves the payoff on [0, beta] unchanged.
+    earnings, when given, is the expected arbitrage earnings E[W] along a
+    driftless GBM path as a function of (sigma, horizon).
+    """
+
+    params: type
+    name: str
+    keys: tuple
+    help: tuple
+    segments: Callable
+    closed_forms: Callable
+    capped: bool = False
+    earnings: Optional[Callable[[float, float], float]] = None
+
+
+FAMILIES = (
+    Family(
+        CashOrNothing, "cash_or_nothing", (("p0", "p0"),),
+        ("p0", "pays 1 above p0, 0 at or below; needs p0 > 0",
+         "g, g_inverse, trading function (linear market maker)"),
+        segments=lambda c: _step_segments(c.p0, 0.0, 1.0),
+        closed_forms=lambda c: _cash_or_nothing_forms(c.p0)),
+    Family(
+        CappedCall, "capped_call", (("p0", "p0"), ("p1", "p1")),
+        ("p0, p1", "pays p - p0 between p0 and p1, capped; needs 0 < p0 <= p1 < inf",
+         "g, g_inverse, trading function"),
+        segments=lambda c: _capped_segments(c.p0, c.p1, LinearForm(c.p0, 0.0, 1.0)),
+        closed_forms=lambda c: None if c.p0 == c.p1 else _capped_call_forms(c.p0, c.p1),
+        capped=True),
+    Family(
+        BlackScholesBinary, "black_scholes_binary",
+        (("K", "strike"), ("strike", "strike"), ("sigma", "sigma"), ("tau", "tau")),
+        ("K, sigma, tau",
+         "binary call under a lognormal model; needs K >= 0, sigma >= 0, tau > 0",
+         "g, g_inverse, trading function (via the normal CDF)"),
+        segments=lambda b: (
+            _whole(ConstantForm(1.0)) if b.strike == 0.0
+            else _step_segments(b.strike, 0.0, 1.0) if b.sigma == 0.0
+            else _whole(NormalCdfForm(b.strike, b.sigma, b.tau))),
+        closed_forms=lambda b: (
+            None if b.strike == 0.0
+            else _cash_or_nothing_forms(b.strike) if b.sigma == 0.0
+            else _bs_binary_forms(b.strike, b.sigma, b.tau))),
+    Family(
+        Logarithmic, "logarithmic", (("p0", "p0"),),
+        ("p0", "pays log(p/p0) above p0; needs p0 > 0", "g, g_inverse, trading function"),
+        segments=lambda lg: _capped_segments(lg.p0, math.inf, LogForm(lg.p0)),
+        closed_forms=lambda lg: _logarithmic_forms(lg.p0),
+        earnings=lambda sigma, horizon: 0.5 * sigma * sigma * horizon),
+    Family(
+        CappedPower, "capped_power", (("p0", "p0"), ("p1", "p1"), ("a", "a")),
+        ("p0, p1, a",
+         "pays p**a - p0**a between p0 and p1, capped; needs 0 <= p0 <= p1, a > 0; "
+         "p1 must be finite when a >= 1 or the replication cost diverges",
+         "g, g_inverse, trading function"),
+        segments=lambda c: _capped_segments(c.p0, c.p1, PowerForm(1.0, c.a, -c.p0**c.a)),
+        closed_forms=lambda c: None if c.p0 == c.p1 else _capped_power_forms(c.p0, c.p1, c.a),
+        capped=True),
+    Family(
+        ConstantProportion, "constant_proportion", (("w", "w"), ("C", "c"), ("c", "c")),
+        ("w, C", "holds fixed value shares: f(p) = C * p**w; needs 0 < w < 1, C >= 0",
+         "g, g_inverse, trading function (constant product/mean form)"),
+        segments=lambda cp: _whole(ConstantForm(0.0) if cp.c == 0.0
+                                   else PowerForm(cp.c, cp.w, 0.0)),
+        closed_forms=lambda cp: None if cp.c == 0.0 else _constant_proportion_forms(cp.w, cp.c)),
+)
+
+_BY_PARAMS = {fam.params: fam for fam in FAMILIES}
+_BY_NAME = {fam.name: fam for fam in FAMILIES}
+
+
+def family(params: CatalogParams) -> Family:
+    try:
+        return _BY_PARAMS[type(params)]
+    except KeyError:
+        raise InvalidParameterError(f"unknown catalog params {params!r}") from None
+
+
+def natural_interval(params: CatalogParams) -> PriceInterval:
+    """The interval each family is quoted on: [0, p1] for capped payoffs,
+    [0, inf) otherwise."""
+    return PriceInterval(0.0, params.p1 if family(params).capped else math.inf)
+
+
+def make_catalog_payoff(
+    params: CatalogParams,
+    interval: Optional[PriceInterval] = None,
+    *,
+    allow_infinite_cost: bool = False,
+) -> PayoffSpec:
+    """Build a catalog payoff on the given (or natural) interval.
+
+    Raises InfiniteReplicationCostError for configurations whose risky-asset
+    requirement diverges (a linear or superlinear tail on an unbounded
+    interval), unless allow_infinite_cost is set, which is useful only for
+    growth classification.
+    """
+    if interval is None:
+        interval = natural_interval(params)
+    segments, jumps = family(params).segments(params)
+    linear_tail = segments[-1].form.growth_exponent() >= 1.0
+    if linear_tail and not interval.bounded and not allow_infinite_cost:
+        raise InfiniteReplicationCostError(
+            "payoff grows at least linearly up to an unbounded price: the required "
+            "risky reserve diverges; cap the payoff (finite p1) or bound the interval")
+    return PayoffSpec(segments=segments, jumps=jumps, interval=interval, catalog=params)
+
+
+def catalog_closed_forms(params: CatalogParams,
+                         beta: float = math.inf) -> Optional[CatalogClosedForms]:
+    """Closed forms of a catalog family on an interval ending at beta.
+
+    Returns None for degenerate (flat) parameters.  The family's own forms
+    hold wherever g(beta) = 0, that is when the interval reaches the price
+    where the payoff stops moving.  Cutting a family short of that is
+    exactly a shift by g(beta):
+
+        g(p) - g(beta),   g_inverse(x + g(beta)),   psi(r1, r2 + g(beta)).
+
+    Where g(beta) is infinite (a linear tail, p1 = inf), the family capped
+    at beta is the same payoff on [0, beta] and its own forms apply.
+    """
+    fam = family(params)
+    forms = fam.closed_forms(params)
+    if forms is None or math.isinf(beta):
+        return forms
+    shift = forms.g(beta)
+    if shift == 0.0:
+        return forms
+    if math.isinf(shift):  # a linear tail, or the zero-width interval [0, 0]
+        if not fam.capped:
             return None
-        return _capped_call_forms(params.p0, params.p1)
-    if isinstance(params, BlackScholesBinary):
-        if params.strike == 0.0:
-            return None
-        if params.sigma == 0.0:
-            return _cash_or_nothing_forms(params.strike)
-        return _bs_binary_forms(params.strike, params.sigma, params.tau)
-    if isinstance(params, Logarithmic):
-        return _logarithmic_forms(params.p0)
-    if isinstance(params, CappedPower):
-        if params.p0 == params.p1:
-            return None
-        if params.a >= 1.0 and not math.isfinite(params.p1):
-            return None
-        return _capped_power_forms(params.p0, params.p1, params.a)
-    if isinstance(params, ConstantProportion):
-        if params.c == 0.0:
-            return None
-        return _constant_proportion_forms(params.w, params.c)
-    return None
+        return catalog_closed_forms(replace(params, p1=max(beta, params.p0)))
+    g, g_inverse, psi = forms.g, forms.g_inverse, forms.psi
+    return CatalogClosedForms(
+        lambda p: g(p) - shift if p < beta else 0.0,
+        lambda x: g_inverse(x + shift),
+        lambda r1, r2: psi(r1, r2 + shift))
 
 
 def constant_product_level(params: ConstantProportion) -> float:
@@ -776,15 +818,25 @@ def make_piecewise_payoff(points, jumps=(), interval=None) -> PayoffSpec:
     return PayoffSpec(segments=tuple(segs), jumps=jump_list, interval=interval)
 
 
-def piecewise_exact_g(spec: PayoffSpec) -> Callable[[float], float]:
-    """Exact replication cost for piecewise-linear payoffs.
+def piecewise_exact_forms(spec: PayoffSpec) -> Optional[CatalogClosedForms]:
+    """Exact g and g_inverse when every segment below beta is linear or constant.
 
     Each linear segment of slope s on [lo, hi] contributes
-    s * log(min(hi, beta) / max(p, lo)), and each jump at q in [p, beta)
-    contributes size / q.
+    s * log(min(hi, beta) / max(p, lo)) to g(p), and each jump at q in
+    [p, beta) contributes size / q.  So on a segment with top t (its hi, or
+    beta) g(p) = g(t) + s * log(t / p), where g(t) already holds a jump at
+    t.  g_inverse bisects the segment-top values for the first segment whose
+    top falls below x and solves on it with one exp; a crossing inside a
+    jump or on a flat segment lands on the segment's low end, the rightmost
+    price.  psi is None: r1 + p* r2 - V(p*) with this p* is already exact.
+
+    Returns None when a segment below beta has any other form.
     """
     beta = spec.interval.beta
-    pieces = [(s.lo, s.hi, s.form.m) for s in spec.segments
+    below = [s for s in spec.segments if s.lo < beta]
+    if not all(isinstance(s.form, (ConstantForm, LinearForm)) for s in below):
+        return None
+    pieces = [(s.lo, s.hi, s.form.m) for s in below
               if isinstance(s.form, LinearForm) and s.form.m > 0.0]
 
     def g(p: float) -> float:
@@ -799,33 +851,25 @@ def piecewise_exact_g(spec: PayoffSpec) -> Callable[[float], float]:
                 total += size / q
         return total
 
-    return g
+    lows = [s.lo for s in below]
+    tops = [min(s.hi, beta) for s in below]
+    slopes = [s.form.slope(s.lo) for s in below]
+    neg_top_g = [-g(t) for t in tops]  # nondecreasing
+
+    def g_inverse(x: float) -> float:
+        k = bisect_right(neg_top_g, -x)  # segments whose top still has g >= x
+        if k == len(below):
+            return tops[-1]
+        if slopes[k] > 0.0:
+            return max(lows[k], tops[k] * math.exp((neg_top_g[k] + x) / -slopes[k]))
+        return lows[k]
+
+    return CatalogClosedForms(g, g_inverse, None)
 
 
 # ---------------------------------------------------------------------------
 # Parsing and serialization
 # ---------------------------------------------------------------------------
-
-_PARAM_FIELDS = {
-    "cash_or_nothing": (CashOrNothing, {"p0": "p0"}),
-    "capped_call": (CappedCall, {"p0": "p0", "p1": "p1"}),
-    "black_scholes_binary": (BlackScholesBinary,
-                             {"K": "strike", "strike": "strike",
-                              "sigma": "sigma", "tau": "tau"}),
-    "logarithmic": (Logarithmic, {"p0": "p0"}),
-    "capped_power": (CappedPower, {"p0": "p0", "p1": "p1", "a": "a"}),
-    "constant_proportion": (ConstantProportion, {"w": "w", "C": "c", "c": "c"}),
-}
-
-_CANONICAL_KEYS = {
-    "cash_or_nothing": {"p0": "p0"},
-    "capped_call": {"p0": "p0", "p1": "p1"},
-    "black_scholes_binary": {"strike": "K", "sigma": "sigma", "tau": "tau"},
-    "logarithmic": {"p0": "p0"},
-    "capped_power": {"p0": "p0", "p1": "p1", "a": "a"},
-    "constant_proportion": {"w": "w", "c": "C"},
-}
-
 
 def _parse_number(value, what: str) -> float:
     if value == "inf":
@@ -846,10 +890,11 @@ def _pairs(rows, what: str):
 
 def catalog_params_from_mapping(name: str, raw: dict) -> CatalogParams:
     """Build catalog params from string-keyed values (JSON or CLI)."""
-    if name not in _PARAM_FIELDS:
-        known = ", ".join(sorted(_PARAM_FIELDS))
+    if name not in _BY_NAME:
+        known = ", ".join(sorted(_BY_NAME))
         raise PayoffParseError(f"unknown catalog payoff {name!r}; known: {known}")
-    cls, aliases = _PARAM_FIELDS[name]
+    fam = _BY_NAME[name]
+    aliases = dict(fam.keys)
     kwargs = {}
     for key, value in raw.items():
         if key not in aliases:
@@ -859,7 +904,7 @@ def catalog_params_from_mapping(name: str, raw: dict) -> CatalogParams:
             raise PayoffParseError(f"parameter {field!r} given twice for {name!r}")
         kwargs[field] = _parse_number(value, f"parameter {key!r}")
     try:
-        return cls(**kwargs)
+        return fam.params(**kwargs)
     except TypeError:
         needed = ", ".join(sorted(set(aliases.values())))
         raise PayoffParseError(f"catalog payoff {name!r} needs parameters: {needed}") from None
@@ -920,9 +965,12 @@ def serialize_payoff(spec: PayoffSpec) -> str:
         return "inf" if math.isinf(x) else x
 
     if spec.catalog is not None:
-        name = catalog_name(spec.catalog)
-        doc = {"catalog": name}
-        for field, key in _CANONICAL_KEYS[name].items():
+        fam = family(spec.catalog)
+        doc = {"catalog": fam.name}
+        canonical = {}
+        for key, field in fam.keys:
+            canonical.setdefault(field, key)
+        for field, key in canonical.items():
             doc[key] = num(getattr(spec.catalog, field))
         doc["alpha"] = num(spec.interval.alpha)
         doc["beta"] = num(spec.interval.beta)

@@ -1,4 +1,4 @@
-"""Adaptive Simpson quadrature with breakpoint splitting.
+"""Adaptive Simpson quadrature.
 
 Integrands here are nonnegative and smooth between breakpoints, so a
 recursive Simpson rule with the classic (S_halves - S_whole)/15 error
@@ -93,29 +93,6 @@ def adaptive_simpson(
 
     value, error, converged = recurse(a, b, fa, fm, fb, whole, tol, 0)
     return QuadratureResult(value, error, converged)
-
-
-def integrate_piecewise(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    cuts,
-    opts: QuadratureOptions = DEFAULT_OPTIONS,
-) -> QuadratureResult:
-    """Integrate over [a, b], pre-splitting at every interior cut point."""
-    if a > b:
-        r = integrate_piecewise(f, b, a, cuts, opts)
-        return QuadratureResult(-r.value, r.error, r.converged)
-    points = [a] + sorted(c for c in cuts if a < c < b) + [b]
-    total = 0.0
-    err = 0.0
-    ok = True
-    for lo, hi in zip(points, points[1:]):
-        r = adaptive_simpson(f, lo, hi, opts)
-        total += r.value
-        err += r.error
-        ok = ok and r.converged
-    return QuadratureResult(total, err, ok)
 
 
 def softened_power_order(exponent: float) -> int:

@@ -11,10 +11,14 @@ nonincreasing and nonnegative, V is nondecreasing and concave.  The
 generalized inverse g_inverse(x) is the rightmost price where g is still
 at least x (alpha when there is none, beta when every price qualifies).
 
-Catalog payoffs evaluate these through their closed forms; everything can
-also be evaluated by adaptive quadrature, which the tests hold against the
-closed forms.  Unbounded price intervals are folded to (0, 1/p] with the
-substitution u = 1/q before integrating.
+Each payoff has one exact route: catalog payoffs use their family's closed
+forms on any interval (shifted by g(beta) when cut below the family's cap),
+and piecewise-linear payoffs use the exact segment sums and their exact
+inverse.  Only other hand-built payoffs, and profiles built with
+use_closed_forms=False, evaluate g by adaptive quadrature and g_inverse by
+geometric bisection; that numeric route is the oracle the tests hold the
+exact routes against.  Unbounded price intervals are folded to (0, 1/p]
+with the substitution u = 1/q before integrating.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .payoffs import (
     PriceInterval,
     catalog_closed_forms,
     payoff_price_anchors,
-    piecewise_exact_g,
+    piecewise_exact_forms,
 )
 from .quadrature import (
     DEFAULT_OPTIONS,
@@ -148,11 +152,12 @@ def quadrature_replication_cost(
 class ReplicationProfile:
     """A payoff bound to an interval, with g / V / g_inverse evaluators.
 
-    Closed forms are attached for catalog payoffs whenever the interval
-    still reaches the price range where the payoff moves; piecewise-linear
-    payoffs get their exact per-segment sum.  Construction also builds the
-    monotone tabulation used to bracket numeric inversion, after which the
-    profile is immutable and safe to share across threads.
+    The exact route is chosen from the payoff: a catalog family's closed
+    forms (see catalog_closed_forms), else the exact piecewise-linear forms
+    when every segment below beta is linear or constant, else quadrature g
+    with bisection g_inverse.  use_closed_forms=False forces the numeric
+    route, the oracle the tests compare against.  The profile is immutable
+    after construction and safe to share across threads.
     """
 
     def __init__(
@@ -162,7 +167,6 @@ class ReplicationProfile:
         opts: QuadratureOptions = DEFAULT_OPTIONS,
         *,
         use_closed_forms: bool = True,
-        cache_size: int = 256,
     ):
         self.payoff = payoff
         self.interval = interval if interval is not None else payoff.interval
@@ -173,27 +177,19 @@ class ReplicationProfile:
                 "payoff grows at least linearly on an unbounded interval; "
                 "sublinear growth is required for a finite replication cost")
 
-        self.g_closed_form = None
-        self.g_inverse_closed_form = None
-        self.psi_closed_form = None
+        forms = None
         if use_closed_forms and payoff.catalog is not None:
-            forms = catalog_closed_forms(payoff.catalog)
-            if forms is not None and self.interval.beta >= forms.support_cap:
-                self.g_closed_form = forms.g
-                self.g_inverse_closed_form = forms.g_inverse
-                self.psi_closed_form = forms.psi
-        if self.g_closed_form is None and payoff.catalog is None:
-            # Piecewise-linear payoffs integrate exactly, for any interval.
-            self.g_closed_form = piecewise_exact_g(
+            forms = catalog_closed_forms(payoff.catalog, self.interval.beta)
+        if use_closed_forms and forms is None:
+            forms = piecewise_exact_forms(
                 PayoffSpec(payoff.segments, payoff.jumps, self.interval))
+        self.g_closed_form = forms.g if forms else None
+        self.g_inverse_closed_form = forms.g_inverse if forms else None
+        self.psi_closed_form = forms.psi if forms else None
 
         self.g_alpha = self.g(self.interval.alpha)
         self.g_beta = 0.0
         self.v_alpha = self.portfolio_value(self.interval.alpha)
-
-        self._table = None
-        if self.g_inverse_closed_form is None:
-            self._table = self._build_table(max(cache_size, 8))
 
     # -- evaluators ---------------------------------------------------------
 
@@ -227,70 +223,35 @@ class ReplicationProfile:
             if math.isinf(p):
                 return self.interval.beta
             return min(max(p, self.interval.alpha), self.interval.beta)
-        return self._invert_numeric(r2)
+        return self._bisect_inverse(r2)
 
-    # -- numeric inversion --------------------------------------------------
+    def _bisect_inverse(self, r2: float) -> float:
+        """Rightmost price with g >= r2, for 0 < r2 <= g(alpha), by bisection.
 
-    def _build_table(self, n: int):
+        The bracket starts at alpha (or, from alpha = 0, descends by halving
+        from the first breakpoint) and at beta (or, when unbounded, expands
+        by doubling).  Geometric bisection then returns the last point that
+        actually evaluated on the >= side, so the supremum convention
+        survives a jump of g exactly at the boundary.
+        """
         alpha, beta = self.interval.alpha, self.interval.beta
-        bps = sorted(set(b for b in self.payoff.breakpoints if b > 0.0)
-                     | set(payoff_price_anchors(self.payoff)))
-        lo = alpha if alpha > 0.0 else (min(bps) if bps else 1.0) / 1e3
+        if self.interval.bounded and self.g(beta) >= r2:
+            return beta
+        lo = alpha
+        if lo == 0.0:
+            lo = min([b for b in self.payoff.breakpoints if b > 0.0] + [beta, 1.0])
+            while self.g(lo) < r2:
+                lo *= 0.5
+                if lo < 1e-300:
+                    return 0.0
         if self.interval.bounded:
             hi = beta
         else:
-            hi = max((max(bps) if bps else 1.0) * 1e3, lo * 1e6)
-        if hi <= lo:
             hi = lo * 2.0
-        step = (math.log(hi) - math.log(lo)) / (n - 1)
-        prices = [math.exp(math.log(lo) + i * step) for i in range(n)]
-        values = [self.g(p) for p in prices]
-        # Quadrature noise must not break monotonicity of the bracket table.
-        for i in range(1, n):
-            if values[i] > values[i - 1]:
-                values[i] = values[i - 1]
-        return prices, values
-
-    def _invert_numeric(self, r2: float) -> float:
-        alpha, beta = self.interval.alpha, self.interval.beta
-        prices, values = self._table
-
-        # Rightmost table index still >= r2 brackets the crossing.
-        idx = None
-        for i in range(len(values) - 1, -1, -1):
-            if values[i] >= r2:
-                idx = i
-                break
-
-        if idx is None:
-            # Crossing sits left of the table; descend toward alpha.
-            hi = prices[0]
-            lo = alpha if alpha > 0.0 else hi * 0.5
-            if alpha == 0.0:
-                while self.g(lo) < r2:
-                    lo *= 0.5
-                    if lo < 1e-300:
-                        return 0.0
-            elif self.g(lo) < r2:
-                return alpha
-        elif idx == len(values) - 1:
-            # Crossing sits right of the table; expand toward beta.
-            lo = prices[-1]
-            hi = beta if self.interval.bounded else lo * 2.0
-            if not self.interval.bounded:
-                while self.g(hi) >= r2:
-                    lo = hi
-                    hi *= 2.0
-                    if hi > 1e300:
-                        return math.inf
-            elif self.g(hi) >= r2:
-                return beta
-        else:
-            lo, hi = prices[idx], prices[idx + 1]
-
-        # g(lo) >= r2 > g(hi): bisect with geometric midpoints and return the
-        # last point that actually evaluated on the >= side, so the supremum
-        # convention survives a jump of g exactly at the boundary.
+            while self.g(hi) >= r2:
+                lo, hi = hi, hi * 2.0
+                if hi > 1e300:
+                    return math.inf
         while hi - lo > _INVERSION_REL_TOL * lo:
             mid = math.sqrt(lo * hi)
             if mid <= lo or mid >= hi:

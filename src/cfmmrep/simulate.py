@@ -121,12 +121,25 @@ def run_arbitrage(profile: ReplicationProfile, path: PricePath) -> EarningsRepor
 
 
 def monte_carlo_reports(profile: ReplicationProfile, params: GbmParams, n_paths: int):
-    """One earnings report per independent path; path i uses seed + i."""
+    """One earnings report per independent path; path i uses seed + i.
+
+    A Monte Carlo estimate needs at least two paths for its standard error.
+    """
+    if n_paths < 2:
+        raise InvalidParameterError(f"n_paths must be >= 2, got {n_paths}")
     reports = []
     for i in range(n_paths):
         path = gbm_path(replace(params, seed=params.seed + i))
         reports.append(run_arbitrage(profile, path))
     return reports
+
+
+def earnings_mean_stderr(totals) -> tuple:
+    """Mean and standard error of per-path total earnings (two or more)."""
+    n = len(totals)
+    mean = math.fsum(totals) / n
+    var = math.fsum((w - mean) ** 2 for w in totals) / (n - 1)
+    return mean, math.sqrt(var / n)
 
 
 def monte_carlo_earnings(profile: ReplicationProfile, params: GbmParams, n_paths: int):
@@ -135,10 +148,6 @@ def monte_carlo_earnings(profile: ReplicationProfile, params: GbmParams, n_paths
     Reproducible from the base seed.  Returns (mean, standard error,
     per-path totals).
     """
-    if n_paths < 2:
-        raise InvalidParameterError(f"n_paths must be >= 2, got {n_paths}")
     totals = [r.total_w for r in monte_carlo_reports(profile, params, n_paths)]
-    mean = math.fsum(totals) / n_paths
-    var = math.fsum((w - mean) ** 2 for w in totals) / (n_paths - 1)
-    stderr = math.sqrt(var / n_paths)
+    mean, stderr = earnings_mean_stderr(totals)
     return mean, stderr, totals

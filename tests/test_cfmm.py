@@ -70,6 +70,14 @@ class TestTradingFunctionEval:
         with pytest.raises(InvalidReservesError):
             trading_function_eval(tf, 1.0, 1.5)  # above g(alpha) = log(p1/p0) = 1
 
+    def test_nan_reserves_rejected_on_both_routes(self):
+        tf = TradingFunction(ReplicationProfile(make_catalog_payoff(CappedCall(1.0, E))))
+        for r1, r2 in ((math.nan, 0.5), (1.0, math.nan)):
+            with pytest.raises(InvalidReservesError):
+                trading_function_eval(tf, r1, r2)
+            with pytest.raises(InvalidReservesError):
+                trading_function_infimum(tf, r1, r2)
+
     def test_unbounded_signal(self):
         # Unbounded payoff: the infimum at r2 = 0 runs to -infinity.
         for params in (Logarithmic(1.0), ConstantProportion(0.5, 1.0)):

@@ -155,6 +155,15 @@ class TestSimulate:
         assert rows[0] == "path_id,w,payoff_term,path_term"
         assert len(rows) == 5
 
+    @pytest.mark.parametrize("paths", ["0", "1", "-3"])
+    def test_too_few_paths_is_an_error(self, capsys, paths):
+        code, out, err = run_cli(
+            capsys, "simulate", "--payoff", "catalog:logarithmic",
+            "--param", "p0=1e-6", "--steps", "5", "--paths", paths)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_summary_blank_theory_otherwise(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--payoff", "catalog:cash_or_nothing",
@@ -171,6 +180,15 @@ class TestVerify:
         assert code == 0
         assert "constant product recovered" in out
         assert "FAIL" not in out
+
+    def test_truncated_constant_proportion_all_pass(self, capsys):
+        # Cut at beta = 4 the pool holds g(4) less risky asset; the constant
+        # product holds for (r1, r2 + g(4)).
+        code, out, _ = run_cli(
+            capsys, "verify", "--payoff", "catalog:constant_proportion",
+            "--param", "w=0.5", "--param", "C=1", "--beta", "4")
+        assert code == 0
+        assert "PASS  constant product recovered" in out
 
     def test_black_scholes_all_pass(self, capsys):
         code, out, _ = run_cli(

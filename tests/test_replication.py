@@ -347,11 +347,13 @@ class TestConcurrentEvaluation:
 
 class TestIntervalHandling:
     def test_narrowed_beta_changes_g(self):
-        # Cutting the interval below the cap invalidates the family formula;
-        # the profile must fall back to quadrature transparently.
+        # Cutting the interval below the cap shifts the family formula by
+        # g(beta); the profile keeps an exact route.
         spec = make_catalog_payoff(CappedCall(1.0, 4.0), PriceInterval(0.0, 2.0))
         prof = ReplicationProfile(spec)
-        assert prof.g_closed_form is None
+        assert prof.g_closed_form is not None
+        assert prof.g_inverse_closed_form is not None
+        assert prof.psi_closed_form is not None
         assert prof.g(1.5) == pytest.approx(math.log(2.0 / 1.5), rel=1e-9)
 
     def test_widened_beta_keeps_closed_forms(self):
