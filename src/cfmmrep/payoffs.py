@@ -836,13 +836,14 @@ def piecewise_exact_forms(spec: PayoffSpec) -> Optional[CatalogClosedForms]:
     below = [s for s in spec.segments if s.lo < beta]
     if not all(isinstance(s.form, (ConstantForm, LinearForm)) for s in below):
         return None
-    pieces = [(s.lo, s.hi, s.form.m) for s in below
-              if isinstance(s.form, LinearForm) and s.form.m > 0.0]
+    lows = [s.lo for s in below]
+    tops = [min(s.hi, beta) for s in below]
+    slopes = [s.form.slope(s.lo) for s in below]
+    pieces = [piece for piece in zip(lows, tops, slopes) if piece[2] > 0.0]
 
     def g(p: float) -> float:
         total = 0.0
-        for lo, hi, slope in pieces:
-            top = min(hi, beta)
+        for lo, top, slope in pieces:
             bottom = max(p, lo)
             if top > bottom:
                 total += slope * math.log(top / bottom)
@@ -851,9 +852,6 @@ def piecewise_exact_forms(spec: PayoffSpec) -> Optional[CatalogClosedForms]:
                 total += size / q
         return total
 
-    lows = [s.lo for s in below]
-    tops = [min(s.hi, beta) for s in below]
-    slopes = [s.form.slope(s.lo) for s in below]
     neg_top_g = [-g(t) for t in tops]  # nondecreasing
 
     def g_inverse(x: float) -> float:
