@@ -14,22 +14,21 @@ Pools are immutable values: operations return new states.  Trades are
 accepted exactly when they do not decrease the invariant level (fee-free
 semantics), and arbitrage jumps straight to the optimal allocation
 (f(p_ext), g(p_ext)), which maximizes the arbitrageur's one-shot profit.
+Both use only f and g; a minted pool's level is zero, derived on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import (
-    DomainError,
     InfiniteReplicationCostError,
     InvalidParameterError,
     InvalidReservesError,
     UnboundedTradingFunctionError,
 )
-from .replication import ReplicationProfile
+from .replication import ReplicationProfile, portfolio_at
 
 _TRADE_TOL = 1e-12
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -171,14 +170,19 @@ class PoolState:
     """Fee-free pool reserves bound to a trading function.
 
     price records where the reserves were last minted; spot_price recomputes
-    it from the risky reserve through g_inverse.
+    it from the risky reserve through g_inverse.  invariant_level is psi of
+    the reserves, derived on demand; the arbitrage loop never needs it.
     """
 
     tf: TradingFunction
     r1: float
     r2: float
-    invariant_level: float
     price: float
+
+    @property
+    def invariant_level(self) -> float:
+        """psi(r1, r2) of these reserves."""
+        return trading_function_eval(self.tf, self.r1, self.r2)
 
 
 @dataclass(frozen=True)
@@ -190,19 +194,18 @@ class ArbStepProfit:
     to_price: float
 
 
-def pool_init(profile: ReplicationProfile, p: float) -> PoolState:
-    """Mint a pool at external price p with the replicating allocation."""
-    if not profile.interval.contains(p) or math.isnan(p):
-        raise DomainError(
-            f"price {p} outside replication interval "
-            f"[{profile.interval.alpha}, {profile.interval.beta}]")
-    r2 = profile.g(p)
+def _mint(tf: TradingFunction, p: float) -> PoolState:
+    """The replicating allocation (f(p), g(p)) at price p."""
+    r1, r2 = portfolio_at(tf.profile, p)
     if math.isinf(r2):
         raise InfiniteReplicationCostError(
             f"replication cost is infinite at price {p}")
-    tf = TradingFunction(profile)
-    r1 = profile.payoff.value(p)
-    return PoolState(tf, r1, r2, trading_function_eval(tf, r1, r2), p)
+    return PoolState(tf, r1, r2, p)
+
+
+def pool_init(profile: ReplicationProfile, p: float) -> PoolState:
+    """Mint a pool at external price p with the replicating allocation."""
+    return _mint(TradingFunction(profile), p)
 
 
 def validate_trade(pool: PoolState, d1: float, d2: float) -> bool:
@@ -211,7 +214,8 @@ def validate_trade(pool: PoolState, d1: float, d2: float) -> bool:
     new_r2 = pool.r2 + d2
     _check_reserves(pool.tf, new_r1, new_r2)
     level = trading_function_eval(pool.tf, new_r1, new_r2)
-    return level >= pool.invariant_level - _TRADE_TOL * max(1.0, abs(pool.invariant_level))
+    current = pool.invariant_level
+    return level >= current - _TRADE_TOL * max(1.0, abs(current))
 
 
 def arbitrage_to_price(pool: PoolState, p_ext: float):
@@ -222,21 +226,11 @@ def arbitrage_to_price(pool: PoolState, p_ext: float):
         profit = p_ext * (r2 - g(p_ext)) + r1 - f(p_ext),
 
     which is nonnegative because the current allocation was optimal for the
-    old price and feasible for the new one.
+    old price and feasible for the new one.  Prices outside the interval
+    raise DomainError; clamp them first.
     """
-    profile = pool.tf.profile
-    if not profile.interval.contains(p_ext) or math.isnan(p_ext):
-        raise DomainError(
-            f"external price {p_ext} outside [{profile.interval.alpha}, "
-            f"{profile.interval.beta}]; clamp before arbitraging")
-    new_r1 = profile.payoff.value(p_ext)
-    new_r2 = profile.g(p_ext)
-    if math.isinf(new_r2):
-        raise InfiniteReplicationCostError(
-            f"replication cost is infinite at price {p_ext}")
-    profit = p_ext * (pool.r2 - new_r2) + pool.r1 - new_r1
-    level = trading_function_eval(pool.tf, new_r1, new_r2)
-    new_pool = PoolState(pool.tf, new_r1, new_r2, level, p_ext)
+    new_pool = _mint(pool.tf, p_ext)
+    profit = p_ext * (pool.r2 - new_pool.r2) + pool.r1 - new_pool.r1
     return new_pool, ArbStepProfit(profit, pool.price, p_ext)
 
 

@@ -44,7 +44,7 @@ def sample_price_range(profile: ReplicationProfile):
     lo = alpha if alpha > 0.0 else (min(bps) / 8.0 if bps else 0.05)
     hi = beta if profile.interval.bounded else max(max(bps, default=1.0) * 20.0, lo * 100.0)
     if hi <= lo:
-        hi = lo * 2.0
+        lo = max(alpha, hi / 2.0)
     return lo, hi
 
 

@@ -30,6 +30,7 @@ from .payoffs import (
     PriceInterval,
     family,
     make_catalog_payoff,
+    natural_interval,
     parse_payoff_document,
     parse_payoff_file,
 )
@@ -65,7 +66,8 @@ def _parse_bound(text: str) -> float:
 
 
 def load_payoff(cfg: RunConfig) -> PayoffSpec:
-    """Resolve --payoff (file path or catalog:NAME plus --param) to a spec."""
+    """Resolve --payoff (file path or catalog:NAME plus --param) to a spec
+    on an interval of nonzero width."""
     if cfg.payoff_source is None:
         raise PayoffParseError("--payoff is required")
     if cfg.payoff_source.startswith("catalog:"):
@@ -82,20 +84,29 @@ def load_payoff(cfg: RunConfig) -> PayoffSpec:
             doc["alpha"] = cfg.alpha
         if cfg.beta is not None:
             doc["beta"] = cfg.beta
-        return parse_payoff_document(doc)
-
-    if cfg.params:
-        raise PayoffParseError("--param only applies to catalog payoffs")
-    with open(cfg.payoff_source, "r", encoding="utf-8") as handle:
-        spec = parse_payoff_file(handle.read())
-    if cfg.alpha is not None or cfg.beta is not None:
-        interval = PriceInterval(
-            cfg.alpha if cfg.alpha is not None else spec.interval.alpha,
-            cfg.beta if cfg.beta is not None else spec.interval.beta)
-        if spec.catalog is not None:
-            spec = make_catalog_payoff(spec.catalog, interval)
-        else:
-            spec = PayoffSpec(spec.segments, spec.jumps, interval)
+        spec = parse_payoff_document(doc)
+    else:
+        if cfg.params:
+            raise PayoffParseError("--param only applies to catalog payoffs")
+        with open(cfg.payoff_source, "r", encoding="utf-8") as handle:
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise PayoffParseError(
+                    f"{cfg.payoff_source} is not UTF-8 text: {exc.reason}") from None
+        spec = parse_payoff_file(text)
+        if cfg.alpha is not None or cfg.beta is not None:
+            interval = PriceInterval(
+                cfg.alpha if cfg.alpha is not None else spec.interval.alpha,
+                cfg.beta if cfg.beta is not None else spec.interval.beta)
+            if spec.catalog is not None:
+                spec = make_catalog_payoff(spec.catalog, interval)
+            else:
+                spec = PayoffSpec(spec.segments, spec.jumps, interval)
+    if spec.interval.alpha == spec.interval.beta:
+        raise PayoffParseError(
+            f"replication interval [{spec.interval.alpha}, {spec.interval.beta}] "
+            "is empty: alpha must be below beta")
     return spec
 
 
@@ -184,9 +195,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
                      f"{_fmt(rep.path_term)}")
     _write(cfg, lines)
 
+    # A cut interval clamps the paths and changes the expected earnings.
     theory = ""
     earnings = family(payoff.catalog).earnings if payoff.catalog is not None else None
-    if earnings is not None:
+    if earnings is not None and payoff.interval == natural_interval(payoff.catalog):
         theory = _fmt(earnings(cfg.sigma, cfg.horizon))
     print(f"{_fmt(mean)},{_fmt(stderr)},{theory}")
     return 0
@@ -286,13 +298,11 @@ def main(argv=None) -> int:
             parser.error("--grid must be at least 2")
     try:
         return _COMMANDS[cfg.command](cfg)
-    except PayoffParseError as exc:
+    except (PayoffParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CfmmRepError as exc:
+    except (CfmmRepError, ArithmeticError, ValueError) as exc:
+        # Library errors, and float overflow on inputs near the float range.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

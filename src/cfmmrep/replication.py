@@ -156,7 +156,8 @@ class ReplicationProfile:
     forms (see catalog_closed_forms), else the exact piecewise-linear forms
     when every segment below beta is linear or constant, else quadrature g
     with bisection g_inverse.  use_closed_forms=False forces the numeric
-    route, the oracle the tests compare against.  The profile is immutable
+    route, with opts as its quadrature options: the oracle the tests compare
+    against, and the only switch between routes.  The profile is immutable
     after construction and safe to share across threads.
     """
 
@@ -193,16 +194,10 @@ class ReplicationProfile:
 
     # -- evaluators ---------------------------------------------------------
 
-    def g(self, p: float, opts: Optional[QuadratureOptions] = None,
-          method: str = "auto") -> float:
-        if method not in ("auto", "closed", "quadrature"):
-            raise InvalidParameterError(f"unknown method {method!r}")
-        if method == "closed" and self.g_closed_form is None:
-            raise InvalidParameterError("no closed form attached to this profile")
-        if method != "quadrature" and self.g_closed_form is not None:
+    def g(self, p: float) -> float:
+        if self.g_closed_form is not None:
             return self.g_closed_form(p)
-        return quadrature_replication_cost(
-            self.payoff, self.interval, p, opts or self.opts)
+        return quadrature_replication_cost(self.payoff, self.interval, p, self.opts)
 
     def portfolio_value(self, p: float) -> float:
         if math.isinf(p):
@@ -274,15 +269,10 @@ def _check_price(profile: ReplicationProfile, p: float):
             f"[{profile.interval.alpha}, {profile.interval.beta}]")
 
 
-def replication_cost(
-    profile: ReplicationProfile,
-    p: float,
-    opts: Optional[QuadratureOptions] = None,
-    method: str = "auto",
-) -> float:
+def replication_cost(profile: ReplicationProfile, p: float) -> float:
     """Risky asset required at price p."""
     _check_price(profile, p)
-    return profile.g(p, opts=opts, method=method)
+    return profile.g(p)
 
 
 def portfolio_at(profile: ReplicationProfile, p: float):

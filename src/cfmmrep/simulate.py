@@ -101,22 +101,24 @@ def run_arbitrage(profile: ReplicationProfile, path: PricePath) -> EarningsRepor
 
     Prices are clamped into [alpha, beta] first: outside the interval the
     payoff extends constant, the portfolio is static, and no profit moves.
+    g runs once per price, when the pool is minted: the reserve held into
+    a step, r2 = g(P_{i-1}), also gives that step's path-leg term.
     """
     clamped = [profile.interval.clamp(p) for p in path.prices]
     pool = pool_init(profile, clamped[0])
     profits = []
+    legs = []
     for p in clamped[1:]:
+        legs.append(pool.r2 * (p - pool.price))
         pool, step = arbitrage_to_price(pool, p)
         profits.append(step.profit)
 
     payoff_term = profile.portfolio_value(clamped[0]) - profile.portfolio_value(clamped[-1])
-    path_term = math.fsum(
-        profile.g(a) * (b - a) for a, b in zip(clamped, clamped[1:]))
     return EarningsReport(
         step_profits=tuple(profits),
         total_w=math.fsum(profits),
         payoff_term=payoff_term,
-        path_term=path_term,
+        path_term=math.fsum(legs),
     )
 
 

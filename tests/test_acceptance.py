@@ -81,10 +81,11 @@ def test_criterion_1_closed_form_vs_quadrature():
     worst = 0.0
     for name, spec, lo, hi in family_suite():
         prof = ReplicationProfile(spec)
+        oracle = ReplicationProfile(spec, opts=TIGHT, use_closed_forms=False)
         floor = 1e-12 * max(1.0, prof.g(lo))
         for p in log_spaced(lo, hi, 200):
             closed = prof.g(p)
-            quad = prof.g(p, opts=TIGHT, method="quadrature")
+            quad = oracle.g(p)
             rel = abs(quad - closed) / (abs(closed) + 1e-300)
             assert rel <= 1e-8 or abs(quad - closed) <= floor, (
                 f"{name} at p={p}: closed={closed!r} quad={quad!r}")

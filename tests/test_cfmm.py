@@ -203,6 +203,15 @@ class TestPool:
         moved, _ = arbitrage_to_price(pool, 2.0)
         assert abs(moved.invariant_level - pool.invariant_level) <= 1e-10
 
+    def test_validate_trade_measures_against_own_level(self):
+        # Off the curve by 0.5 numeraire: psi(r1 + c, r2) = psi(r1, r2) + c.
+        prof = ReplicationProfile(make_catalog_payoff(CappedCall(1.0, E)))
+        pool = PoolState(TradingFunction(prof), prof.payoff.value(1.5) + 0.5,
+                         prof.g(1.5), 1.5)
+        assert pool.invariant_level == pytest.approx(0.5, rel=1e-12)
+        assert not validate_trade(pool, -0.3, 0.0)  # 0.5 -> 0.2, though above 0
+        assert validate_trade(pool, 0.1, 0.0)
+
     def test_validate_trade_rejects_drain(self):
         prof = ReplicationProfile(make_catalog_payoff(CappedCall(1.0, E)))
         pool = pool_init(prof, 1.5)
@@ -270,7 +279,7 @@ class TestSpotPrice:
 
     def test_cash_or_nothing_flat(self):
         prof = ReplicationProfile(make_catalog_payoff(CashOrNothing(2.0)))
-        pool = PoolState(TradingFunction(prof), 0.0, 0.3, 0.0, 1.0)
+        pool = PoolState(TradingFunction(prof), 0.0, 0.3, 1.0)
         assert spot_price(pool) == pytest.approx(2.0)
 
 

@@ -1,10 +1,15 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfmmrep.cli import main
+from cfmmrep.payoffs import FAMILIES
 
 E = math.e
 
@@ -164,6 +169,15 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_no_theory_off_the_natural_interval(self, capsys):
+        # sigma^2 T/2 is the expectation on [0, inf); a cut at 1.2 clamps
+        # the paths and earns less.
+        code, out, _ = run_cli(
+            capsys, "simulate", "--payoff", "catalog:logarithmic",
+            "--param", "p0=1e-6", "--beta", "1.2", "--steps", "5", "--paths", "3")
+        assert code == 0
+        assert out.strip().splitlines()[-1].endswith(",")
+
     def test_summary_blank_theory_otherwise(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--payoff", "catalog:cash_or_nothing",
@@ -195,6 +209,19 @@ class TestVerify:
             capsys, "verify", "--payoff", "catalog:black_scholes_binary",
             "--param", "K=1", "--param", "sigma=0.2", "--param", "tau=1")
         assert code == 0
+        assert "FAIL" not in out
+
+    @pytest.mark.parametrize("family,params,beta", [
+        ("capped_call", ["p0=1", "p1=4"], "0.1"),
+        ("cash_or_nothing", ["p0=2"], "0.2"),
+    ])
+    def test_cut_below_first_breakpoint_samples_inside(self, capsys, family,
+                                                       params, beta):
+        argv = ["verify", "--payoff", f"catalog:{family}", "--beta", beta]
+        for param in params:
+            argv += ["--param", param]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
         assert "FAIL" not in out
 
     def test_decreasing_payoff_fails_at_parse(self, capsys, tmp_path):
@@ -256,6 +283,108 @@ class TestUsageErrors:
         assert code == 2
         assert "key=value" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["replicate", "--alpha", "5", "--beta", "5"],
+        ["replicate", "--alpha", "0", "--beta", "0"],
+        ["verify", "--alpha", "5", "--beta", "5"],
+    ])
+    def test_empty_interval_rejected(self, capsys, argv):
+        code, out, err = run_cli(
+            capsys, *argv, "--payoff", "catalog:logarithmic", "--param", "p0=1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "empty" in err
+
+    @pytest.mark.parametrize("flag", ["--out", "--payoff"])
+    def test_directory_path_is_a_usage_error(self, capsys, tmp_path, flag):
+        doc = tmp_path / "log.json"
+        doc.write_text('{"catalog": "logarithmic", "p0": 1}')
+        argv = ["replicate", "--payoff", str(doc), flag, str(tmp_path)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_non_utf8_payoff_file(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"catalog": "caf\xe9"}')
+        code, _, err = run_cli(capsys, "replicate", "--payoff", str(bad))
+        assert code == 2
+        assert err.startswith("error:") and "UTF-8" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "replicate", "--payoff", "/no/such/file.json")
         assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every run exits 0, 1 or 2 without a traceback
+# ---------------------------------------------------------------------------
+
+# Most draws are ordinary values, so that runs get past argument parsing.
+_NUMBERS = st.sampled_from(["0.1", "0.5", "1", "2", "4"] * 2
+                           + ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e300"])
+_COUNTS = st.sampled_from(["2", "3"] * 4 + ["-1", "0", "1", "nan", "x"])
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "latin1.json").write_bytes(b'{"catalog": "caf\xe9"}')
+    (root / "table.json").write_text(
+        '{"piecewise": {"points": [[1, 0], [2, 0.5], [4, 1.5]], "jumps": [[2, 0.25]]}}')
+    (root / "broken.json").write_text('{"catalog": ')
+    return {"dir": str(root), "files": [str(root / name) for name in
+            ("latin1.json", "table.json", "broken.json", "missing.json")]}
+
+
+@st.composite
+def _argvs(draw, paths):
+    command = draw(st.sampled_from(
+        ["replicate", "trading-function", "simulate", "verify", "catalog"]))
+    argv = [command]
+    if command == "catalog":
+        if draw(st.booleans()):
+            argv.append(draw(st.sampled_from([f.name for f in FAMILIES] + ["nope"])))
+        return argv
+    fam = draw(st.sampled_from(FAMILIES))
+    source = draw(st.one_of(
+        st.just(f"catalog:{fam.name}"),
+        st.sampled_from(["catalog:nope", paths["dir"]] + paths["files"])))
+    argv += ["--payoff", source]
+    if source.startswith("catalog:"):
+        canonical = {}
+        for key, field in fam.keys:
+            canonical.setdefault(field, key)
+        for key in list(canonical.values()) + ["zz"]:
+            if draw(st.integers(0, 9)) > (8 if key == "zz" else 0):
+                argv += ["--param", f"{key}={draw(_NUMBERS)}"]
+    for flag in ("--alpha", "--beta"):
+        if draw(st.integers(0, 2)) == 0:
+            argv += [flag, draw(_NUMBERS)]
+    if command in ("replicate", "trading-function"):
+        argv += ["--grid", draw(_COUNTS)]
+        if command == "trading-function" and draw(st.booleans()):
+            argv.append("--check-infimum")
+    if command == "simulate":
+        argv += ["--steps", draw(_COUNTS), "--paths", draw(_COUNTS),
+                 "--seed", draw(_COUNTS)]
+        for flag in ("--sigma", "--horizon", "--p-start"):
+            if draw(st.integers(0, 2)) == 0:
+                argv += [flag, draw(_NUMBERS)]
+    if command != "verify" and draw(st.integers(0, 3)) == 0:
+        argv += ["--out", draw(st.sampled_from(["-", paths["dir"]]))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_argv_fuzz_exits_cleanly(fuzz_paths, data):
+    argv = data.draw(_argvs(fuzz_paths))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -72,10 +72,12 @@ class TestReplicationCost:
     def test_quadrature_matches_closed_forms(self):
         rng = random.Random(2)
         for prof, lo, hi in profile_suite():
+            oracle = ReplicationProfile(prof.payoff, prof.interval, TIGHT,
+                                        use_closed_forms=False)
             for _ in range(25):
                 p = math.exp(rng.uniform(math.log(lo), math.log(hi)))
                 c = prof.g(p)
-                q = prof.g(p, opts=TIGHT, method="quadrature")
+                q = oracle.g(p)
                 assert q == pytest.approx(c, rel=1e-8, abs=1e-12), (
                     f"{prof.payoff.catalog} at p={p}")
 
@@ -290,7 +292,8 @@ class TestDegenerateCatalogConfigs:
         # g(p) = 2*(4 - p) on [0, 4]: finite at 0, linear inverse.
         prof = ReplicationProfile(make_catalog_payoff(CappedPower(0.0, 4.0, 2.0)))
         assert prof.g(0.0) == pytest.approx(8.0)
-        assert prof.g(0.0, method="quadrature") == pytest.approx(8.0, rel=1e-9)
+        oracle = ReplicationProfile(prof.payoff, use_closed_forms=False)
+        assert oracle.g(0.0) == pytest.approx(8.0, rel=1e-9)
         assert g_inverse(prof, 8.0) == pytest.approx(0.0, abs=1e-12)
         for x in (2.0, 4.0, 6.0):
             assert g_inverse(prof, x) == pytest.approx(4.0 - x / 2.0)
@@ -308,7 +311,8 @@ class TestDegenerateCatalogConfigs:
         assert prof.payoff.value(2.0) == 0.0
         assert prof.payoff.value(2.0 + 1e-12) == 1.0
         assert prof.g(1.0) == pytest.approx(0.5)
-        assert prof.g(1.0, method="quadrature") == pytest.approx(0.5)
+        oracle = ReplicationProfile(prof.payoff, use_closed_forms=False)
+        assert oracle.g(1.0) == pytest.approx(0.5)
         assert g_inverse(prof, 0.1) == pytest.approx(2.0)
 
     def test_zero_strike_binary_is_constant(self):

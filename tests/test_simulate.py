@@ -19,9 +19,11 @@ from cfmmrep import (
     ReplicationProfile,
     gbm_path,
     make_catalog_payoff,
+    make_piecewise_payoff,
     monte_carlo_earnings,
     run_arbitrage,
 )
+from cfmmrep import cfmm
 from cfmmrep.rng import SplitMix64
 
 E = math.e
@@ -155,6 +157,62 @@ class TestRunArbitrage:
         report = run_arbitrage(prof, path)
         assert report.total_w == pytest.approx(math.fsum(report.step_profits))
         assert len(report.step_profits) == 50
+
+
+def arithmetic_suite():
+    """The six families and a piecewise table with jumps, each with a start
+    price inside its interval."""
+    table = make_piecewise_payoff(
+        [(0.5, 0.0), (1.0, 0.2), (2.0, 0.5), (3.0, 1.0), (5.0, 1.5)],
+        [(1.0, 0.3), (3.0, 0.25)])
+    return [
+        (make_catalog_payoff(CashOrNothing(2.0)), 1.5),
+        (make_catalog_payoff(CappedCall(1.0, E)), 1.5),
+        (make_catalog_payoff(BlackScholesBinary(1.0, 0.2, 1.0)), 1.0),
+        (make_catalog_payoff(Logarithmic(1.0)), 1.0),
+        (make_catalog_payoff(CappedPower(1.0, 4.0, 2.0)), 2.0),
+        (make_catalog_payoff(ConstantProportion(0.5, 1.0)), 1.0),
+        (table, 2.0),
+    ]
+
+
+class TestPaperArithmeticOnly:
+    """Minting and arbitrage use f and g only: the pool sits on psi's zero
+    level set by construction, so the loop never evaluates psi."""
+
+    @pytest.fixture
+    def psi_forbidden(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("psi evaluated in the arbitrage loop")
+
+        monkeypatch.setattr(cfmm, "trading_function_eval", forbidden)
+
+    @pytest.mark.parametrize("index", range(7))
+    def test_loop_never_evaluates_psi(self, psi_forbidden, index):
+        spec, p_start = arithmetic_suite()[index]
+        prof = ReplicationProfile(spec)
+        params = GbmParams(p_start, 0.5, 1.0, 30, 3)
+        report = run_arbitrage(prof, gbm_path(params))
+        assert len(report.step_profits) == 30
+        _, _, totals = monte_carlo_earnings(prof, params, 2)
+        assert len(totals) == 2
+
+    @pytest.mark.parametrize("index", range(7))
+    def test_one_g_per_price(self, monkeypatch, index):
+        spec, p_start = arithmetic_suite()[index]
+        prof = ReplicationProfile(spec)
+        calls = []
+        original = ReplicationProfile.g
+
+        def counting(self, p):
+            calls.append(p)
+            return original(self, p)
+
+        monkeypatch.setattr(ReplicationProfile, "g", counting)
+        steps = 40
+        run_arbitrage(prof, gbm_path(GbmParams(p_start, 0.5, 1.0, steps, 9)))
+        # One g per price, plus at most the two endpoint values V(P_0), V(P_T).
+        assert steps + 1 <= len(calls) <= steps + 3
 
 
 class TestMonteCarlo:
