@@ -10,6 +10,7 @@ and only when an output change is intended.
 """
 
 import contextlib
+import hashlib
 import io
 import math
 import sys
@@ -86,6 +87,17 @@ def _cases():
 
 EXACT, CLOSE = _cases()
 
+# 20 x 500 runs draw about 500 normals from the inverse CDF's tail branches;
+# their stdout is pinned by sha256 rather than kept as a recording.
+LARGE_SIMULATE = {
+    "logarithmic": (
+        _payoff_args("logarithmic", ["p0=1e-6"]),
+        "084916ef7504a20fcf6c071973c6000d98c991939b978c0fae37af3787c6a7f4"),
+    "piecewise": (
+        ["--payoff", PIECEWISE, "--p-start", "1.5"],
+        "137671a1994893e22d0bf957cc50c033584d9751313f2dcb69af5e4ee252ad8e"),
+}
+
 # Where g is flat to rounding near alpha, the rightmost price with
 # g >= g(alpha) is ill-posed in floating point: the recording holds a
 # quadrature-noise price there (0.046 where the exact answer is 0), and
@@ -109,6 +121,14 @@ def test_exact_output(case):
     code, out = run(EXACT[case])
     assert code == 0
     assert out == recorded(case)
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_SIMULATE))
+def test_large_simulate_digest(case):
+    payoff, digest = LARGE_SIMULATE[case]
+    code, out = run(["simulate", "--paths", "20", "--steps", "500"] + payoff)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def _numbers_close(got: str, want: str, floor: float = 1e-3) -> bool:
