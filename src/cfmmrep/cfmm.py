@@ -23,12 +23,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
-    InfiniteReplicationCostError,
     InvalidParameterError,
     InvalidReservesError,
     UnboundedTradingFunctionError,
 )
-from .replication import ReplicationProfile, portfolio_at
+from .replication import ReplicationProfile
 
 _TRADE_TOL = 1e-12
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -196,10 +195,7 @@ class ArbStepProfit:
 
 def _mint(tf: TradingFunction, p: float) -> PoolState:
     """The replicating allocation (f(p), g(p)) at price p."""
-    r1, r2 = portfolio_at(tf.profile, p)
-    if math.isinf(r2):
-        raise InfiniteReplicationCostError(
-            f"replication cost is infinite at price {p}")
+    (r1,), (r2,) = tf.profile.portfolios((p,))
     return PoolState(tf, r1, r2, p)
 
 

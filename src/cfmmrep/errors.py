@@ -48,3 +48,7 @@ class UnboundedTradingFunctionError(CfmmRepError, ArithmeticError):
     Happens for an empty risky reserve when the portfolio value is unbounded
     above (the infimum over prices then runs away to -infinity).
     """
+
+
+class NumericalError(CfmmRepError, ArithmeticError):
+    """A computation left the float range, so no finite result is available."""

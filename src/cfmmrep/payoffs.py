@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 from .errors import (
@@ -27,6 +27,7 @@ from .errors import (
     InfiniteReplicationCostError,
     InvalidParameterError,
     MonotonicityError,
+    NumericalError,
     PayoffParseError,
 )
 from .normal import norm_cdf, norm_inv, norm_pdf
@@ -352,13 +353,17 @@ class PayoffSpec:
     jumps: tuple
     interval: PriceInterval
     catalog: Optional[CatalogParams] = None
+    # Interior segment boundaries (kinks and jump locations), ascending;
+    # derived from segments.
+    breakpoints: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.segments:
             raise InvalidParameterError("payoff needs at least one segment")
         if self.segments[0].lo != 0.0 or not math.isinf(self.segments[-1].hi):
             raise InvalidParameterError("segments must cover [0, inf)")
-        bounds = self.breakpoints
+        bounds = tuple(s.hi for s in self.segments[:-1])
+        object.__setattr__(self, "breakpoints", bounds)
         for a, b in zip(bounds, bounds[1:]):
             if not a < b:
                 raise InvalidParameterError("breakpoints must be strictly increasing")
@@ -368,11 +373,6 @@ class PayoffSpec:
                 raise InvalidParameterError(f"jump size at {q} must be >= 0")
             if q not in locs:
                 raise InvalidParameterError(f"jump location {q} is not a breakpoint")
-
-    @property
-    def breakpoints(self) -> tuple:
-        """Interior segment boundaries (kinks and jump locations), ascending."""
-        return tuple(s.hi for s in self.segments[:-1])
 
     def _segment_at(self, p: float) -> Segment:
         # bisect_left sends a boundary point to the lower segment, which is
@@ -716,7 +716,11 @@ def make_catalog_payoff(
     """
     if interval is None:
         interval = natural_interval(params)
-    segments, jumps = family(params).segments(params)
+    try:
+        segments, jumps = family(params).segments(params)
+    except OverflowError:
+        raise NumericalError(
+            f"{params}: the payoff overflows the float range") from None
     linear_tail = segments[-1].form.growth_exponent() >= 1.0
     if linear_tail and not interval.bounded and not allow_infinite_cost:
         raise InfiniteReplicationCostError(

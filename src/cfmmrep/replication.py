@@ -206,6 +206,24 @@ class ReplicationProfile:
         risky_value = 0.0 if p == 0.0 else p * g  # 0 * inf -> 0 at the left edge
         return self.payoff.value(p) + risky_value
 
+    def portfolios(self, prices) -> tuple:
+        """The replicating holdings at each price: lists (f(p)), (g(p)).
+
+        Each price must lie in the interval.  g runs once per price; an
+        infinite g raises InfiniteReplicationCostError, as no pool can hold
+        that risky reserve.
+        """
+        if prices:
+            _check_price(self, min(prices))
+            _check_price(self, max(prices))
+        value, g = self.payoff.value, self.g
+        r1 = [value(p) for p in prices]
+        r2 = [g(p) for p in prices]
+        if math.inf in r2:
+            raise InfiniteReplicationCostError(
+                f"replication cost is infinite at price {prices[r2.index(math.inf)]}")
+        return r1, r2
+
     def g_inverse_value(self, r2: float) -> float:
         if r2 < 0.0 or math.isnan(r2):
             raise InvalidParameterError(f"risky reserve must be >= 0, got {r2}")

@@ -3,10 +3,11 @@
 Uniforms come from SplitMix64 (Steele, Lea & Flood's 64-bit mixing
 generator), which is fully specified by integer arithmetic and therefore
 produces identical streams on every platform.  Normals are drawn by
-inverse-CDF so the whole pipeline is one uniform per variate.
+inverse-CDF so the whole pipeline is one uniform per variate.  Draws come
+in batches; a batch of n gives the same numbers as n single draws.
 """
 
-from .normal import norm_inv
+from .normal import norm_inv, norm_inv_many
 
 _MASK64 = (1 << 64) - 1
 
@@ -17,16 +18,30 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
+    def _next_uint64s(self, n: int) -> list:
+        state = self._state
+        out = []
+        for _ in range(n):
+            state = (state + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            out.append(z ^ (z >> 31))
+        self._state = state
+        return out
+
+    def _uniforms(self, n: int) -> list:
+        # 53-bit mantissa, offset half a step: lands strictly inside (0, 1).
+        return [((z >> 11) + 0.5) * 2.0 ** -53 for z in self._next_uint64s(n)]
+
     def next_uint64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return self._next_uint64s(1)[0]
 
     def uniform(self) -> float:
-        # 53-bit mantissa, offset half a step: lands strictly inside (0, 1).
-        return ((self.next_uint64() >> 11) + 0.5) * 2.0 ** -53
+        return self._uniforms(1)[0]
 
     def normal(self) -> float:
         return norm_inv(self.uniform())
+
+    def normals(self, n: int) -> list:
+        """The next n standard normals."""
+        return norm_inv_many(self._uniforms(n))

@@ -20,10 +20,12 @@ function of its seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
-from .cfmm import arbitrage_to_price, pool_init
-from .errors import InvalidParameterError
+from .cfmm import arbitrage_to_price  # noqa: F401  (traced by name in bench/spans.py)
+from .errors import InvalidParameterError, NumericalError
 from .replication import ReplicationProfile
 from .rng import SplitMix64
 
@@ -82,16 +84,23 @@ class EarningsReport:
 
 
 def gbm_path(params: GbmParams) -> PricePath:
-    """Sample one path; identical seeds give identical paths."""
-    rng = SplitMix64(params.seed)
+    """Sample one path; identical seeds give identical paths.
+
+    Raises NumericalError when a step takes the price out of the positive
+    float range (to inf, or to 0 by underflow).
+    """
     dt = params.horizon / params.steps
     vol = params.sigma * math.sqrt(dt)
     drift = -0.5 * params.sigma * params.sigma * dt
-    prices = [params.p_start]
-    p = params.p_start
-    for _ in range(params.steps):
-        p *= math.exp(vol * rng.normal() + drift)
-        prices.append(p)
+    moves = [math.exp(vol * z + drift) for z in SplitMix64(params.seed).normals(params.steps)]
+    prices = list(accumulate(moves, operator.mul, initial=params.p_start))
+    # inf, 0 and nan are absorbing under multiplication by positive moves,
+    # so a path that left the range ends outside it.
+    if not 0.0 < prices[-1] < math.inf:
+        step = next(i for i, p in enumerate(prices) if not 0.0 < p < math.inf)
+        raise NumericalError(
+            f"price path left the float range at step {step} of {params.steps}: "
+            f"{prices[step - 1]!r} became {prices[step]!r}")
     times = tuple(i * dt for i in range(params.steps + 1))
     return PricePath(times, tuple(prices))
 
@@ -101,19 +110,23 @@ def run_arbitrage(profile: ReplicationProfile, path: PricePath) -> EarningsRepor
 
     Prices are clamped into [alpha, beta] first: outside the interval the
     payoff extends constant, the portfolio is static, and no profit moves.
-    g runs once per price, when the pool is minted: the reserve held into
-    a step, r2 = g(P_{i-1}), also gives that step's path-leg term.
-    """
-    clamped = [profile.interval.clamp(p) for p in path.prices]
-    pool = pool_init(profile, clamped[0])
-    profits = []
-    legs = []
-    for p in clamped[1:]:
-        legs.append(pool.r2 * (p - pool.price))
-        pool, step = arbitrage_to_price(pool, p)
-        profits.append(step.profit)
+    The pool after each step holds (f(P_i), g(P_i)), so one sweep of f and g
+    over the clamped prices gives every step profit
 
-    payoff_term = profile.portfolio_value(clamped[0]) - profile.portfolio_value(clamped[-1])
+        P_i * (g(P_{i-1}) - g(P_i)) + f(P_{i-1}) - f(P_i),
+
+    and every path-leg term g(P_{i-1}) * (P_i - P_{i-1}); each equals what
+    chained arbitrage_to_price calls compute, bit for bit.
+    """
+    clamp = profile.interval.clamp
+    prices = [clamp(p) for p in path.prices]
+    r1, r2 = profile.portfolios(prices)
+    after = prices[1:]
+    profits = [p * (g0 - g1) + f0 - f1
+               for p, f0, f1, g0, g1 in zip(after, r1, r1[1:], r2, r2[1:])]
+    legs = [g0 * (p - p0) for p0, p, g0 in zip(prices, after, r2)]
+
+    payoff_term = profile.portfolio_value(prices[0]) - profile.portfolio_value(prices[-1])
     return EarningsReport(
         step_profits=tuple(profits),
         total_w=math.fsum(profits),
@@ -140,7 +153,12 @@ def earnings_mean_stderr(totals) -> tuple:
     """Mean and standard error of per-path total earnings (two or more)."""
     n = len(totals)
     mean = math.fsum(totals) / n
-    var = math.fsum((w - mean) ** 2 for w in totals) / (n - 1)
+    try:
+        var = math.fsum((w - mean) ** 2 for w in totals) / (n - 1)
+    except OverflowError:
+        raise NumericalError(
+            f"the variance of the path earnings overflows the float range "
+            f"(mean {mean!r})") from None
     return mean, math.sqrt(var / n)
 
 

@@ -186,6 +186,39 @@ class TestSimulate:
         assert out.strip().splitlines()[-1].endswith(",")
 
 
+class TestNumericalErrors:
+    """Results that leave the float range exit 1 with a message naming the
+    cause, not the C library's errno text."""
+
+    @pytest.mark.parametrize("argv, cause", [
+        (("simulate", "--payoff", "catalog:constant_proportion", "--param", "w=0.5",
+          "--param", "C=1e300", "--beta", "1e300", "--paths", "3", "--steps", "20"),
+         "variance of the path earnings overflows the float range"),
+        (("verify", "--payoff", "catalog:capped_power", "--param", "p0=0",
+          "--param", "p1=1e300", "--param", "a=1e300"),
+         "CappedPower(p0=0.0, p1=1e+300, a=1e+300): the payoff overflows"),
+        (("simulate", "--payoff", "catalog:logarithmic", "--param", "p0=1e-6",
+          "--p-start", "1.7e308", "--paths", "2", "--steps", "200"),
+         "price path left the float range at step 20 of 200"),
+    ])
+    def test_overflow_is_named(self, capsys, argv, cause):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and cause in err
+        assert "out of range')" not in err and "prices must be positive" not in err
+
+    @pytest.mark.parametrize("p_start", ["1e-300", "1e300"])
+    def test_prices_near_the_float_limits(self, capsys, p_start):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--payoff", "catalog:logarithmic", "--param", "p0=1",
+            "--p-start", p_start, "--paths", "3", "--steps", "50")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:-1]]
+        assert len(rows) == 3
+        assert all(math.isfinite(float(x)) for row in rows for x in row)
+
+
 class TestVerify:
     def test_constant_proportion_all_pass(self, capsys):
         code, out, _ = run_cli(

@@ -20,6 +20,7 @@ from cfmmrep import (
     InvalidParameterError,
     Logarithmic,
     MonotonicityError,
+    NumericalError,
     PayoffParseError,
     PriceInterval,
     eval_payoff,
@@ -81,6 +82,12 @@ class TestCatalogValues:
         assert eval_payoff(spec, 2.0) == pytest.approx(3.0)
         assert eval_payoff(spec, 4.0) == pytest.approx(15.0)
         assert eval_payoff(spec, 0.5) == 0.0
+
+
+def test_overflowing_catalog_parameters_are_named():
+    # p1**a overflows while the capped segment's top value is built.
+    with pytest.raises(NumericalError, match=r"CappedPower\(p0=0.0, p1=1e\+300, a=1e\+300\)"):
+        make_catalog_payoff(CappedPower(0.0, 1e300, 1e300))
 
 
 class TestDerivative:

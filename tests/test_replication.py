@@ -131,6 +131,19 @@ class TestPortfolio:
         assert portfolio_at(prof, 4.0) == (pytest.approx(2.0), pytest.approx(0.5))
         assert portfolio_value(prof, 4.0) == pytest.approx(4.0)
 
+    def test_portfolios_along_prices(self):
+        prof = ReplicationProfile(make_catalog_payoff(ConstantProportion(0.5, 1.0)))
+        prices = [4.0, 1.0, 0.25]
+        assert prof.portfolios(prices) == ([prof.payoff.value(p) for p in prices],
+                                           [prof.g(p) for p in prices])
+        assert prof.portfolios([]) == ([], [])
+        # g(0) is infinite here: no pool can be minted there.
+        with pytest.raises(InfiniteReplicationCostError, match="infinite at price 0.0"):
+            prof.portfolios([1.0, 0.0, 2.0])
+        capped = ReplicationProfile(make_catalog_payoff(CappedCall(1.0, E)))
+        with pytest.raises(DomainError, match="outside replication interval"):
+            capped.portfolios([1.5, E + 0.5])
+
     def test_value_where_risky_vanishes(self):
         prof = ReplicationProfile(make_catalog_payoff(CappedCall(1.0, E)))
         assert portfolio_value(prof, E) == pytest.approx(E - 1.0)

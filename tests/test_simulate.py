@@ -15,16 +15,22 @@ from cfmmrep import (
     GbmParams,
     InvalidParameterError,
     Logarithmic,
+    NumericalError,
+    PriceInterval,
     PricePath,
     ReplicationProfile,
+    arbitrage_to_price,
     gbm_path,
     make_catalog_payoff,
     make_piecewise_payoff,
     monte_carlo_earnings,
+    pool_init,
     run_arbitrage,
 )
 from cfmmrep import cfmm
+from cfmmrep.normal import norm_inv
 from cfmmrep.rng import SplitMix64
+from cfmmrep.simulate import earnings_mean_stderr
 
 E = math.e
 
@@ -93,6 +99,94 @@ class TestGbm:
         for _ in range(10_000):
             u = rng.uniform()
             assert 0.0 < u < 1.0
+
+
+# The normal draw as it was written before draws came in batches: one
+# SplitMix64 step, one uniform, and norm_inv's rational guess (coefficient
+# tables, two tail branches) refined by one Halley step through norm_cdf.
+_REF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
+          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
+_REF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
+          6.680131188771972e+01, -1.328068155288572e+01)
+_REF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
+          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
+_REF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
+          3.754408661907416e+00)
+_REF_P_LOW = 0.02425
+_MASK64 = (1 << 64) - 1
+
+
+def reference_norm_inv(p):
+    c, d = _REF_C, _REF_D
+    if p < _REF_P_LOW:
+        q = math.sqrt(-2.0 * math.log(p))
+        x = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
+             / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
+    elif p > 1.0 - _REF_P_LOW:
+        q = math.sqrt(-2.0 * math.log(1.0 - p))
+        x = -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
+              / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
+    else:
+        a, b = _REF_A, _REF_B
+        q = p - 0.5
+        r = q * q
+        x = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
+             / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
+    if 0.5 * x * x > 700.0:
+        return x
+    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
+    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
+    return x - u / (1.0 + 0.5 * x * u)
+
+
+def reference_uniforms(seed, n):
+    state = seed & _MASK64
+    out = []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append((((z ^ (z >> 31)) >> 11) + 0.5) * 2.0 ** -53)
+    return out
+
+
+class TestBatchedDraws:
+    """A batch of draws equals the same number of scalar draws, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345, 2**64 - 1, -3])
+    def test_normals_match_scalar_reference(self, seed):
+        n = 12_000
+        uniforms = reference_uniforms(seed, n)
+        # Both branches of the tail guess are exercised, about 290 times each.
+        assert sum(u < _REF_P_LOW for u in uniforms) > 100
+        assert sum(u > 1.0 - _REF_P_LOW for u in uniforms) > 100
+        assert SplitMix64(seed).normals(n) == [reference_norm_inv(u) for u in uniforms]
+
+    def test_batches_continue_one_stream(self):
+        rng = SplitMix64(11)
+        draws = rng.normals(5) + [rng.normal()] + rng.normals(0) + rng.normals(4)
+        assert draws == SplitMix64(11).normals(10)
+        rng = SplitMix64(11)
+        assert [rng.uniform() for _ in range(3)] == reference_uniforms(11, 3)
+
+    def test_norm_inv_matches_reference_at_branch_edges(self):
+        edges = [_REF_P_LOW, math.nextafter(_REF_P_LOW, 0.0),
+                 1.0 - _REF_P_LOW, math.nextafter(1.0 - _REF_P_LOW, 1.0),
+                 0.5, 2.0 ** -53, 1.0 - 2.0 ** -53, 1e-300, 5e-324]
+        for p in edges:
+            assert norm_inv(p) == reference_norm_inv(p), p
+
+
+def chained_arbitrage(profile, path):
+    """Step profits and path leg from one arbitrage_to_price call per step."""
+    clamped = [profile.interval.clamp(p) for p in path.prices]
+    pool = pool_init(profile, clamped[0])
+    profits, legs = [], []
+    for p in clamped[1:]:
+        legs.append(pool.r2 * (p - pool.price))
+        pool, step = arbitrage_to_price(pool, p)
+        profits.append(step.profit)
+    return tuple(profits), math.fsum(legs)
 
 
 class TestRunArbitrage:
@@ -213,6 +307,74 @@ class TestPaperArithmeticOnly:
         run_arbitrage(prof, gbm_path(GbmParams(p_start, 0.5, 1.0, steps, 9)))
         # One g per price, plus at most the two endpoint values V(P_0), V(P_T).
         assert steps + 1 <= len(calls) <= steps + 3
+
+
+class TestSweepMatchesOneStepApi:
+    """run_arbitrage's sweep over f and g gives exactly the profits of
+    chained arbitrage_to_price calls, also at the edges of the float range,
+    on a constant path and on a path that sits on the table's jumps."""
+
+    @staticmethod
+    def assert_same(profile, path):
+        report = run_arbitrage(profile, path)
+        profits, path_term = chained_arbitrage(profile, path)
+        assert report.step_profits == profits
+        assert report.path_term == path_term
+
+    @pytest.mark.parametrize("index", range(7))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_gbm_paths(self, index, seed):
+        spec, p_start = arithmetic_suite()[index]
+        prof = ReplicationProfile(spec)
+        for sigma in (0.5, 3.0):
+            self.assert_same(prof, gbm_path(GbmParams(p_start, sigma, 1.0, 200, seed)))
+
+    @pytest.mark.parametrize("index", range(7))
+    @pytest.mark.parametrize("p_start, sigma", [(1e-300, 0.5), (1e300, 0.5), (1e-300, 0.0),
+                                                (1e300, 0.0)])
+    def test_float_range_edges_and_zero_vol(self, index, p_start, sigma):
+        spec, _ = arithmetic_suite()[index]
+        self.assert_same(ReplicationProfile(spec),
+                         gbm_path(GbmParams(p_start, sigma, 1.0, 100, 4)))
+
+    @pytest.mark.parametrize("index", range(7))
+    def test_zero_vol_earns_nothing(self, index):
+        spec, p_start = arithmetic_suite()[index]
+        prof = ReplicationProfile(spec)
+        path = gbm_path(GbmParams(p_start, 0.0, 1.0, 50, 4))
+        self.assert_same(prof, path)
+        assert run_arbitrage(prof, path).step_profits == (0.0,) * 50
+
+    def test_path_on_the_jumps(self):
+        table, _ = arithmetic_suite()[-1]
+        assert table.jumps == ((1.0, 0.3), (3.0, 0.25))
+        up = math.nextafter(3.0, math.inf)
+        prices = (2.0, 3.0, 3.0, up, 3.0, 1.0, math.nextafter(1.0, 0.0), 1.0, 5.0, 3.0)
+        path = PricePath(tuple(float(i) for i in range(len(prices))), prices)
+        prof = ReplicationProfile(table)
+        self.assert_same(prof, path)
+        # At a jump the pool trades the jump's whole mass at the jump price
+        # itself, so a one-ulp move across it earns nothing beyond rounding.
+        profits = run_arbitrage(prof, path).step_profits
+        assert all(abs(profits[i]) <= 1e-15 for i in (1, 2, 3, 5, 6))
+
+
+class TestNumericalOverflow:
+    """Results that leave the float range raise NumericalError, named."""
+
+    def test_gbm_path_leaving_the_range(self):
+        with pytest.raises(NumericalError, match="step 20 of 200"):
+            gbm_path(GbmParams(1.7e308, 0.5, 1.0, 200, 7))
+        with pytest.raises(NumericalError, match="became 0.0"):
+            gbm_path(GbmParams(5e-324, 10.0, 1.0, 200, 7))
+
+    def test_earnings_variance_overflow(self):
+        spec = make_catalog_payoff(ConstantProportion(0.5, 1e300), PriceInterval(0.0, 1e300))
+        prof = ReplicationProfile(spec)
+        with pytest.raises(NumericalError, match="variance"):
+            monte_carlo_earnings(prof, GbmParams(1.0, 0.5, 1.0, 20, 7), 3)
+        with pytest.raises(ArithmeticError):
+            earnings_mean_stderr([1e300, -1e300])
 
 
 class TestMonteCarlo:
