@@ -65,8 +65,3 @@ def norm_inv(p: float) -> float:
     # Python call.
     u = (0.5 * math.erfc(-x / _SQRT2) - p) * _SQRT_2PI * math.exp(half_x2)
     return x - u / (1.0 + 0.5 * x * u)
-
-
-def norm_inv_many(ps) -> list:
-    """norm_inv of each probability in ps, as a list."""
-    return [norm_inv(p) for p in ps]

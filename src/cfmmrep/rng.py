@@ -7,7 +7,7 @@ inverse-CDF so the whole pipeline is one uniform per variate.  Draws come
 in batches; a batch of n gives the same numbers as n single draws.
 """
 
-from .normal import norm_inv, norm_inv_many
+from .normal import norm_inv
 
 _MASK64 = (1 << 64) - 1
 
@@ -44,4 +44,4 @@ class SplitMix64:
 
     def normals(self, n: int) -> list:
         """The next n standard normals."""
-        return norm_inv_many(self._uniforms(n))
+        return [norm_inv(u) for u in self._uniforms(n)]

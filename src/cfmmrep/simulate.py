@@ -94,8 +94,8 @@ def gbm_path(params: GbmParams) -> PricePath:
     drift = -0.5 * params.sigma * params.sigma * dt
     moves = [math.exp(vol * z + drift) for z in SplitMix64(params.seed).normals(params.steps)]
     prices = list(accumulate(moves, operator.mul, initial=params.p_start))
-    # inf, 0 and nan are absorbing under multiplication by positive moves,
-    # so a path that left the range ends outside it.
+    # Moves are exp(...) >= 0, so a price that reached inf, 0 or nan stays
+    # out of range: a path that left the range ends outside it.
     if not 0.0 < prices[-1] < math.inf:
         step = next(i for i, p in enumerate(prices) if not 0.0 < p < math.inf)
         raise NumericalError(
@@ -127,11 +127,18 @@ def run_arbitrage(profile: ReplicationProfile, path: PricePath) -> EarningsRepor
     legs = [g0 * (p - p0) for p0, p, g0 in zip(prices, after, r2)]
 
     payoff_term = profile.portfolio_value(prices[0]) - profile.portfolio_value(prices[-1])
+    try:
+        total_w, path_term = math.fsum(profits), math.fsum(legs)
+    except (OverflowError, ValueError):  # a partial sum past the float range, or inf - inf
+        total_w = path_term = math.nan
+    if not all(map(math.isfinite, (total_w, payoff_term, path_term))):
+        raise NumericalError(
+            f"the earnings along the path from {prices[0]!r} leave the float range")
     return EarningsReport(
         step_profits=tuple(profits),
-        total_w=math.fsum(profits),
+        total_w=total_w,
         payoff_term=payoff_term,
-        path_term=math.fsum(legs),
+        path_term=path_term,
     )
 
 

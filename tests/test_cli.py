@@ -194,6 +194,10 @@ class TestNumericalErrors:
         (("simulate", "--payoff", "catalog:constant_proportion", "--param", "w=0.5",
           "--param", "C=1e300", "--beta", "1e300", "--paths", "3", "--steps", "20"),
          "variance of the path earnings overflows the float range"),
+        (("simulate", "--payoff", "catalog:constant_proportion", "--param", "w=0.5",
+          "--param", "C=1e300", "--beta", "1e300", "--p-start", "1e25", "--paths", "3",
+          "--steps", "20"),
+         "earnings along the path from 1e+25 leave the float range"),
         (("verify", "--payoff", "catalog:capped_power", "--param", "p0=0",
           "--param", "p1=1e300", "--param", "a=1e300"),
          "CappedPower(p0=0.0, p1=1e+300, a=1e+300): the payoff overflows"),

@@ -1,5 +1,6 @@
 """Payoff catalog, piecewise tables, parsing, and payoff invariants."""
 
+import dataclasses
 import json
 import math
 import random
@@ -82,6 +83,15 @@ class TestCatalogValues:
         assert eval_payoff(spec, 2.0) == pytest.approx(3.0)
         assert eval_payoff(spec, 4.0) == pytest.approx(15.0)
         assert eval_payoff(spec, 0.5) == 0.0
+
+
+def test_breakpoints_derived_once_and_outside_equality():
+    spec = make_catalog_payoff(CappedCall(1.0, 4.0))
+    assert spec.breakpoints == (1.0, 4.0)
+    assert "breakpoints" not in repr(spec)
+    assert spec == make_catalog_payoff(CappedCall(1.0, 4.0))
+    cut = dataclasses.replace(spec, interval=PriceInterval(0.0, 2.0))
+    assert cut.breakpoints == (1.0, 4.0) and cut != spec
 
 
 def test_overflowing_catalog_parameters_are_named():

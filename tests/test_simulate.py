@@ -101,9 +101,10 @@ class TestGbm:
             assert 0.0 < u < 1.0
 
 
-# The normal draw as it was written before draws came in batches: one
-# SplitMix64 step, one uniform, and norm_inv's rational guess (coefficient
-# tables, two tail branches) refined by one Halley step through norm_cdf.
+# Reference normal draw, one variate at a time and written independently of
+# the package: one SplitMix64 step, one uniform, and the inverse CDF's
+# rational guess (coefficient tables, one branch per tail) refined by one
+# Halley step through the CDF.  Batched draws must reproduce it bit for bit.
 _REF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
           1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
 _REF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
@@ -330,20 +331,15 @@ class TestSweepMatchesOneStepApi:
             self.assert_same(prof, gbm_path(GbmParams(p_start, sigma, 1.0, 200, seed)))
 
     @pytest.mark.parametrize("index", range(7))
-    @pytest.mark.parametrize("p_start, sigma", [(1e-300, 0.5), (1e300, 0.5), (1e-300, 0.0),
-                                                (1e300, 0.0)])
+    @pytest.mark.parametrize("p_start", [None, 1e-300, 1e300])
+    @pytest.mark.parametrize("sigma", [0.5, 0.0])
     def test_float_range_edges_and_zero_vol(self, index, p_start, sigma):
-        spec, _ = arithmetic_suite()[index]
-        self.assert_same(ReplicationProfile(spec),
-                         gbm_path(GbmParams(p_start, sigma, 1.0, 100, 4)))
-
-    @pytest.mark.parametrize("index", range(7))
-    def test_zero_vol_earns_nothing(self, index):
-        spec, p_start = arithmetic_suite()[index]
+        spec, own_start = arithmetic_suite()[index]
         prof = ReplicationProfile(spec)
-        path = gbm_path(GbmParams(p_start, 0.0, 1.0, 50, 4))
+        path = gbm_path(GbmParams(p_start or own_start, sigma, 1.0, 100, 4))
         self.assert_same(prof, path)
-        assert run_arbitrage(prof, path).step_profits == (0.0,) * 50
+        if sigma == 0.0:
+            assert run_arbitrage(prof, path).step_profits == (0.0,) * 100
 
     def test_path_on_the_jumps(self):
         table, _ = arithmetic_suite()[-1]
@@ -375,6 +371,13 @@ class TestNumericalOverflow:
             monte_carlo_earnings(prof, GbmParams(1.0, 0.5, 1.0, 20, 7), 3)
         with pytest.raises(ArithmeticError):
             earnings_mean_stderr([1e300, -1e300])
+
+    def test_path_earnings_overflow(self):
+        # Up at 1e25 the path legs g(P) * dP pass 1e308 with both signs.
+        spec = make_catalog_payoff(ConstantProportion(0.5, 1e300), PriceInterval(0.0, 1e300))
+        prof = ReplicationProfile(spec)
+        with pytest.raises(NumericalError, match="from 1e[+]25 leave the float range"):
+            run_arbitrage(prof, gbm_path(GbmParams(1e25, 0.5, 1.0, 20, 7)))
 
 
 class TestMonteCarlo:
