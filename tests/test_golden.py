@@ -98,6 +98,21 @@ LARGE_SIMULATE = {
         "137671a1994893e22d0bf957cc50c033584d9751313f2dcb69af5e4ee252ad8e"),
 }
 
+# 200-row trading-function tables with the infimum oracle column: two
+# unbounded intervals, where the oracle's grid top moves with r2, and the
+# bounded piecewise table, where every row shares one grid.
+LARGE_TRADING = {
+    "logarithmic": (
+        _payoff_args("logarithmic", ["p0=1"]),
+        "5b860467ac1c5a13fc9d7effa4d04d1d2a0fb5161345b044e2d502d55749f268"),
+    "constant_proportion": (
+        _payoff_args("constant_proportion", FAMILIES["constant_proportion"]),
+        "2edd34199c35dccfaf05a5331549348bd9cc881b4d5965ab88faeb813f0f55c2"),
+    "piecewise": (
+        ["--payoff", PIECEWISE],
+        "d1dd4355600c87c8463c59bd0b5f99895f1ae0bd6722600569d6227738c7acf2"),
+}
+
 # Where g is flat to rounding near alpha, the rightmost price with
 # g >= g(alpha) is ill-posed in floating point: the recording holds a
 # quadrature-noise price there (0.046 where the exact answer is 0), and
@@ -127,6 +142,14 @@ def test_exact_output(case):
 def test_large_simulate_digest(case):
     payoff, digest = LARGE_SIMULATE[case]
     code, out = run(["simulate", "--paths", "20", "--steps", "500"] + payoff)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_TRADING))
+def test_large_trading_digest(case):
+    payoff, digest = LARGE_TRADING[case]
+    code, out = run(["trading-function", "--grid", "200", "--check-infimum"] + payoff)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
