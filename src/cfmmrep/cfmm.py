@@ -8,7 +8,11 @@ the closed form of  inf over p in [alpha, beta] of (r1 + p r2 - V(p)).
 Its zero level set is exactly the liquidity-provider curve
 {(f(p), g(p))}, psi is nondecreasing in both reserves, and concave.  The
 infimum itself is also evaluated directly (grid plus golden-section) as a
-numerical cross-check oracle for the closed path.
+numerical cross-check oracle for the closed path.  The oracle's price grid
+and V on it depend only on the grid's ends and size, never on the reserves,
+so each TradingFunction memoises them per grid.  V is still evaluated
+directly at every grid point, once per grid rather than once per call, so
+the oracle stays independent of the closed path.
 
 Pools are immutable values: operations return new states.  Trades are
 accepted exactly when they do not decrease the invariant level (fee-free
@@ -20,7 +24,7 @@ Both use only f and g; a minted pool's level is zero, derived on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     InvalidParameterError,
@@ -38,6 +42,10 @@ class TradingFunction:
     """The pool invariant induced by a replication profile."""
 
     profile: ReplicationProfile
+    # (lo, top, grid_points) -> (grid prices, V at each), filled by
+    # trading_function_infimum.  A write that races another thread only
+    # stores the same values again.
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def valid_reserve_range(self):
         """Admissible risky reserve [g(beta), g(alpha)]; the top may be inf."""
@@ -89,7 +97,10 @@ def trading_function_infimum(
     Log-spaced grid over the interval (truncated where r2 - g(p) turns
     positive when beta is unbounded), then golden-section refinement on the
     bracketing cell.  Used as the independent oracle for
-    trading_function_eval.
+    trading_function_eval.  The grid and V on it are memoised on tf, keyed
+    by the grid's ends and size.  Every grid point still gets V directly
+    from portfolio_value, so the oracle stays independent of the closed
+    forms; only the first call that asks for a grid pays for it.
     """
     if grid_points < 16:
         raise InvalidParameterError(f"grid_points must be >= 16, got {grid_points}")
@@ -120,12 +131,17 @@ def trading_function_infimum(
 
     lo = alpha if alpha > 0.0 else min(top * 1e-9, min(
         (b for b in profile.payoff.breakpoints if b > 0.0), default=top) * 1e-3)
-    candidates = [alpha] if alpha < lo else []
-    span = math.log(top) - math.log(lo)
-    candidates += [math.exp(math.log(lo) + span * i / (grid_points - 1))
-                   for i in range(grid_points)]
+    grid = tf._grids.get((lo, top, grid_points))
+    if grid is None:
+        candidates = [alpha] if alpha < lo else []
+        span = math.log(top) - math.log(lo)
+        candidates += [math.exp(math.log(lo) + span * i / (grid_points - 1))
+                       for i in range(grid_points)]
+        grid = candidates, [profile.portfolio_value(p) for p in candidates]
+        tf._grids[lo, top, grid_points] = grid
+    candidates, v_grid = grid
 
-    values = [objective(p) for p in candidates]
+    values = [r1 + (0.0 if p == 0.0 else p * r2) - v for p, v in zip(candidates, v_grid)]
     limit_value = None
     if not profile.interval.bounded and r2 == 0.0:
         # The objective decreases toward r1 - lim V; no finite grid attains it.

@@ -51,4 +51,12 @@ class UnboundedTradingFunctionError(CfmmRepError, ArithmeticError):
 
 
 class NumericalError(CfmmRepError, ArithmeticError):
-    """A computation left the float range, so no finite result is available."""
+    """A computation left the float range or failed to converge.
+
+    ``error`` carries the error estimate of a quadrature that stopped short
+    of its tolerance, and is None otherwise.
+    """
+
+    def __init__(self, message, error=None):
+        super().__init__(message)
+        self.error = error

@@ -32,6 +32,7 @@ from .errors import (
     DomainError,
     InfiniteReplicationCostError,
     InvalidParameterError,
+    NumericalError,
 )
 from .payoffs import (
     ConstantForm,
@@ -45,6 +46,7 @@ from .payoffs import (
 from .quadrature import (
     DEFAULT_OPTIONS,
     QuadratureOptions,
+    QuadratureResult,
     adaptive_simpson,
     integrate_from_zero,
 )
@@ -53,11 +55,20 @@ _INVERSION_REL_TOL = 1e-12
 _GROWTH_CUTOFFS = (1e2, 1e3, 1e4, 1e5)
 
 
+def _converged(result: QuadratureResult, what: str) -> float:
+    """The value of a quadrature result, or NumericalError if it fell short."""
+    if not result.converged:
+        raise NumericalError(
+            f"{what} did not converge (error estimate {result.error:.3g})",
+            error=result.error)
+    return result.value
+
+
 def _segment_integrand(spec: PayoffSpec, lo: float, hi: float):
     """f'(q)/q on a cell known to sit inside one segment.
 
-    The q = 0 endpoint only arises for integrable starts; the adaptive rule
-    absorbs the placeholder value there.
+    The q = 0 endpoint is evaluated only from a smooth start, whose
+    integrand vanishes there; 0 is that limit.
     """
     mid = lo + 0.5 * (hi - lo)
     form = spec._segment_at(mid).form
@@ -96,10 +107,12 @@ def quadrature_replication_cost(
 
     Cells are also split at the forms' characteristic prices so that a
     narrow feature never hides inside a cell much wider than itself.
+    Raises NumericalError when a cell's quadrature does not converge.
     """
     beta = interval.beta
     if math.isinf(p):
         return 0.0
+    what = f"quadrature of g at price {p}"
 
     total = sum(size / q for q, size in spec.jumps if p <= q < beta)
 
@@ -117,18 +130,23 @@ def quadrature_replication_cost(
         origin = form.growth_exponent()
         if origin > 0.0:
             # f ~ p**origin near zero: the integrand behaves like
-            # q**(origin - 2), integrable only above exponent 1.
+            # q**(origin - 2), integrable only above exponent 1.  From
+            # exponent 2 up it is bounded but not smooth at 0 (a nonzero
+            # limit at exactly 2, an infinite slope below 3), which the
+            # adaptive rule cannot resolve.  Exponent 1/3 asks for u = v**3,
+            # the mildest softening, under which it vanishes smoothly at 0.
             if origin <= 1.0:
                 return math.inf
             fn = _segment_integrand(spec, 0.0, first)
-            total += integrate_from_zero(
-                fn, first, singular_exponent=2.0 - origin, opts=opts).value
+            total += _converged(integrate_from_zero(
+                fn, first, singular_exponent=max(2.0 - origin, 1.0 / 3.0), opts=opts),
+                what)
         elif not isinstance(form, ConstantForm):
             # Smooth start with a vanishing integrand limit (e.g. the
             # lognormal-model payoff): integrate plainly from zero.
             fn = _segment_integrand(spec, 0.0, first)
-            total += integrate_from_zero(fn, first, singular_exponent=0.0,
-                                         opts=opts).value
+            total += _converged(integrate_from_zero(
+                fn, first, singular_exponent=0.0, opts=opts), what)
         p = first
 
     finite_top = beta if interval.bounded else max(p, max(anchors, default=p))
@@ -136,12 +154,12 @@ def quadrature_replication_cost(
     for lo, hi in zip(cells, cells[1:]):
         if hi > lo:
             r = adaptive_simpson(_segment_integrand(spec, lo, hi), lo, hi, opts)
-            total += r.value
+            total += _converged(r, what)
 
     if not interval.bounded:
         r = integrate_from_zero(_tail_integrand(spec), 1.0 / finite_top,
                                 singular_exponent=tail_exp, opts=opts)
-        total += r.value
+        total += _converged(r, what)
     return total
 
 
@@ -209,9 +227,10 @@ class ReplicationProfile:
     def portfolios(self, prices) -> tuple:
         """The replicating holdings at each price: lists (f(p)), (g(p)).
 
-        Each price must lie in the interval.  g runs once per price; an
-        infinite g raises InfiniteReplicationCostError, as no pool can hold
-        that risky reserve.
+        Each price must lie in the interval.  g runs once per price.  An
+        infinite g at price 0 raises InfiniteReplicationCostError, as no pool
+        can hold that risky reserve; above 0, g is finite by construction, so
+        an infinite g there is float overflow and raises NumericalError.
         """
         if prices:
             _check_price(self, min(prices))
@@ -220,8 +239,11 @@ class ReplicationProfile:
         r1 = [value(p) for p in prices]
         r2 = [g(p) for p in prices]
         if math.inf in r2:
-            raise InfiniteReplicationCostError(
-                f"replication cost is infinite at price {prices[r2.index(math.inf)]}")
+            p = prices[r2.index(math.inf)]
+            if p > 0.0:
+                raise NumericalError(
+                    f"replication cost at price {p} overflows the float range")
+            raise InfiniteReplicationCostError(f"replication cost is infinite at price {p}")
         return r1, r2
 
     def g_inverse_value(self, r2: float) -> float:
@@ -313,7 +335,7 @@ def portfolio_value_integral(
     """V(p) through the integral identity V(alpha) + integral of g.
 
     Cross-check path for portfolio_value; the two must agree to quadrature
-    tolerance.
+    tolerance.  Raises NumericalError when a cell does not converge.
     """
     _check_price(profile, p)
     if math.isinf(p):
@@ -324,6 +346,7 @@ def portfolio_value_integral(
     if p == alpha:
         return total
 
+    what = f"integral of g up to price {p}"
     lo = alpha
     if alpha == 0.0:
         origin = profile.payoff.origin_growth_exponent()
@@ -332,13 +355,13 @@ def portfolio_value_integral(
             first = min(cuts[0] if cuts else p, p)
             s = 1.0 - origin if origin < 1.0 else 0.0
             r = integrate_from_zero(profile.g, first, singular_exponent=s, opts=opts)
-            total += r.value
+            total += _converged(r, what)
             lo = first
 
     cells = [lo] + [b for b in profile.payoff.breakpoints if lo < b < p] + [p]
     for a, b in zip(cells, cells[1:]):
         if b > a:
-            total += adaptive_simpson(profile.g, a, b, opts).value
+            total += _converged(adaptive_simpson(profile.g, a, b, opts), what)
     return total
 
 

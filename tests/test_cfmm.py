@@ -22,6 +22,7 @@ from cfmmrep import (
     arbitrage_to_price,
     constant_product_level,
     make_catalog_payoff,
+    make_piecewise_payoff,
     pool_init,
     spot_price,
     trading_function_eval,
@@ -135,6 +136,50 @@ class TestInfimumOracle:
         tf = TradingFunction(ReplicationProfile(make_catalog_payoff(CashOrNothing(2.0))))
         with pytest.raises(InvalidParameterError):
             trading_function_infimum(tf, 1.0, 0.1, 8)
+
+
+class TestInfimumMemo:
+    """The oracle evaluates V once per distinct grid of a TradingFunction."""
+
+    def test_one_grid_on_a_bounded_interval(self):
+        prof = ReplicationProfile(make_catalog_payoff(CappedCall(1.0, E)))
+        evaluated = []
+        value = prof.portfolio_value
+
+        def counting(p):
+            evaluated.append(p)
+            return value(p)
+
+        prof.portfolio_value = counting
+        tf = TradingFunction(prof)
+        rng = random.Random(31)
+        for _ in range(50):
+            p = math.exp(rng.uniform(math.log(0.05), math.log(E)))
+            trading_function_infimum(
+                tf, prof.payoff.value(p) + rng.uniform(0.0, 1.0), prof.g(p), 512)
+        # One grid of 512 prices plus alpha, then golden-section points only.
+        assert len(evaluated) <= 512 + 1 + 50 * 80
+
+    def test_shared_matches_fresh_per_call(self):
+        jumpy = make_piecewise_payoff([(0.5, 0.1), (1.0, 0.3), (2.0, 0.5), (4.0, 1.5)],
+                                      jumps=[(1.0, 0.2), (2.0, 0.25)])
+        suite = profile_suite() + [(ReplicationProfile(jumpy), 0.5, 4.0)]
+        rng = random.Random(37)
+        for prof, lo, hi in suite:
+            pairs = []
+            for _ in range(12):
+                p = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+                pairs.append((prof.payoff.value(p) + rng.uniform(0.0, 1.0), prof.g(p),
+                              rng.choice((128, 256))))
+            if math.isfinite(prof.payoff.limit_at_infinity()):
+                pairs.append((1.0, 0.0, 128))
+            pairs += pairs[:4]
+            rng.shuffle(pairs)
+            shared = TradingFunction(prof)
+            warm = [trading_function_infimum(shared, r1, r2, n) for r1, r2, n in pairs]
+            cold = [trading_function_infimum(TradingFunction(prof), r1, r2, n)
+                    for r1, r2, n in pairs]
+            assert warm == cold, prof.payoff.catalog
 
 
 class TestPsiShape:

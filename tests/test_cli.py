@@ -204,6 +204,10 @@ class TestNumericalErrors:
         (("simulate", "--payoff", "catalog:logarithmic", "--param", "p0=1e-6",
           "--p-start", "1.7e308", "--paths", "2", "--steps", "200"),
          "price path left the float range at step 20 of 200"),
+        (("simulate", "--payoff", "catalog:constant_proportion", "--param", "w=0.5",
+          "--param", "C=1e300", "--beta", "1e300", "--p-start", "1e-20", "--paths", "3",
+          "--steps", "20"),
+         "replication cost at price 1e-20 overflows the float range"),
     ])
     def test_overflow_is_named(self, capsys, argv, cause):
         code, out, err = run_cli(capsys, *argv)

@@ -16,19 +16,24 @@ from cfmmrep import (
     GrowthClass,
     InfiniteReplicationCostError,
     Logarithmic,
+    NumericalError,
     PriceInterval,
     QuadratureOptions,
     ReplicationProfile,
+    TradingFunction,
     g_inverse,
     growth_classification,
     make_catalog_payoff,
     make_piecewise_payoff,
+    pool_init,
     portfolio_at,
     portfolio_value,
     portfolio_value_integral,
     replication_cost,
+    trading_function_infimum,
 )
 from cfmmrep.normal import norm_cdf
+from cfmmrep.replication import quadrature_replication_cost
 
 E = math.e
 
@@ -143,6 +148,20 @@ class TestPortfolio:
         capped = ReplicationProfile(make_catalog_payoff(CappedCall(1.0, E)))
         with pytest.raises(DomainError, match="outside replication interval"):
             capped.portfolios([1.5, E + 0.5])
+
+    def test_overflowing_g_is_a_numerical_error(self):
+        # g(1e-20) = C / sqrt(1e-20) = 1e310 for C = 1e300: finite, but past
+        # the float range.  Only g(0) is a truly infinite replication cost.
+        prof = ReplicationProfile(make_catalog_payoff(
+            ConstantProportion(0.5, 1e300), PriceInterval(0.0, 1e300)))
+        with pytest.raises(NumericalError,
+                           match="at price 1e-20 overflows the float range") as info:
+            prof.portfolios([1.0, 1e-20])
+        assert not isinstance(info.value, InfiniteReplicationCostError)
+        with pytest.raises(NumericalError, match="at price 1e-20 overflows"):
+            pool_init(prof, 1e-20)
+        with pytest.raises(InfiniteReplicationCostError, match="infinite at price 0.0"):
+            prof.portfolios([1.0, 0.0])
 
     def test_value_where_risky_vanishes(self):
         prof = ReplicationProfile(make_catalog_payoff(CappedCall(1.0, E)))
@@ -361,6 +380,31 @@ class TestConcurrentEvaluation:
             threaded = list(pool.map(evaluate, prices))
         assert threaded == serial
 
+    def test_shared_trading_function_across_threads(self):
+        """The infimum oracle memoises its grids on the TradingFunction; a
+        write that races only stores the same grid again, so threads sharing
+        one must match serial calls on fresh ones exactly."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng = random.Random(41)
+        for prof, lo, hi in (
+                (ReplicationProfile(make_catalog_payoff(Logarithmic(1.0))), 0.05, 100.0),
+                (ReplicationProfile(make_catalog_payoff(CappedCall(1.0, E))), 0.05, E)):
+            reserves = []
+            for _ in range(64):
+                p = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+                reserves.append((prof.payoff.value(p) + rng.uniform(0.0, 1.0), prof.g(p)))
+            serial = [trading_function_infimum(TradingFunction(prof), r1, r2, 256)
+                      for r1, r2 in reserves]
+            shared = TradingFunction(prof)
+
+            def oracle(reserve):
+                return trading_function_infimum(shared, *reserve, 256)
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = list(pool.map(oracle, reserves))
+            assert threaded == serial
+
 
 class TestIntervalHandling:
     def test_narrowed_beta_changes_g(self):
@@ -384,3 +428,28 @@ class TestIntervalHandling:
         prof = ReplicationProfile(spec)
         assert prof.g_alpha == pytest.approx(1.0)
         assert prof.v_alpha == pytest.approx(1.0)
+
+
+class TestQuadratureConvergence:
+    def test_nonconverged_quadrature_raises(self):
+        spec = make_catalog_payoff(BlackScholesBinary(1.0, 0.2, 1.0))
+        shallow = QuadratureOptions(max_depth=1)
+        with pytest.raises(NumericalError, match="did not converge") as info:
+            ReplicationProfile(spec, opts=shallow, use_closed_forms=False)
+        assert info.value.error > 0.0
+        with pytest.raises(NumericalError, match="g at price 1.5 did not converge"):
+            quadrature_replication_cost(spec, spec.interval, 1.5, shallow)
+        numeric = ReplicationProfile(spec, use_closed_forms=False)
+        with pytest.raises(NumericalError,
+                           match="integral of g up to price 1.5 did not converge") as info:
+            portfolio_value_integral(numeric, 1.5, shallow)
+        assert info.value.error > 0.0
+
+    @pytest.mark.parametrize("a", [2.001, 2.1, 2.5, 3.0, 7.0])
+    def test_power_start_converges(self, a):
+        # f = p**a from 0: f'(q)/q = a q**(a - 2) is bounded at 0 but has an
+        # infinite slope there below a = 3.  a = 2 is covered by
+        # TestDegenerateCatalogConfigs.
+        prof = ReplicationProfile(make_catalog_payoff(CappedPower(0.0, 4.0, a)),
+                                  use_closed_forms=False)
+        assert prof.g(0.0) == pytest.approx(a / (a - 1.0) * 4.0 ** (a - 1.0), rel=1e-10)
