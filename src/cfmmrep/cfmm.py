@@ -47,18 +47,14 @@ class TradingFunction:
     # stores the same values again.
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def valid_reserve_range(self):
-        """Admissible risky reserve [g(beta), g(alpha)]; the top may be inf."""
-        return self.profile.g_beta, self.profile.g_alpha
-
 
 def _check_reserves(tf: TradingFunction, r1: float, r2: float):
     if r1 < 0.0 or r2 < 0.0 or math.isnan(r1) or math.isnan(r2):
         raise InvalidReservesError(f"reserves must be nonnegative, got ({r1}, {r2})")
-    lo, hi = tf.valid_reserve_range()
-    if not lo <= r2 <= hi:
+    # The admissible risky reserve is [g(beta), g(alpha)] = [0, g(alpha)].
+    if not r2 <= tf.profile.g_alpha:
         raise InvalidReservesError(
-            f"risky reserve {r2} outside the valid range [{lo}, {hi}]")
+            f"risky reserve {r2} outside the valid range [0.0, {tf.profile.g_alpha}]")
 
 
 def _unbounded_at_zero(tf: TradingFunction) -> bool:
@@ -120,8 +116,7 @@ def trading_function_infimum(
     else:
         # Past g_inverse(r2) the integrand r2 - g(p) is positive and the
         # objective only climbs; stop a little beyond the sign change.
-        bps = [b for b in profile.payoff.breakpoints if b > 0.0]
-        top = max(alpha, max(bps, default=0.0), 1.0)
+        top = max(alpha, max(profile.payoff.breakpoints, default=0.0), 1.0)
         if r2 > 0.0:
             while profile.g(top) >= r2 and top < 1e300:
                 top *= 2.0
@@ -129,8 +124,8 @@ def trading_function_infimum(
         else:
             top *= 4.0
 
-    lo = alpha if alpha > 0.0 else min(top * 1e-9, min(
-        (b for b in profile.payoff.breakpoints if b > 0.0), default=top) * 1e-3)
+    lo = alpha if alpha > 0.0 else min(
+        top * 1e-9, min(profile.payoff.breakpoints, default=top) * 1e-3)
     grid = tf._grids.get((lo, top, grid_points))
     if grid is None:
         candidates = [alpha] if alpha < lo else []

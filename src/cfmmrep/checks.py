@@ -40,7 +40,7 @@ class CheckResult:
 def sample_price_range(profile: ReplicationProfile):
     """A finite, positive [lo, hi] slice of the interval worth sampling."""
     alpha, beta = profile.interval.alpha, profile.interval.beta
-    bps = [b for b in profile.payoff.breakpoints if b > 0.0]
+    bps = profile.payoff.breakpoints
     lo = alpha if alpha > 0.0 else (min(bps) / 8.0 if bps else 0.05)
     hi = beta if profile.interval.bounded else max(max(bps, default=1.0) * 20.0, lo * 100.0)
     if hi <= lo:

@@ -14,8 +14,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from .cfmm import TradingFunction, trading_function_eval, trading_function_infimum
 from .checks import run_verification, sample_price_range
@@ -37,24 +35,6 @@ from .payoffs import (
 from .replication import ReplicationProfile, g_inverse
 from .simulate import GbmParams, earnings_mean_stderr, monte_carlo_reports
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    payoff_source: Optional[str] = None
-    params: Sequence[str] = ()
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-    grid: int = 50
-    out: Optional[str] = None
-    sigma: float = 0.5
-    horizon: float = 1.0
-    steps: int = 1000
-    paths: int = 1000
-    seed: int = 7
-    p_start: float = 1.0
-    check_infimum: bool = False
-    catalog_entry: Optional[str] = None
-
 
 def _parse_bound(text: str) -> float:
     if text == "inf":
@@ -65,11 +45,9 @@ def _parse_bound(text: str) -> float:
         raise PayoffParseError(f"expected a number or 'inf', got {text!r}") from None
 
 
-def load_payoff(cfg: RunConfig) -> PayoffSpec:
+def load_payoff(cfg: argparse.Namespace) -> PayoffSpec:
     """Resolve --payoff (file path or catalog:NAME plus --param) to a spec
     on an interval of nonzero width."""
-    if cfg.payoff_source is None:
-        raise PayoffParseError("--payoff is required")
     if cfg.payoff_source.startswith("catalog:"):
         doc = {}
         for item in cfg.params:
@@ -114,7 +92,7 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write(cfg: RunConfig, lines) -> None:
+def _write(cfg: argparse.Namespace, lines) -> None:
     text = "".join(line + "\n" for line in lines)
     if cfg.out is None or cfg.out == "-":
         sys.stdout.write(text)
@@ -127,7 +105,7 @@ def _price_grid(profile: ReplicationProfile, n: int):
     """Log-spaced prices: from alpha when positive, else from the first
     breakpoint; capped at beta or a 100x span."""
     alpha, beta = profile.interval.alpha, profile.interval.beta
-    bps = [b for b in profile.payoff.breakpoints if b > 0.0]
+    bps = profile.payoff.breakpoints
     if profile.interval.bounded:
         hi = beta
     else:
@@ -139,7 +117,7 @@ def _price_grid(profile: ReplicationProfile, n: int):
     return [math.exp(math.log(lo) + i * step) for i in range(n)]
 
 
-def cmd_replicate(cfg: RunConfig) -> int:
+def cmd_replicate(cfg: argparse.Namespace) -> int:
     profile = ReplicationProfile(load_payoff(cfg))
     lines = ["p,f,g,V"]
     for p in _price_grid(profile, cfg.grid):
@@ -150,7 +128,7 @@ def cmd_replicate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_trading_function(cfg: RunConfig) -> int:
+def cmd_trading_function(cfg: argparse.Namespace) -> int:
     profile = ReplicationProfile(load_payoff(cfg))
     tf = TradingFunction(profile)
     r2_hi = profile.g_alpha
@@ -182,7 +160,7 @@ def cmd_trading_function(cfg: RunConfig) -> int:
     return 1 if mismatch else 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: argparse.Namespace) -> int:
     payoff = load_payoff(cfg)
     profile = ReplicationProfile(payoff)
     params = GbmParams(p_start=cfg.p_start, sigma=cfg.sigma, horizon=cfg.horizon,
@@ -204,7 +182,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     profile = ReplicationProfile(load_payoff(cfg))
     results = run_verification(profile, seed=cfg.seed)
     for result in results:
@@ -214,7 +192,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def cmd_catalog(cfg: RunConfig) -> int:
+def cmd_catalog(cfg: argparse.Namespace) -> int:
     entries = FAMILIES
     if cfg.catalog_entry is not None:
         name = cfg.catalog_entry.removeprefix("catalog:")
@@ -292,12 +270,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(**vars(args))
-    if cfg.command == "replicate" or cfg.command == "trading-function":
-        if cfg.grid < 2:
+    if args.command == "replicate" or args.command == "trading-function":
+        if args.grid < 2:
             parser.error("--grid must be at least 2")
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except (PayoffParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -62,6 +62,12 @@ class PriceInterval:
     def contains(self, p: float) -> bool:
         return self.alpha <= p <= self.beta
 
+    def check(self, p: float):
+        """Raise DomainError unless alpha <= p <= beta (NaN fails too)."""
+        if not self.contains(p):
+            raise DomainError(
+                f"price {p} outside replication interval [{self.alpha}, {self.beta}]")
+
     def clamp(self, p: float) -> float:
         if p < self.alpha:
             return self.alpha
@@ -74,11 +80,9 @@ class PriceInterval:
 # Segment forms
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True)
 class ConstantForm:
-    __slots__ = ("c",)
-
-    def __init__(self, c: float):
-        self.c = c
+    c: float
 
     def value(self, p: float) -> float:
         return self.c
@@ -95,19 +99,14 @@ class ConstantForm:
     def price_anchors(self) -> tuple:
         return ()
 
-    def __eq__(self, other):
-        return isinstance(other, ConstantForm) and self.c == other.c
 
-
+@dataclass(frozen=True, slots=True)
 class LinearForm:
     """f(p) = y0 + slope * (p - x0) on its segment."""
 
-    __slots__ = ("x0", "y0", "m")
-
-    def __init__(self, x0: float, y0: float, m: float):
-        self.x0 = x0
-        self.y0 = y0
-        self.m = m
+    x0: float
+    y0: float
+    m: float
 
     def value(self, p: float) -> float:
         return self.y0 + self.m * (p - self.x0)
@@ -124,20 +123,14 @@ class LinearForm:
     def price_anchors(self) -> tuple:
         return ()
 
-    def __eq__(self, other):
-        return (isinstance(other, LinearForm)
-                and (self.x0, self.y0, self.m) == (other.x0, other.y0, other.m))
 
-
+@dataclass(frozen=True, slots=True)
 class PowerForm:
     """f(p) = scale * p**exponent + offset."""
 
-    __slots__ = ("scale", "exponent", "offset")
-
-    def __init__(self, scale: float, exponent: float, offset: float = 0.0):
-        self.scale = scale
-        self.exponent = exponent
-        self.offset = offset
+    scale: float
+    exponent: float
+    offset: float = 0.0
 
     def value(self, p: float) -> float:
         return self.scale * p**self.exponent + self.offset
@@ -156,19 +149,12 @@ class PowerForm:
     def price_anchors(self) -> tuple:
         return ()
 
-    def __eq__(self, other):
-        return (isinstance(other, PowerForm)
-                and (self.scale, self.exponent, self.offset)
-                == (other.scale, other.exponent, other.offset))
 
-
+@dataclass(frozen=True, slots=True)
 class LogForm:
     """f(p) = log(p / p0)."""
 
-    __slots__ = ("p0",)
-
-    def __init__(self, p0: float):
-        self.p0 = p0
+    p0: float
 
     def value(self, p: float) -> float:
         return math.log(p / self.p0)
@@ -186,20 +172,18 @@ class LogForm:
     def price_anchors(self) -> tuple:
         return (self.p0,)
 
-    def __eq__(self, other):
-        return isinstance(other, LogForm) and self.p0 == other.p0
 
-
+@dataclass(frozen=True, slots=True)
 class NormalCdfForm:
     """f(p) = N(d(p)) with d(p) = (log(p/strike) - tau*sigma^2/2) / (sigma*sqrt(tau))."""
 
-    __slots__ = ("strike", "sigma", "tau", "_vol")
+    strike: float
+    sigma: float
+    tau: float
+    _vol: float = field(init=False, repr=False, compare=False)
 
-    def __init__(self, strike: float, sigma: float, tau: float):
-        self.strike = strike
-        self.sigma = sigma
-        self.tau = tau
-        self._vol = sigma * math.sqrt(tau)
+    def __post_init__(self):
+        object.__setattr__(self, "_vol", self.sigma * math.sqrt(self.tau))
 
     def d(self, p: float) -> float:
         if p <= 0.0:
@@ -228,11 +212,6 @@ class NormalCdfForm:
         return (self.strike * math.exp(-1.5 * v2),
                 self.strike,
                 self.strike * math.exp(0.5 * v2))
-
-    def __eq__(self, other):
-        return (isinstance(other, NormalCdfForm)
-                and (self.strike, self.sigma, self.tau)
-                == (other.strike, other.sigma, other.tau))
 
 
 SegmentForm = Union[ConstantForm, LinearForm, PowerForm, LogForm, NormalCdfForm]
@@ -344,8 +323,9 @@ CatalogParams = Union[CashOrNothing, CappedCall, BlackScholesBinary,
 class PayoffSpec:
     """A monotone payoff plus its replication interval.
 
-    segments cover [0, inf) contiguously; jumps list (location, size) pairs
-    with positive sizes at segment boundaries.  Immutable after construction,
+    segments cover [0, inf) contiguously, each with positive width, so every
+    breakpoint is a positive price; jumps list (location, size) pairs with
+    positive sizes at segment boundaries.  Immutable after construction,
     safe to evaluate concurrently.
     """
 
@@ -362,11 +342,13 @@ class PayoffSpec:
             raise InvalidParameterError("payoff needs at least one segment")
         if self.segments[0].lo != 0.0 or not math.isinf(self.segments[-1].hi):
             raise InvalidParameterError("segments must cover [0, inf)")
+        for s in self.segments:
+            if not s.lo < s.hi:
+                raise InvalidParameterError(f"segment [{s.lo}, {s.hi}] has no width")
         bounds = tuple(s.hi for s in self.segments[:-1])
+        if bounds != tuple(s.lo for s in self.segments[1:]):
+            raise InvalidParameterError("segments must be contiguous")
         object.__setattr__(self, "breakpoints", bounds)
-        for a, b in zip(bounds, bounds[1:]):
-            if not a < b:
-                raise InvalidParameterError("breakpoints must be strictly increasing")
         locs = set(bounds)
         for q, size in self.jumps:
             if size < 0.0:
@@ -396,6 +378,11 @@ class PayoffSpec:
         """Power growth of f at large prices (0 covers bounded and log tails)."""
         return self.segments[-1].form.growth_exponent()
 
+    def cost_diverges(self) -> bool:
+        """Whether g is infinite at every price: f grows at least linearly
+        up to an unbounded beta.  Sublinear growth keeps the cost finite."""
+        return not self.interval.bounded and self.tail_growth_exponent() >= 1.0
+
     def origin_growth_exponent(self) -> Optional[float]:
         """Exponent e with f ~ p**e near 0, or None when f is flat there."""
         first = self.segments[0].form
@@ -405,10 +392,7 @@ class PayoffSpec:
 
 def eval_payoff(spec: PayoffSpec, p: float) -> float:
     """f(p).  At a jump the lower value is returned."""
-    if not spec.interval.contains(p):
-        raise DomainError(
-            f"price {p} outside replication interval "
-            f"[{spec.interval.alpha}, {spec.interval.beta}]")
+    spec.interval.check(p)
     return spec.value(p)
 
 
@@ -424,7 +408,7 @@ def eval_payoff_derivative(spec: PayoffSpec, p: float) -> float:
 
 def payoff_breakpoints(spec: PayoffSpec) -> list:
     """Sorted interior kink/jump locations (every jump location included)."""
-    return [b for b in spec.breakpoints if b > 0.0]
+    return list(spec.breakpoints)
 
 
 def payoff_price_anchors(spec: PayoffSpec) -> list:
@@ -721,12 +705,12 @@ def make_catalog_payoff(
     except OverflowError:
         raise NumericalError(
             f"{params}: the payoff overflows the float range") from None
-    linear_tail = segments[-1].form.growth_exponent() >= 1.0
-    if linear_tail and not interval.bounded and not allow_infinite_cost:
+    spec = PayoffSpec(segments=segments, jumps=jumps, interval=interval, catalog=params)
+    if spec.cost_diverges() and not allow_infinite_cost:
         raise InfiniteReplicationCostError(
             "payoff grows at least linearly up to an unbounded price: the required "
             "risky reserve diverges; cap the payoff (finite p1) or bound the interval")
-    return PayoffSpec(segments=segments, jumps=jumps, interval=interval, catalog=params)
+    return spec
 
 
 def catalog_closed_forms(params: CatalogParams,

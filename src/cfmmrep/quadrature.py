@@ -2,10 +2,10 @@
 
 Integrands here are nonnegative and smooth between breakpoints, so a
 recursive Simpson rule with the classic (S_halves - S_whole)/15 error
-estimate is enough.  Non-finite evaluations are treated as 0, which lets
-the rule walk into integrable endpoint singularities; power-law endpoint
+estimate is enough.  A non-finite evaluation raises NumericalError: the
+integrands supply their own limits at endpoints, and power-law endpoint
 singularities of known exponent are removed exactly by a u = v**m change
-of variable instead (see softened_power_order).
+of variable (see softened_power_order).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,9 @@ class QuadratureResult:
 
 def _safe_eval(f: Callable[[float], float], x: float) -> float:
     v = f(x)
-    return v if math.isfinite(v) else 0.0
+    if not math.isfinite(v):
+        raise NumericalError(f"integrand is {v} at {x}")
+    return v
 
 
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:

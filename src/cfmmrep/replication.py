@@ -106,8 +106,9 @@ def quadrature_replication_cost(
     """g(p) by adaptive quadrature, split at breakpoints, jumps added exactly.
 
     Cells are also split at the forms' characteristic prices so that a
-    narrow feature never hides inside a cell much wider than itself.
-    Raises NumericalError when a cell's quadrature does not converge.
+    narrow feature never hides inside a cell much wider than itself.  On an
+    unbounded interval the spec's cost must not diverge (ReplicationProfile
+    checks).  Raises NumericalError when a cell's quadrature does not converge.
     """
     beta = interval.beta
     if math.isinf(p):
@@ -115,17 +116,11 @@ def quadrature_replication_cost(
     what = f"quadrature of g at price {p}"
 
     total = sum(size / q for q, size in spec.jumps if p <= q < beta)
-
-    tail_exp = spec.tail_growth_exponent()
-    if not interval.bounded and tail_exp >= 1.0:
-        raise InfiniteReplicationCostError(
-            "payoff tail grows at least linearly; replication cost diverges")
-
     anchors = sorted(set(spec.breakpoints) | set(payoff_price_anchors(spec)))
 
     if p == 0.0:
         form = spec.segments[0].form
-        cuts = [a for a in anchors if 0.0 < a < beta]
+        cuts = [a for a in anchors if a < beta]
         first = cuts[0] if cuts else (beta if interval.bounded else 1.0)
         origin = form.growth_exponent()
         if origin > 0.0:
@@ -158,7 +153,7 @@ def quadrature_replication_cost(
 
     if not interval.bounded:
         r = integrate_from_zero(_tail_integrand(spec), 1.0 / finite_top,
-                                singular_exponent=tail_exp, opts=opts)
+                                singular_exponent=spec.tail_growth_exponent(), opts=opts)
         total += _converged(r, what)
     return total
 
@@ -168,7 +163,7 @@ def quadrature_replication_cost(
 # ---------------------------------------------------------------------------
 
 class ReplicationProfile:
-    """A payoff bound to an interval, with g / V / g_inverse evaluators.
+    """g / V / g_inverse evaluators for a payoff on its own interval.
 
     The exact route is chosen from the payoff: a catalog family's closed
     forms (see catalog_closed_forms), else the exact piecewise-linear forms
@@ -182,16 +177,15 @@ class ReplicationProfile:
     def __init__(
         self,
         payoff: PayoffSpec,
-        interval: Optional[PriceInterval] = None,
-        opts: QuadratureOptions = DEFAULT_OPTIONS,
         *,
+        opts: QuadratureOptions = DEFAULT_OPTIONS,
         use_closed_forms: bool = True,
     ):
         self.payoff = payoff
-        self.interval = interval if interval is not None else payoff.interval
+        self.interval = payoff.interval
         self.opts = opts
 
-        if not self.interval.bounded and payoff.tail_growth_exponent() >= 1.0:
+        if payoff.cost_diverges():
             raise InfiniteReplicationCostError(
                 "payoff grows at least linearly on an unbounded interval; "
                 "sublinear growth is required for a finite replication cost")
@@ -200,14 +194,12 @@ class ReplicationProfile:
         if use_closed_forms and payoff.catalog is not None:
             forms = catalog_closed_forms(payoff.catalog, self.interval.beta)
         if use_closed_forms and forms is None:
-            forms = piecewise_exact_forms(
-                PayoffSpec(payoff.segments, payoff.jumps, self.interval))
+            forms = piecewise_exact_forms(payoff)
         self.g_closed_form = forms.g if forms else None
         self.g_inverse_closed_form = forms.g_inverse if forms else None
         self.psi_closed_form = forms.psi if forms else None
 
         self.g_alpha = self.g(self.interval.alpha)
-        self.g_beta = 0.0
         self.v_alpha = self.portfolio_value(self.interval.alpha)
 
     # -- evaluators ---------------------------------------------------------
@@ -233,8 +225,8 @@ class ReplicationProfile:
         an infinite g there is float overflow and raises NumericalError.
         """
         if prices:
-            _check_price(self, min(prices))
-            _check_price(self, max(prices))
+            self.interval.check(min(prices))
+            self.interval.check(max(prices))
         value, g = self.payoff.value, self.g
         r1 = [value(p) for p in prices]
         r2 = [g(p) for p in prices]
@@ -274,7 +266,7 @@ class ReplicationProfile:
             return beta
         lo = alpha
         if lo == 0.0:
-            lo = min([b for b in self.payoff.breakpoints if b > 0.0] + [beta, 1.0])
+            lo = min(self.payoff.breakpoints + (beta, 1.0))
             while self.g(lo) < r2:
                 lo *= 0.5
                 if lo < 1e-300:
@@ -302,28 +294,21 @@ class ReplicationProfile:
 # Module-level operations
 # ---------------------------------------------------------------------------
 
-def _check_price(profile: ReplicationProfile, p: float):
-    if math.isnan(p) or not profile.interval.contains(p):
-        raise DomainError(
-            f"price {p} outside replication interval "
-            f"[{profile.interval.alpha}, {profile.interval.beta}]")
-
-
 def replication_cost(profile: ReplicationProfile, p: float) -> float:
     """Risky asset required at price p."""
-    _check_price(profile, p)
+    profile.interval.check(p)
     return profile.g(p)
 
 
 def portfolio_at(profile: ReplicationProfile, p: float):
     """(numeraire, risky) holdings at price p."""
-    _check_price(profile, p)
+    profile.interval.check(p)
     return profile.payoff.value(p), profile.g(p)
 
 
 def portfolio_value(profile: ReplicationProfile, p: float) -> float:
     """V(p) = f(p) + p * g(p)."""
-    _check_price(profile, p)
+    profile.interval.check(p)
     return profile.portfolio_value(p)
 
 
@@ -337,7 +322,7 @@ def portfolio_value_integral(
     Cross-check path for portfolio_value; the two must agree to quadrature
     tolerance.  Raises NumericalError when a cell does not converge.
     """
-    _check_price(profile, p)
+    profile.interval.check(p)
     if math.isinf(p):
         raise DomainError("integral form needs a finite price")
     opts = opts or profile.opts
@@ -351,7 +336,7 @@ def portfolio_value_integral(
     if alpha == 0.0:
         origin = profile.payoff.origin_growth_exponent()
         if origin is not None:
-            cuts = [b for b in profile.payoff.breakpoints if b > 0.0]
+            cuts = profile.payoff.breakpoints
             first = min(cuts[0] if cuts else p, p)
             s = 1.0 - origin if origin < 1.0 else 0.0
             r = integrate_from_zero(profile.g, first, singular_exponent=s, opts=opts)
@@ -381,7 +366,6 @@ def g_inverse(profile: ReplicationProfile, r2: float) -> float:
 class GrowthClass(enum.Enum):
     FINITE = "finite"
     INFINITE = "infinite"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -391,44 +375,24 @@ class GrowthAnalysis:
     asymptotic_exponent: Optional[float]
 
 
-def _probe_cost(spec: PayoffSpec, lo: float, hi: float,
-                opts: QuadratureOptions) -> float:
-    """Replication cost truncated at a finite cutoff."""
-    truncated = PriceInterval(0.0, hi)
-    return quadrature_replication_cost(spec, truncated, lo, opts)
+def growth_classification(spec: PayoffSpec) -> GrowthAnalysis:
+    """Whether the replication cost is finite on the spec's interval.
 
-
-def growth_classification(
-    spec: PayoffSpec,
-    interval: Optional[PriceInterval] = None,
-    opts: QuadratureOptions = DEFAULT_OPTIONS,
-) -> GrowthAnalysis:
-    """Decide whether the replication cost is finite on the interval.
-
-    Bounded intervals are always finite.  On unbounded intervals, catalog
-    payoffs classify by their tail growth exponent (below 1 is finite);
-    other payoffs are probed at increasing cutoffs and classified by
-    whether the probes converge.
+    The class is PayoffSpec.cost_diverges: infinite exactly when f grows at
+    least linearly up to an unbounded beta.  On an unbounded interval the
+    evidence is g at max(alpha, last breakpoint, 1) truncated at four
+    cutoffs a decade apart: a linear tail adds its slope times log(10) per
+    decade, a sublinear one settles.
     """
-    interval = interval if interval is not None else spec.interval
-    if interval.bounded:
-        return GrowthAnalysis(GrowthClass.FINITE, (), None)
+    cls = GrowthClass.INFINITE if spec.cost_diverges() else GrowthClass.FINITE
+    if spec.interval.bounded:
+        return GrowthAnalysis(cls, (), None)
 
-    base = max(interval.alpha, max((b for b in spec.breakpoints), default=0.0), 1.0)
+    base = max(spec.interval.alpha, max(spec.breakpoints, default=0.0), 1.0)
     cutoffs = [c for c in _GROWTH_CUTOFFS if c > base * 4.0]
     while len(cutoffs) < len(_GROWTH_CUTOFFS):
         cutoffs.append((cutoffs[-1] if cutoffs else base * 4.0) * 10.0)
-    evidence = tuple((c, _probe_cost(spec, base, c, opts)) for c in cutoffs)
-
-    if spec.catalog is not None:
-        exponent = spec.tail_growth_exponent()
-        cls = GrowthClass.FINITE if exponent < 1.0 else GrowthClass.INFINITE
-        return GrowthAnalysis(cls, evidence, exponent)
-
-    probes = [g for _, g in evidence]
-    deltas = [b - a for a, b in zip(probes, probes[1:])]
-    if deltas[-1] <= opts.abs_tol:
-        return GrowthAnalysis(GrowthClass.FINITE, evidence, None)
-    if all(d > opts.abs_tol for d in deltas) and deltas[-1] >= 0.5 * deltas[0]:
-        return GrowthAnalysis(GrowthClass.INFINITE, evidence, None)
-    return GrowthAnalysis(GrowthClass.UNKNOWN, evidence, None)
+    evidence = tuple(
+        (c, quadrature_replication_cost(spec, PriceInterval(0.0, c), base))
+        for c in cutoffs)
+    return GrowthAnalysis(cls, evidence, spec.tail_growth_exponent())

@@ -23,6 +23,7 @@ from cfmmrep import (
     MonotonicityError,
     NumericalError,
     PayoffParseError,
+    PayoffSpec,
     PriceInterval,
     eval_payoff,
     eval_payoff_derivative,
@@ -32,6 +33,7 @@ from cfmmrep import (
     payoff_breakpoints,
     serialize_payoff,
 )
+from cfmmrep.payoffs import ConstantForm, LinearForm, Segment
 
 E = math.e
 
@@ -191,6 +193,31 @@ class TestValidation:
             PriceInterval(-1.0, 2.0)
         with pytest.raises(InvalidParameterError):
             PriceInterval(3.0, 2.0)
+
+    def test_interval_check(self):
+        interval = PriceInterval(1.0, 2.0)
+        interval.check(1.0)
+        interval.check(2.0)
+        for p in (0.5, 2.5, math.nan):
+            with pytest.raises(DomainError,
+                               match=r"price .* outside replication interval \[1.0, 2.0\]"):
+                interval.check(p)
+
+    def test_segments_must_be_contiguous(self):
+        # f is undefined on the gap (1, 2); the exact route read g(1.5) as
+        # 1.5041 where the true value is log(9 / 1.5) = 1.7918.
+        segments = (Segment(0.0, 1.0, ConstantForm(0.0)),
+                    Segment(2.0, math.inf, LinearForm(1.0, 0.0, 1.0)))
+        with pytest.raises(InvalidParameterError, match="contiguous"):
+            PayoffSpec(segments, (), PriceInterval(0.0, 9.0))
+
+    def test_segments_need_positive_width(self):
+        # A zero-width first segment made 0 a breakpoint; building its
+        # profile raised a bare ZeroDivisionError.
+        segments = (Segment(0.0, 0.0, ConstantForm(0.0)),
+                    Segment(0.0, math.inf, LinearForm(0.0, 0.0, 1.0)))
+        with pytest.raises(InvalidParameterError, match="width"):
+            PayoffSpec(segments, (), PriceInterval(0.0, 9.0))
 
     def test_domain_errors(self):
         spec = make_catalog_payoff(CappedCall(1.0, E))

@@ -10,7 +10,7 @@ from cfmmrep.quadrature import (
     integrate_from_zero,
     softened_power_order,
 )
-from cfmmrep.errors import InvalidParameterError
+from cfmmrep.errors import InvalidParameterError, NumericalError
 
 
 def test_polynomial_exact():
@@ -57,6 +57,13 @@ def test_log_singularity_without_softening():
     # integral of -log(u) over [0, 1] = 1; mild enough for the plain rule.
     r = integrate_from_zero(lambda u: -math.log(u) if u > 0 else 0.0, 1.0)
     assert r.value == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_node_raises(bad):
+    # A non-finite node value used to count as 0, giving a wrong integral.
+    with pytest.raises(NumericalError, match="at 0.5$"):
+        adaptive_simpson(lambda x: bad if x == 0.5 else 1.0, 0.0, 1.0)
 
 
 def test_softening_order():

@@ -77,8 +77,7 @@ class TestReplicationCost:
     def test_quadrature_matches_closed_forms(self):
         rng = random.Random(2)
         for prof, lo, hi in profile_suite():
-            oracle = ReplicationProfile(prof.payoff, prof.interval, TIGHT,
-                                        use_closed_forms=False)
+            oracle = ReplicationProfile(prof.payoff, opts=TIGHT, use_closed_forms=False)
             for _ in range(25):
                 p = math.exp(rng.uniform(math.log(lo), math.log(hi)))
                 c = prof.g(p)
@@ -304,10 +303,10 @@ class TestGrowthClassification:
         cutoffs = [c for c, _ in growth_classification(spec).evidence]
         assert all(a < b for a, b in zip(cutoffs, cutoffs[1:]))
 
-    def test_unclassifiable_tail_is_unknown(self):
-        # A hand-built (non-catalog) payoff with a slow power tail: probes
-        # neither settle below tolerance nor keep growing, so the honest
-        # answer is Unknown.
+    def test_hand_built_sqrt_tail_is_finite(self):
+        # A hand-built (non-catalog) payoff with a slow power tail classifies
+        # by its tail exponent, as the profile does; its probes settle too
+        # slowly to decide from, but stay as evidence.
         from cfmmrep.payoffs import PayoffSpec, PowerForm, Segment
         spec = PayoffSpec(
             segments=(Segment(0.0, 1.0, PowerForm(1.0, 0.5, 0.0)),
@@ -315,7 +314,8 @@ class TestGrowthClassification:
             jumps=(),
             interval=PriceInterval(0.0, math.inf))
         out = growth_classification(spec)
-        assert out.classification is GrowthClass.UNKNOWN
+        assert out.classification is GrowthClass.FINITE
+        assert out.asymptotic_exponent == 0.5
         assert len(out.evidence) == 4
 
 
@@ -428,6 +428,13 @@ class TestIntervalHandling:
         prof = ReplicationProfile(spec)
         assert prof.g_alpha == pytest.approx(1.0)
         assert prof.v_alpha == pytest.approx(1.0)
+
+    def test_interval_is_the_payoffs(self):
+        spec = make_catalog_payoff(CappedCall(1.0, 4.0), PriceInterval(0.0, 2.0))
+        assert ReplicationProfile(spec).interval == spec.interval
+        # opts is keyword-only, so a stale positional interval fails loudly.
+        with pytest.raises(TypeError):
+            ReplicationProfile(spec, PriceInterval(0.0, 3.0))
 
 
 class TestQuadratureConvergence:
