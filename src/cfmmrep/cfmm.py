@@ -141,7 +141,7 @@ def trading_function_infimum(
     if not profile.interval.bounded and r2 == 0.0:
         # The objective decreases toward r1 - lim V; no finite grid attains it.
         limit_value = r1 - profile.payoff.limit_at_infinity()
-    best = min(range(len(candidates)), key=values.__getitem__)
+    best = values.index(min(values))  # the first minimum
 
     # Golden-section on the bracketing cell, in log-price (the objective is
     # unimodal: its slope r2 - g(p) changes sign at most once).

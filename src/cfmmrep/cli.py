@@ -12,6 +12,7 @@ parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -267,8 +268,14 @@ _COMMANDS = {
 }
 
 
+# Built on the first call and reused: a parse leaves the parser unchanged
+# (an appended --param list is a copy of its default), and building one
+# costs about 1 ms.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     if args.command == "replicate" or args.command == "trading-function":
         if args.grid < 2:

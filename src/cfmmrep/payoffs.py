@@ -365,7 +365,7 @@ class PayoffSpec:
         """Payoff at price p, ignoring the replication interval."""
         if p < 0.0 or math.isnan(p):
             raise DomainError(f"price must be >= 0, got {p}")
-        return self._segment_at(p).form.value(p)
+        return self.segments[bisect_left(self.breakpoints, p)].form.value(p)
 
     def slope(self, p: float) -> float:
         return self._segment_at(p).form.slope(p)
@@ -479,7 +479,8 @@ def _cash_or_nothing_forms(p0: float) -> CatalogClosedForms:
 
 
 def _capped_call_forms(p0: float, p1: float) -> CatalogClosedForms:
-    g_max = math.log(p1 / p0)
+    # From p0 = 0 the payoff rises linearly from the origin: g(0) = inf.
+    g_max = math.log(p1 / p0) if p0 > 0.0 else math.inf
 
     def g(p):
         if p <= p0:
@@ -818,6 +819,14 @@ def piecewise_exact_forms(spec: PayoffSpec) -> Optional[CatalogClosedForms]:
     jump or on a flat segment lands on the segment's low end, the rightmost
     price.  psi is None: r1 + p* r2 - V(p*) with this p* is already exact.
 
+    Every term that does not depend on p is computed here, once: each
+    sloped segment's whole term s * log(t / lo) (infinite from lo = 0,
+    where f rises linearly from the origin) and each jump's size / q.  A
+    call to g then costs two bisects (segments, jumps) and one log: it adds
+    the term of the segment holding p, then the whole terms above it, then
+    the jump terms from p up, in ascending price order, so every table sums
+    in one fixed order.
+
     Returns None when a segment below beta has any other form.
     """
     beta = spec.interval.beta
@@ -828,16 +837,27 @@ def piecewise_exact_forms(spec: PayoffSpec) -> Optional[CatalogClosedForms]:
     tops = [min(s.hi, beta) for s in below]
     slopes = [s.form.slope(s.lo) for s in below]
     pieces = [piece for piece in zip(lows, tops, slopes) if piece[2] > 0.0]
+    piece_tops = [top for _, top, _ in pieces]
+    whole = [slope * math.log(top / lo) if lo > 0.0 else math.inf
+             for lo, top, slope in pieces]
+    jumps = sorted(((q, size) for q, size in spec.jumps if q < beta), key=lambda j: j[0])
+    jump_locs = [q for q, _ in jumps]
+    jump_terms = [size / q for q, size in jumps]
 
     def g(p: float) -> float:
+        # Segments whose top is at or below p add nothing; the one holding
+        # p adds its partial term, and every segment above it its whole term.
+        k = bisect_right(piece_tops, p)
         total = 0.0
-        for lo, top, slope in pieces:
-            bottom = max(p, lo)
-            if top > bottom:
-                total += slope * math.log(top / bottom)
-        for q, size in spec.jumps:
-            if p <= q < beta:
-                total += size / q
+        if k < len(pieces):
+            lo, top, slope = pieces[k]
+            total += slope * math.log(top / p) if p > lo else whole[k]
+            for term in whole[k + 1:]:
+                total += term
+        # An explicit loop, not sum(): sum() compensates rounding on
+        # Python >= 3.12, which would change the bits between versions.
+        for term in jump_terms[bisect_left(jump_locs, p):]:
+            total += term
         return total
 
     neg_top_g = [-g(t) for t in tops]  # nondecreasing

@@ -210,11 +210,13 @@ class ReplicationProfile:
         return quadrature_replication_cost(self.payoff, self.interval, p, self.opts)
 
     def portfolio_value(self, p: float) -> float:
-        if math.isinf(p):
+        """V(p) = f(p) + p * g(p); its limit at p = +inf.  f rejects a
+        negative or NaN price before g runs."""
+        if p == math.inf:
             return self.payoff.limit_at_infinity()
+        f = self.payoff.value(p)
         g = self.g(p)
-        risky_value = 0.0 if p == 0.0 else p * g  # 0 * inf -> 0 at the left edge
-        return self.payoff.value(p) + risky_value
+        return f + (0.0 if p == 0.0 else p * g)  # 0 * inf -> 0 at the left edge
 
     def portfolios(self, prices) -> tuple:
         """The replicating holdings at each price: lists (f(p)), (g(p)).
@@ -338,7 +340,10 @@ def portfolio_value_integral(
         if origin is not None:
             cuts = profile.payoff.breakpoints
             first = min(cuts[0] if cuts else p, p)
-            s = 1.0 - origin if origin < 1.0 else 0.0
+            # g ~ q**(origin - 1) near 0 below exponent 1, and ~ -log q at
+            # exactly 1: soften both (any positive exponent tames the log);
+            # above 1, g is finite at 0.
+            s = 1.0 - origin if origin < 1.0 else 0.5 if origin == 1.0 else 0.0
             r = integrate_from_zero(profile.g, first, singular_exponent=s, opts=opts)
             total += _converged(r, what)
             lo = first

@@ -8,16 +8,20 @@ in a traced benchmark run.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
 
 from cfmmrep import (
     Logarithmic,
+    PriceInterval,
     ReplicationProfile,
     TradingFunction,
     make_catalog_payoff,
     make_piecewise_payoff,
+    portfolio_value,
+    trading_function_infimum,
 )
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -48,3 +52,56 @@ def test_route_functions_read_live_attributes(spans):
             == ["closed", "closed", "bisection"])
     assert ([spans._route_psi(TradingFunction(p), 0.0, 0.1) for p in profiles]
             == ["closed", "numeric", "numeric"])
+
+
+# The tracer counts g evaluations by patching ReplicationProfile.g; a speedup
+# that computes g without going through self.g would hide them from it.
+
+TABLE = ([(0.5, 0.1), (1.0, 0.3), (2.0, 0.5), (4.0, 1.5)], [(1.0, 0.2), (2.0, 0.25)])
+
+
+@pytest.fixture
+def g_calls(monkeypatch):
+    calls = []
+    g = ReplicationProfile.g
+
+    def counting(self, p):
+        calls.append(p)
+        return g(self, p)
+
+    monkeypatch.setattr(ReplicationProfile, "g", counting)
+    return calls
+
+
+def test_every_route_evaluates_g_through_the_method(g_calls):
+    closed = ReplicationProfile(make_catalog_payoff(Logarithmic(1.0)))
+    exact = ReplicationProfile(make_piecewise_payoff(*TABLE))
+    numeric = ReplicationProfile(exact.payoff, use_closed_forms=False)
+    prices = [0.5, 0.75, 1.0, 1.5, 2.0, 3.9, 4.0]
+    for profile in (closed, exact, numeric):
+        g_calls.clear()
+        for p in prices:
+            profile.portfolio_value(p)
+            portfolio_value(profile, p)
+        assert g_calls == [p for p in prices for _ in range(2)]
+        g_calls.clear()
+        profile.portfolios(prices)
+        assert g_calls == prices
+
+
+@pytest.mark.parametrize("beta,first,again", [(4.0, 512 + 50, 50),
+                                               (math.inf, 2 + 512 + 50, 2 + 50)])
+def test_infimum_g_count_is_pinned(g_calls, beta, first, again):
+    # A fresh TradingFunction pays for its grid once: V at 512 prices, plus
+    # 50 golden-section steps, plus (unbounded) two steps doubling the top.
+    points, jumps = TABLE
+    profile = ReplicationProfile(make_piecewise_payoff(points, jumps,
+                                                       PriceInterval(0.5, beta)))
+    tf = TradingFunction(profile)
+    r1, r2 = profile.payoff.value(1.5) + 0.25, profile.g(1.5)
+    g_calls.clear()
+    trading_function_infimum(tf, r1, r2, 512)
+    assert len(g_calls) == first
+    g_calls.clear()
+    trading_function_infimum(tf, r1, r2, 512)
+    assert len(g_calls) == again

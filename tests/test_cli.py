@@ -265,6 +265,24 @@ class TestVerify:
         assert code == 0, err
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("command", [["verify"],
+                                         ["trading-function", "--check-infimum"]],
+                             ids=["verify", "check-infimum"])
+    @pytest.mark.parametrize("payoff", ["table", "capped_power"])
+    def test_linear_rise_from_price_zero(self, capsys, tmp_path, command, payoff):
+        # g(0) is infinite; building the profile used to divide by zero.
+        if payoff == "table":
+            doc = tmp_path / "ramp.json"
+            doc.write_text('{"piecewise":{"points":[[0,0],[1,1],[2,1.5]]}}')
+            args = ["--payoff", str(doc)]
+        else:
+            args = ["--payoff", "catalog:capped_power", "--param", "p0=0",
+                    "--param", "p1=4", "--param", "a=1"]
+        code, out, err = run_cli(capsys, *command, *args)
+        assert code == 0, err
+        if command == ["verify"]:
+            assert out.splitlines()[-1] == "12/12 checks passed"
+
     def test_decreasing_payoff_fails_at_parse(self, capsys, tmp_path):
         doc = tmp_path / "dec.json"
         doc.write_text('{"piecewise":{"points":[[1,1],[2,0.5]]}}')
@@ -309,6 +327,37 @@ class TestSubprocessEntry:
             [sys.executable, "-m", "cfmmrep.cli", "catalog", "nope"],
             capture_output=True, text=True)
         assert bad.returncode == 2
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; no parse leaks into the next."""
+
+    def test_in_process_calls_match_fresh_processes(self, capsys, tmp_path):
+        import subprocess
+        import sys
+
+        out_path = tmp_path / "table.csv"
+        first = ["replicate", "--payoff", "catalog:cash_or_nothing", "--param", "p0=2",
+                 "--grid", "4", "--out", str(out_path)]
+        second = ["trading-function", "--payoff", "catalog:capped_call",
+                  "--param", "p0=1", "--param", "p1=2", "--grid", "4"]
+        calls = [run_cli(capsys, *argv) for argv in (first, second)]
+        # Neither --param p0=2 nor --out carried over into the second call.
+        for argv, (code, out, err) in zip((first, second), calls):
+            fresh = subprocess.run([sys.executable, "-m", "cfmmrep.cli", *argv],
+                                   capture_output=True, text=True)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert calls[0][1] == "" and calls[1][1].startswith("r2,")
+        assert out_path.read_text().startswith("p,f,g,V\n")
+
+    def test_defaults_survive_a_parse(self, capsys):
+        run_cli(capsys, "replicate", "--payoff", "catalog:logarithmic",
+                "--param", "p0=2", "--grid", "3", "--out", "-")
+        # A second catalog payoff with no --param at all must see an empty
+        # list, so logarithmic asks for its p0.
+        code, _, err = run_cli(capsys, "replicate", "--payoff", "catalog:logarithmic")
+        assert code == 2
+        assert "needs parameters: p0" in err
 
 
 class TestUsageErrors:

@@ -29,7 +29,14 @@ from cfmmrep import (
     trading_function_eval,
 )
 from cfmmrep import quadrature, replication
-from cfmmrep.payoffs import ConstantForm, PayoffSpec, PowerForm, Segment
+from cfmmrep.payoffs import (
+    ConstantForm,
+    PayoffSpec,
+    PowerForm,
+    Segment,
+    make_piecewise_payoff,
+    piecewise_exact_forms,
+)
 from cfmmrep.quadrature import QuadratureOptions
 from test_properties import random_piecewise_payoff
 
@@ -154,3 +161,77 @@ def test_hand_built_nonlinear_segment_uses_quadrature():
     profile = ReplicationProfile(spec)
     assert profile.g_closed_form is None
     assert profile.g(4.0) == pytest.approx(1.0 / 6.0, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The table g: precomputed terms, the same bits as the plain segment loop
+# ---------------------------------------------------------------------------
+
+def _loop_g(spec):
+    """The reference: every segment's term rebuilt on each call, in order."""
+    beta = spec.interval.beta
+    pieces = [(s.lo, min(s.hi, beta), s.form.slope(s.lo))
+              for s in spec.segments if s.lo < beta and s.form.slope(s.lo) > 0.0]
+
+    def g(p):
+        total = 0.0
+        for lo, top, slope in pieces:
+            bottom = max(p, lo)
+            if top > bottom:
+                total += slope * math.log(top / bottom)
+        for q, size in spec.jumps:
+            if p <= q < beta:
+                total += size / q
+        return total
+
+    return g
+
+
+def _random_table(rng):
+    """A table with flat stretches, some jumps, often a start at price 0
+    (f rising linearly from the origin), alpha > 0, or beta cut inside a
+    segment."""
+    prices = [0.0] if rng.random() < 0.4 else [rng.uniform(0.05, 1.0)]
+    for _ in range(rng.randint(1, 7)):
+        prices.append(prices[-1] + rng.uniform(0.1, 2.0))
+    values, jumps, v = [], [], rng.uniform(0.0, 0.5) if prices[0] > 0.0 else 0.0
+    for i, price in enumerate(prices):
+        values.append(v)
+        if 0 < i < len(prices) - 1 and rng.random() < 0.4:
+            jumps.append((price, rng.uniform(0.01, 1.0)))
+            v += jumps[-1][1]
+        v += rng.choice((0.0, rng.uniform(0.0, 2.0)))
+    k = rng.randrange(len(prices) - 1)
+    alpha = prices[0]
+    if rng.random() < 0.5:
+        alpha = rng.uniform(prices[0], prices[1])
+    beta = prices[-1]
+    if rng.random() < 0.5:
+        beta = rng.uniform(max(prices[k], alpha), prices[k + 1])
+    elif rng.random() < 0.3:
+        beta = math.inf
+    jumps = [(q, size) for q, size in jumps if alpha <= q < beta]
+    return make_piecewise_payoff(list(zip(prices, values)), jumps,
+                                 PriceInterval(alpha, beta))
+
+
+def test_table_g_has_the_loops_bits():
+    rng = random.Random(515)
+    zero_starts = 0
+    for _ in range(300):
+        spec = _random_table(rng)
+        g, reference = piecewise_exact_forms(spec).g, _loop_g(spec)
+        alpha, beta = spec.interval.alpha, spec.interval.beta
+        prices = {alpha, beta} | set(spec.breakpoints) | {q for q, _ in spec.jumps}
+        for seg in spec.segments:
+            hi = min(seg.hi, beta if math.isfinite(beta) else seg.lo + 10.0)
+            if seg.lo < hi:
+                prices |= {seg.lo + (hi - seg.lo) * t for t in (1e-9, 0.25, 0.5, 0.9)}
+                prices.add(rng.uniform(seg.lo, hi))
+        for p in sorted(prices):
+            if p == 0.0 and spec.segments[0].form.slope(0.0) > 0.0:
+                zero_starts += 1
+                assert g(p) == math.inf  # the loop divides by zero here
+                continue
+            assert g(p) == reference(p), (spec, p)
+    assert zero_starts > 20

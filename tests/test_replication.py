@@ -162,6 +162,16 @@ class TestPortfolio:
         with pytest.raises(InfiniteReplicationCostError, match="infinite at price 0.0"):
             prof.portfolios([1.0, 0.0])
 
+    @pytest.mark.parametrize("price", [-math.inf, -1.0, math.nan])
+    def test_value_rejects_prices_below_zero(self, price):
+        # Only +inf is the limit V(inf); -inf used to take that branch too.
+        prof = ReplicationProfile(make_catalog_payoff(ConstantProportion(0.5, 1.0)))
+        with pytest.raises(DomainError):
+            prof.portfolio_value(price)
+        with pytest.raises(DomainError):
+            portfolio_value(prof, price)
+        assert prof.portfolio_value(math.inf) == math.inf
+
     def test_value_where_risky_vanishes(self):
         prof = ReplicationProfile(make_catalog_payoff(CappedCall(1.0, E)))
         assert portfolio_value(prof, E) == pytest.approx(E - 1.0)
@@ -435,6 +445,46 @@ class TestIntervalHandling:
         # opts is keyword-only, so a stale positional interval fails loudly.
         with pytest.raises(TypeError):
             ReplicationProfile(spec, PriceInterval(0.0, 3.0))
+
+
+class TestLinearRiseFromZero:
+    """f rising linearly from price 0: g(0) = inf and g ~ -log p near 0."""
+
+    RAMP = [(0.0, 0.0), (1.0, 1.0), (2.0, 1.5)]
+
+    def profiles(self):
+        table = make_piecewise_payoff(self.RAMP)
+        call = make_catalog_payoff(CappedPower(0.0, 4.0, 1.0))
+        return [ReplicationProfile(table), ReplicationProfile(table, use_closed_forms=False),
+                ReplicationProfile(call), ReplicationProfile(call, use_closed_forms=False)]
+
+    def test_exact_routes_build(self):
+        table, _, call, _ = self.profiles()
+        assert table.g_closed_form is not None and call.g_closed_form is not None
+        assert table.g_alpha == math.inf and call.g_alpha == math.inf
+        assert table.v_alpha == 0.0 and call.v_alpha == 0.0
+        assert table.g(0.5) == pytest.approx(math.log(2.0) + 0.5 * math.log(2.0))
+        assert call.g(2.0) == pytest.approx(math.log(2.0))
+
+    def test_integral_identity(self):
+        # The integrand g ~ -log q at 0 is softened, never evaluated there.
+        # The numeric profiles (quadrature inside quadrature) get one price.
+        table, table_numeric, call, call_numeric = self.profiles()
+        cases = [(table, p) for p in (1e-6, 0.3, 1.0, 1.7, 2.0)]
+        cases += [(call, p) for p in (1e-6, 0.3, 1.0, 3.0, 4.0)]
+        cases += [(table_numeric, 0.3), (call_numeric, 0.3)]
+        for prof, p in cases:
+            assert portfolio_value_integral(prof, p) == pytest.approx(
+                portfolio_value(prof, p), rel=1e-9, abs=1e-10), (prof.payoff, p)
+
+    def test_cut_above_zero(self):
+        # From alpha = 0.5 the zero-start segment's term from 0 is never needed.
+        prof = ReplicationProfile(make_piecewise_payoff(self.RAMP,
+                                                        interval=PriceInterval(0.5, 2.0)))
+        assert prof.g_alpha == pytest.approx(math.log(2.0) + 0.5 * math.log(2.0))
+        assert prof.g_inverse_value(prof.g_alpha) == pytest.approx(0.5)
+        assert portfolio_value_integral(prof, 1.5) == pytest.approx(
+            portfolio_value(prof, 1.5), rel=1e-9)
 
 
 class TestQuadratureConvergence:
