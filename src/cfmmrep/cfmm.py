@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from .errors import (
     InvalidParameterError,
     InvalidReservesError,
+    NumericalError,
     UnboundedTradingFunctionError,
 )
 from .replication import ReplicationProfile
@@ -118,7 +119,10 @@ def trading_function_infimum(
         # objective only climbs; stop a little beyond the sign change.
         top = max(alpha, max(profile.payoff.breakpoints, default=0.0), 1.0)
         if r2 > 0.0:
-            while profile.g(top) >= r2 and top < 1e300:
+            while profile.g(top) >= r2:
+                if top >= 1e300:
+                    raise NumericalError(
+                        f"infimum bracket passed 1e300 with g still >= risky reserve {r2!r}")
                 top *= 2.0
             top *= 2.0
         else:

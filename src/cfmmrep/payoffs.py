@@ -68,13 +68,6 @@ class PriceInterval:
             raise DomainError(
                 f"price {p} outside replication interval [{self.alpha}, {self.beta}]")
 
-    def clamp(self, p: float) -> float:
-        if p < self.alpha:
-            return self.alpha
-        if self.bounded and p > self.beta:
-            return self.beta
-        return p
-
 
 # ---------------------------------------------------------------------------
 # Segment forms

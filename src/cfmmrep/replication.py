@@ -271,7 +271,7 @@ class ReplicationProfile:
             lo = min(self.payoff.breakpoints + (beta, 1.0))
             while self.g(lo) < r2:
                 lo *= 0.5
-                if lo < 1e-300:
+                if lo < 1e-300:  # can be exact: when r2 == g(0), no p > 0 has g >= r2
                     return 0.0
         if self.interval.bounded:
             hi = beta
@@ -280,7 +280,8 @@ class ReplicationProfile:
             while self.g(hi) >= r2:
                 lo, hi = hi, hi * 2.0
                 if hi > 1e300:
-                    return math.inf
+                    raise NumericalError(
+                        f"g_inverse bracket passed 1e300 with g still >= risky reserve {r2!r}")
         while hi - lo > _INVERSION_REL_TOL * lo:
             mid = math.sqrt(lo * hi)
             if mid <= lo or mid >= hi:

@@ -5,11 +5,35 @@ generator), which is fully specified by integer arithmetic and therefore
 produces identical streams on every platform.  Normals are drawn by
 inverse-CDF so the whole pipeline is one uniform per variate.  Draws come
 in batches; a batch of n gives the same numbers as n single draws.
+
+Draw k mixes the state seed + k * gamma, so a block of states is mixed at
+once: state k sits in bits [128k, 128k + 128) of one int, its lane.  A mask
+after every shift drops what a lane receives from the lane above, and a lane
+below 2**64 times a 64-bit constant stays below 2**128, so no carry crosses
+lanes.  Ints become bytes in the host's byte order, to line up with its words.
 """
+
+import sys
+from array import array
 
 from .normal import norm_inv
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_BLOCK = 1024
+_LANE = (1 << 128) - 1
+_ONES = ((1 << 128 * _BLOCK) - 1) // _LANE  # 1 in every lane
+_LANE_MASK = _ONES * _MASK64
+# (k + 1) * gamma in lane k; with x = 2**128, (x - 1) * sum (k + 1) x**k = n x**n - sum x**k.
+_COUNTERS = _GAMMA * (((_BLOCK << 128 * _BLOCK) - _ONES) // _LANE)
+
+
+def _unpack(lanes: int, m: int, order: str) -> list:
+    """The values of the low m lanes, each below 2**64, of a packed int."""
+    words = array("Q", lanes.to_bytes(16 * m, order))
+    if order != sys.byteorder:
+        words.byteswap()
+    return words[::2 if order == "little" else -2].tolist()
 
 
 class SplitMix64:
@@ -19,13 +43,16 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def _next_uint64s(self, n: int) -> list:
-        state = self._state
-        out = []
-        for _ in range(n):
-            state = (state + 0x9E3779B97F4A7C15) & _MASK64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            out.append(z ^ (z >> 31))
+        state, out = self._state, []
+        for start in range(0, n, _BLOCK):
+            m = min(_BLOCK, n - start)
+            cut = (1 << 128 * m) - 1
+            mask = _LANE_MASK & cut
+            s = (state * (_ONES & cut) + (_COUNTERS & cut)) & mask
+            s = ((s ^ ((s >> 30) & mask)) * 0xBF58476D1CE4E5B9) & mask
+            s = ((s ^ ((s >> 27) & mask)) * 0x94D049BB133111EB) & mask
+            out += _unpack(s ^ ((s >> 31) & mask), m, sys.byteorder)
+            state = (state + m * _GAMMA) & _MASK64
         self._state = state
         return out
 

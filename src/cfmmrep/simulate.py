@@ -101,15 +101,16 @@ def gbm_path(params: GbmParams) -> PricePath:
         raise NumericalError(
             f"price path left the float range at step {step} of {params.steps}: "
             f"{prices[step - 1]!r} became {prices[step]!r}")
-    times = tuple(i * dt for i in range(params.steps + 1))
+    times = tuple([i * dt for i in range(params.steps + 1)])
     return PricePath(times, tuple(prices))
 
 
 def run_arbitrage(profile: ReplicationProfile, path: PricePath) -> EarningsReport:
     """Arbitrage the pool along the path and report earnings.
 
-    Prices are clamped into [alpha, beta] first: outside the interval the
-    payoff extends constant, the portfolio is static, and no profit moves.
+    Prices are clamped into [alpha, beta] first (p > inf is False): outside
+    the interval the payoff extends constant and the portfolio is static, so
+    a step that leaves the interval is booked at its edge, not at the market.
     The pool after each step holds (f(P_i), g(P_i)), so one sweep of f and g
     over the clamped prices gives every step profit
 
@@ -118,8 +119,8 @@ def run_arbitrage(profile: ReplicationProfile, path: PricePath) -> EarningsRepor
     and every path-leg term g(P_{i-1}) * (P_i - P_{i-1}); each equals what
     chained arbitrage_to_price calls compute, bit for bit.
     """
-    clamp = profile.interval.clamp
-    prices = [clamp(p) for p in path.prices]
+    alpha, beta = profile.interval.alpha, profile.interval.beta
+    prices = [alpha if p < alpha else beta if p > beta else p for p in path.prices]
     r1, r2 = profile.portfolios(prices)
     after = prices[1:]
     profits = [p * (g0 - g1) + f0 - f1

@@ -15,6 +15,7 @@ from cfmmrep import (
     InvalidParameterError,
     InvalidReservesError,
     Logarithmic,
+    NumericalError,
     PoolState,
     ReplicationProfile,
     TradingFunction,
@@ -131,6 +132,13 @@ class TestInfimumOracle:
                 oracle = trading_function_infimum(tf, r1, r2, 256)
                 assert abs(direct - oracle) <= 1e-6 * max(1.0, abs(direct), abs(oracle)), (
                     f"{prof.payoff.catalog} at p={p}")
+
+    def test_bracket_past_1e300_raises(self):
+        # psi(0, 1e-301) is about -693.08; a grid cut at 1e300 gave -692.49.
+        tf = TradingFunction(ReplicationProfile(make_catalog_payoff(Logarithmic(1.0))))
+        assert trading_function_eval(tf, 0.0, 1e-301) == pytest.approx(-693.08, abs=0.01)
+        with pytest.raises(NumericalError, match="risky reserve 1e-301"):
+            trading_function_infimum(tf, 0.0, 1e-301)
 
     def test_grid_points_validated(self):
         tf = TradingFunction(ReplicationProfile(make_catalog_payoff(CashOrNothing(2.0))))

@@ -252,6 +252,15 @@ class TestGInverse:
                                      use_closed_forms=False)
         assert numeric.g_inverse_value(1.0) == pytest.approx(1.0, rel=1e-9)
 
+    def test_bracket_past_1e300_raises(self):
+        # The closed route answers about 1e301; the doubling bracket used to
+        # stop at 1e300 and return inf.
+        spec = make_catalog_payoff(Logarithmic(1.0))
+        assert ReplicationProfile(spec).g_inverse_value(1e-301) > 1e300
+        numeric = ReplicationProfile(spec, use_closed_forms=False)
+        with pytest.raises(NumericalError, match="risky reserve 1e-301"):
+            numeric.g_inverse_value(1e-301)
+
     def test_monotone_in_reserve(self):
         prof = ReplicationProfile(make_catalog_payoff(CappedCall(1.0, E)))
         reserves = [0.0, 0.1, 0.4, 0.7, 1.0]

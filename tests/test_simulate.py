@@ -29,6 +29,7 @@ from cfmmrep import (
 )
 from cfmmrep import cfmm
 from cfmmrep.normal import norm_inv
+from cfmmrep import rng as rng_module
 from cfmmrep.rng import SplitMix64
 from cfmmrep.simulate import earnings_mean_stderr
 
@@ -115,6 +116,7 @@ _REF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
           3.754408661907416e+00)
 _REF_P_LOW = 0.02425
 _MASK64 = (1 << 64) - 1
+_BLOCK = 1024  # states the generator mixes at once
 
 
 def reference_norm_inv(p):
@@ -140,15 +142,23 @@ def reference_norm_inv(p):
     return x - u / (1.0 + 0.5 * x * u)
 
 
-def reference_uniforms(seed, n):
+def reference_uint64s(seed, n):
     state = seed & _MASK64
     out = []
     for _ in range(n):
         state = (state + 0x9E3779B97F4A7C15) & _MASK64
         z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        out.append((((z ^ (z >> 31)) >> 11) + 0.5) * 2.0 ** -53)
+        out.append(z ^ (z >> 31))
     return out
+
+
+def reference_uniform(z):
+    return ((z >> 11) + 0.5) * 2.0 ** -53
+
+
+def reference_uniforms(seed, n):
+    return [reference_uniform(z) for z in reference_uint64s(seed, n)]
 
 
 class TestBatchedDraws:
@@ -170,6 +180,53 @@ class TestBatchedDraws:
         rng = SplitMix64(11)
         assert [rng.uniform() for _ in range(3)] == reference_uniforms(11, 3)
 
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1, -3])
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_uint64s_match_scalar_reference_at_block_edges(self, seed, n):
+        assert SplitMix64(seed)._next_uint64s(n) == reference_uint64s(seed, n)
+
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1, -3])
+    def test_mixed_calls_continue_one_stream_across_blocks(self, seed):
+        rng = SplitMix64(seed)
+        ref = iter(reference_uint64s(seed, 2 * _BLOCK + 10))
+
+        def ref_normals(k):
+            return [reference_norm_inv(reference_uniform(next(ref))) for _ in range(k)]
+
+        assert rng.next_uint64() == next(ref)
+        assert rng.uniform() == reference_uniform(next(ref))
+        assert rng.normals(_BLOCK - 4) == ref_normals(_BLOCK - 4)
+        assert rng.normals(0) == []
+        assert rng.next_uint64() == next(ref)
+        assert rng.normals(3) == ref_normals(3)  # crosses the first block edge
+        assert rng.uniform() == reference_uniform(next(ref))
+        assert rng.normals(_BLOCK + 5) == ref_normals(_BLOCK + 5)
+        assert rng.next_uint64() == next(ref)
+
+    def test_lanes_unpack_alike_in_either_byte_order(self):
+        assert rng_module._BLOCK == _BLOCK
+        words = reference_uint64s(5, 7) + [0, _MASK64]
+        packed = sum(w << 128 * k for k, w in enumerate(words))
+        for order in ("little", "big"):
+            assert rng_module._unpack(packed, len(words), order) == words
+        # The block constants hold 1, (k + 1) * gamma and 2**64 - 1 in lane k.
+        lanes = [(rng_module._COUNTERS >> 128 * k) & ((1 << 128) - 1) for k in range(_BLOCK)]
+        assert lanes == [(k + 1) * 0x9E3779B97F4A7C15 for k in range(_BLOCK)]
+        assert rng_module._ONES == sum(1 << 128 * k for k in range(_BLOCK))
+        assert rng_module._LANE_MASK == _MASK64 * rng_module._ONES
+
+    def test_one_norm_inv_call_per_normal(self, monkeypatch):
+        # bench/spans.py times normal.norm_inv by wrapping this module global.
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return norm_inv(p)
+
+        monkeypatch.setattr(rng_module, "norm_inv", counting)
+        assert SplitMix64(4).normals(2500) == [norm_inv(p) for p in calls]
+        assert len(calls) == 2500
+
     def test_norm_inv_matches_reference_at_branch_edges(self):
         edges = [_REF_P_LOW, math.nextafter(_REF_P_LOW, 0.0),
                  1.0 - _REF_P_LOW, math.nextafter(1.0 - _REF_P_LOW, 1.0),
@@ -180,7 +237,8 @@ class TestBatchedDraws:
 
 def chained_arbitrage(profile, path):
     """Step profits and path leg from one arbitrage_to_price call per step."""
-    clamped = [profile.interval.clamp(p) for p in path.prices]
+    alpha, beta = profile.interval.alpha, profile.interval.beta
+    clamped = [min(max(p, alpha), beta) for p in path.prices]
     pool = pool_init(profile, clamped[0])
     profits, legs = [], []
     for p in clamped[1:]:
