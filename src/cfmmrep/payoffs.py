@@ -80,6 +80,9 @@ class ConstantForm:
     def value(self, p: float) -> float:
         return self.c
 
+    def values(self, prices) -> list:
+        return [self.c] * len(prices)
+
     def slope(self, p: float) -> float:
         return 0.0
 
@@ -103,6 +106,10 @@ class LinearForm:
 
     def value(self, p: float) -> float:
         return self.y0 + self.m * (p - self.x0)
+
+    def values(self, prices) -> list:
+        y0, m, x0 = self.y0, self.m, self.x0
+        return [y0 + m * (p - x0) for p in prices]
 
     def slope(self, p: float) -> float:
         return self.m
@@ -128,6 +135,10 @@ class PowerForm:
     def value(self, p: float) -> float:
         return self.scale * p**self.exponent + self.offset
 
+    def values(self, prices) -> list:
+        a, e, c = self.scale, self.exponent, self.offset
+        return [a * p**e + c for p in prices]
+
     def slope(self, p: float) -> float:
         if p == 0.0:
             return 0.0 if self.exponent >= 1.0 else math.inf
@@ -151,6 +162,10 @@ class LogForm:
 
     def value(self, p: float) -> float:
         return math.log(p / self.p0)
+
+    def values(self, prices) -> list:
+        log, p0 = math.log, self.p0
+        return [log(p / p0) for p in prices]
 
     def slope(self, p: float) -> float:
         return 1.0 / p
@@ -185,6 +200,10 @@ class NormalCdfForm:
 
     def value(self, p: float) -> float:
         return norm_cdf(self.d(p))
+
+    def values(self, prices) -> list:
+        d = self.d
+        return [norm_cdf(d(p)) for p in prices]
 
     def slope(self, p: float) -> float:
         if p <= 0.0:
@@ -326,9 +345,10 @@ class PayoffSpec:
     jumps: tuple
     interval: PriceInterval
     catalog: Optional[CatalogParams] = None
-    # Interior segment boundaries (kinks and jump locations), ascending;
-    # derived from segments.
+    # Interior segment boundaries (kinks and jump locations), ascending,
+    # and each segment's bound form.value; derived from segments.
     breakpoints: tuple = field(init=False, repr=False, compare=False)
+    _values: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.segments:
@@ -342,6 +362,7 @@ class PayoffSpec:
         if bounds != tuple(s.lo for s in self.segments[1:]):
             raise InvalidParameterError("segments must be contiguous")
         object.__setattr__(self, "breakpoints", bounds)
+        object.__setattr__(self, "_values", tuple(s.form.value for s in self.segments))
         locs = set(bounds)
         for q, size in self.jumps:
             if size < 0.0:
@@ -356,9 +377,9 @@ class PayoffSpec:
 
     def value(self, p: float) -> float:
         """Payoff at price p, ignoring the replication interval."""
-        if p < 0.0 or math.isnan(p):
+        if not p >= 0.0:  # NaN fails too
             raise DomainError(f"price must be >= 0, got {p}")
-        return self.segments[bisect_left(self.breakpoints, p)].form.value(p)
+        return self._values[bisect_left(self.breakpoints, p)](p)
 
     def slope(self, p: float) -> float:
         return self._segment_at(p).form.slope(p)

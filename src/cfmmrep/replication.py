@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -221,17 +222,23 @@ class ReplicationProfile:
     def portfolios(self, prices) -> tuple:
         """The replicating holdings at each price: lists (f(p)), (g(p)).
 
-        Each price must lie in the interval.  g runs once per price.  An
-        infinite g at price 0 raises InfiniteReplicationCostError, as no pool
-        can hold that risky reserve; above 0, g is finite by construction, so
-        an infinite g there is float overflow and raises NumericalError.
+        Each price must lie in the interval.  f runs as one list kernel when
+        all prices share a payoff segment, g once per price.  An infinite g at
+        price 0 raises InfiniteReplicationCostError, as no pool can hold it;
+        above 0, g is finite by construction: inf is overflow, a NumericalError.
         """
-        if prices:
-            self.interval.check(min(prices))
-            self.interval.check(max(prices))
-        value, g = self.payoff.value, self.g
-        r1 = [value(p) for p in prices]
-        r2 = [g(p) for p in prices]
+        if not prices:
+            return [], []
+        interval, payoff = self.interval, self.payoff
+        lo, hi = min(prices), max(prices)
+        # Past alpha <= lo, only a NaN (which min and max can skip) makes the sum NaN.
+        if not interval.alpha <= lo <= hi <= interval.beta or math.isnan(sum(prices)):
+            for p in (lo, hi, math.nan):
+                interval.check(p)
+        k = bisect_left(payoff.breakpoints, lo)
+        r1 = (payoff.segments[k].form.values(prices) if k == bisect_left(payoff.breakpoints, hi)
+              else [payoff.value(p) for p in prices])
+        r2 = [self.g(p) for p in prices]
         if math.inf in r2:
             p = prices[r2.index(math.inf)]
             if p > 0.0:

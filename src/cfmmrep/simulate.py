@@ -42,9 +42,8 @@ class PricePath:
             raise InvalidParameterError("times and prices must be nonempty, same length")
         if self.times[0] != 0.0:
             raise InvalidParameterError("path must start at time 0")
-        for a, b in zip(self.times, self.times[1:]):
-            if not a < b:
-                raise InvalidParameterError("times must be strictly increasing")
+        if not all(map(operator.lt, self.times, self.times[1:])):
+            raise InvalidParameterError("times must be strictly increasing")
         for p in self.prices:
             if not (p > 0.0 and math.isfinite(p)):
                 raise InvalidParameterError(f"prices must be positive, got {p}")
@@ -90,6 +89,8 @@ def gbm_path(params: GbmParams) -> PricePath:
     float range (to inf, or to 0 by underflow).
     """
     dt = params.horizon / params.steps
+    if not dt > 0.0:
+        raise InvalidParameterError(f"time step {params.horizon} / {params.steps} underflows to 0")
     vol = params.sigma * math.sqrt(dt)
     drift = -0.5 * params.sigma * params.sigma * dt
     moves = [math.exp(vol * z + drift) for z in SplitMix64(params.seed).normals(params.steps)]
@@ -102,7 +103,10 @@ def gbm_path(params: GbmParams) -> PricePath:
             f"price path left the float range at step {step} of {params.steps}: "
             f"{prices[step - 1]!r} became {prices[step]!r}")
     times = tuple([i * dt for i in range(params.steps + 1)])
-    return PricePath(times, tuple(prices))
+    # dt > 0 and the range check above stand in for PricePath's own checks.
+    path = object.__new__(PricePath)
+    path.__dict__.update(times=times, prices=tuple(prices))
+    return path
 
 
 def run_arbitrage(profile: ReplicationProfile, path: PricePath) -> EarningsReport:
@@ -111,8 +115,9 @@ def run_arbitrage(profile: ReplicationProfile, path: PricePath) -> EarningsRepor
     Prices are clamped into [alpha, beta] first (p > inf is False): outside
     the interval the payoff extends constant and the portfolio is static, so
     a step that leaves the interval is booked at its edge, not at the market.
-    The pool after each step holds (f(P_i), g(P_i)), so one sweep of f and g
-    over the clamped prices gives every step profit
+    The pool after each step holds (f(P_i), g(P_i)), so one sweep of f (by a
+    segment's list kernel on a path within one segment) and g over the
+    clamped prices gives every step profit
 
         P_i * (g(P_{i-1}) - g(P_i)) + f(P_{i-1}) - f(P_i),
 
@@ -160,6 +165,8 @@ def monte_carlo_reports(profile: ReplicationProfile, params: GbmParams, n_paths:
 def earnings_mean_stderr(totals) -> tuple:
     """Mean and standard error of per-path total earnings (two or more)."""
     n = len(totals)
+    if n < 2:
+        raise InvalidParameterError(f"a standard error needs two or more totals, got {n}")
     mean = math.fsum(totals) / n
     try:
         var = math.fsum((w - mean) ** 2 for w in totals) / (n - 1)

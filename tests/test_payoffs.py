@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,15 @@ from cfmmrep import (
     payoff_breakpoints,
     serialize_payoff,
 )
-from cfmmrep.payoffs import ConstantForm, LinearForm, Segment
+from cfmmrep.payoffs import (
+    ConstantForm,
+    LinearForm,
+    LogForm,
+    NormalCdfForm,
+    PowerForm,
+    Segment,
+    SegmentForm,
+)
 
 E = math.e
 
@@ -368,3 +377,54 @@ def test_monotonicity_thousand_pairs_per_family():
             p, q = min(p, q), max(p, q)
             assert spec.value(p) <= spec.value(q) + 1e-12
             assert spec.value(p) >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# List kernels
+# ---------------------------------------------------------------------------
+
+def kernel_cases():
+    """(form, segment edges) for every segment of the catalog suite and of a
+    table with jumps, plus hand-built forms with other parameters."""
+    table = make_piecewise_payoff([(0.5, 0.1), (1.0, 0.3), (2.0, 0.5), (4.0, 1.5)],
+                                  [(1.0, 0.2), (2.0, 0.25)])
+    specs = [spec for spec, _, _ in catalog_suite()] + [table]
+    cases = [(seg.form, (seg.lo, seg.hi)) for spec in specs for seg in spec.segments]
+    cases += [(form, ()) for form in (
+        LinearForm(1.0, 0.3, 0.25), PowerForm(2.0, 0.5, -1.0), PowerForm(0.5, 3.0),
+        PowerForm(1.0, -0.5), LogForm(1e-6), NormalCdfForm(3.0, 1.5, 0.5))]
+    return cases
+
+
+KERNEL_CASES = kernel_cases()
+
+
+def test_kernel_cases_cover_every_form():
+    assert {type(form) for form, _ in KERNEL_CASES} == set(get_args(SegmentForm))
+
+
+def outcome(fn, p):
+    """The bits of fn(p), or the type of error it raises."""
+    try:
+        return fn(p).hex()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("seed", range(len(KERNEL_CASES)),
+                         ids=[type(form).__name__ for form, _ in KERNEL_CASES])
+def test_kernel_matches_scalar_form_bit_for_bit(seed):
+    form, edges = KERNEL_CASES[seed]
+    rng = random.Random(seed)
+    prices = [0.0, 1e-300, 1e300] + [e for e in edges if math.isfinite(e)]
+    prices += [10.0 ** rng.uniform(-6.0, 6.0) for _ in range(20)]
+    if isinstance(form, NormalCdfForm):
+        prices += [-0.0, -1.0, -1e300]
+    rng.shuffle(prices)
+    assert form.values([]) == []
+    scalar = [outcome(form.value, p) for p in prices]
+    assert [outcome(lambda p: form.values([p])[0], p) for p in prices] == scalar
+    # A whole list gives the same bits as one price at a time.
+    ok = [(p, bits) for p, bits in zip(prices, scalar) if isinstance(bits, str)]
+    assert len(ok) >= 20
+    assert [v.hex() for v in form.values([p for p, _ in ok])] == [bits for _, bits in ok]

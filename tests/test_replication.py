@@ -2,6 +2,7 @@
 
 import math
 import random
+from bisect import bisect_left
 
 import pytest
 from scipy.integrate import quad
@@ -204,6 +205,60 @@ class TestPortfolio:
                 vm = portfolio_value(prof, 0.5 * (p + q))
                 assert vp <= vq + 1e-10
                 assert vm >= 0.5 * (vp + vq) - 1e-10
+
+
+class TestPortfoliosMatchPerPrice:
+    """portfolios gives f and g exactly as one call per price does, whether
+    its prices lie in one payoff segment (one list kernel) or not."""
+
+    @staticmethod
+    def suite():
+        table = make_piecewise_payoff([(0.5, 0.1), (1.0, 0.3), (2.0, 0.5), (4.0, 1.5)],
+                                      [(1.0, 0.2), (2.0, 0.25)])
+        return profile_suite() + [(ReplicationProfile(table), 0.5, 4.0)]
+
+    @staticmethod
+    def price_lists(spec, lo, hi, rng):
+        """Lists inside one segment, then lists that cross segments."""
+        bps = [b for b in spec.breakpoints if lo <= b <= hi]
+        inside = [[b] * 3 for b in bps]
+        for seg in spec.segments:
+            a, b = max(seg.lo, lo), min(seg.hi, hi)
+            if a < b:
+                # The upper edge belongs to this segment, the lower one not.
+                inside.append([rng.uniform(a, b) for _ in range(10)] + [b])
+        for ps in inside:
+            assert len({bisect_left(spec.breakpoints, p) for p in ps}) == 1
+        up = [math.nextafter(b, math.inf) for b in bps if b < hi]
+        edges = [math.nextafter(b, 0.0) for b in bps if b > lo] + bps + up
+        crossing = [[math.exp(rng.uniform(math.log(lo), math.log(hi))) for _ in range(30)] + edges]
+        crossing += [[b, q] for b, q in zip(bps, up)]
+        for ps in crossing:
+            rng.shuffle(ps)
+        return inside, crossing
+
+    def test_same_floats_as_one_price_at_a_time(self):
+        rng = random.Random(12)
+        for prof, lo, hi in self.suite():
+            spec = prof.payoff
+            inside, crossing = self.price_lists(spec, lo, hi, rng)
+            for ps in inside + crossing:
+                assert prof.portfolios(ps) == ([spec.value(p) for p in ps],
+                                               [prof.g(p) for p in ps])
+
+    def test_nan_or_outside_price_anywhere_raises(self):
+        rng = random.Random(13)
+        for prof, lo, hi in self.suite():
+            interval = prof.interval
+            bad = [math.nan, -1.0]
+            bad += [interval.beta * 2.0] if interval.bounded else []
+            bad += [interval.alpha / 2.0] if interval.alpha > 0.0 else []
+            inside, crossing = self.price_lists(prof.payoff, lo, hi, rng)
+            for ps in (inside[-1], crossing[0]):
+                for p in bad:
+                    for at in (0, len(ps) // 2, len(ps)):
+                        with pytest.raises(DomainError):
+                            prof.portfolios(ps[:at] + [p] + ps[at:])
 
 
 class TestGInverse:

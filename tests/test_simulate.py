@@ -87,6 +87,20 @@ class TestGbm:
         path = gbm_path(GbmParams(1.0, 0.3, 2.0, 4, 9))
         assert path.times == (0.0, 0.5, 1.0, 1.5, 2.0)
 
+    def test_built_path_passes_the_public_checks(self):
+        # gbm_path skips PricePath's checks; the path must pass them anyway.
+        params = [GbmParams(1.0, 0.5, 1.0, 60, seed) for seed in range(300, 350)]
+        params += [GbmParams(2.0, 0.0, 1.0, 10, 3), GbmParams(1.0, 0.5, 1.0, 1, 7),
+                   GbmParams(1e-300, 3.0, 1.0, 100, 4), GbmParams(1.0, 0.5, 1e-300, 1000, 5)]
+        for p in params:
+            path = gbm_path(p)
+            assert type(path) is PricePath
+            assert PricePath(path.times, path.prices) == path
+
+    def test_time_step_underflow_is_rejected(self):
+        with pytest.raises(InvalidParameterError, match="underflows to 0"):
+            gbm_path(GbmParams(1.0, 0.5, 5e-324, 2, 1))
+
     def test_splitmix_known_stream(self):
         # First outputs of SplitMix64 from seed 0 (reference values of the
         # standard algorithm).
@@ -456,6 +470,11 @@ class TestMonteCarlo:
         prof = ReplicationProfile(make_catalog_payoff(Logarithmic(1.0)))
         with pytest.raises(InvalidParameterError):
             monte_carlo_earnings(prof, GbmParams(1.0, 0.4, 1.0, 10, 1), 1)
+
+    @pytest.mark.parametrize("totals", [[], [1.0]])
+    def test_stderr_needs_two_totals(self, totals):
+        with pytest.raises(InvalidParameterError, match="two or more totals"):
+            earnings_mean_stderr(totals)
 
     def test_sigma_squared_scaling(self):
         """Doubling sigma roughly quadruples expected earnings."""
