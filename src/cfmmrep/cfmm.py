@@ -152,7 +152,7 @@ def trading_function_infimum(
     left = candidates[max(best - 1, 0)]
     right = candidates[min(best + 1, len(candidates) - 1)]
     if left <= 0.0:
-        left = min(right * 1e-6, candidates[1] if len(candidates) > 1 else right)
+        left = min(right * 1e-6, candidates[1])
     a, b = math.log(left), math.log(right)
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
@@ -168,8 +168,6 @@ def trading_function_infimum(
             f2 = objective(math.exp(x2))
 
     refined = min(values[best], f1, f2)
-    if candidates[0] == 0.0:
-        refined = min(refined, values[0])
     if limit_value is not None:
         refined = min(refined, limit_value)
     return refined
@@ -223,7 +221,6 @@ def validate_trade(pool: PoolState, d1: float, d2: float) -> bool:
     """Accept a reserve change iff it does not lower the invariant level."""
     new_r1 = pool.r1 + d1
     new_r2 = pool.r2 + d2
-    _check_reserves(pool.tf, new_r1, new_r2)
     level = trading_function_eval(pool.tf, new_r1, new_r2)
     current = pool.invariant_level
     return level >= current - _TRADE_TOL * max(1.0, abs(current))

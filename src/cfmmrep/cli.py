@@ -18,11 +18,7 @@ import sys
 
 from .cfmm import TradingFunction, trading_function_eval, trading_function_infimum
 from .checks import run_verification, sample_price_range
-from .errors import (
-    CfmmRepError,
-    PayoffParseError,
-    UnboundedTradingFunctionError,
-)
+from .errors import CfmmRepError, PayoffParseError
 from .payoffs import (
     FAMILIES,
     PayoffSpec,
@@ -145,7 +141,7 @@ def cmd_trading_function(cfg: argparse.Namespace) -> int:
         r2 = min(r2_hi * i / (cfg.grid - 1), r2_hi)  # the last row is exactly r2_hi
         try:
             psi = trading_function_eval(tf, 0.0, r2)
-        except (UnboundedTradingFunctionError, CfmmRepError) as exc:
+        except CfmmRepError as exc:
             print(f"warning: skipping r2={_fmt(r2)}: {exc}", file=sys.stderr)
             continue
         row = f"{_fmt(r2)},{_fmt(g_inverse(profile, r2))},{_fmt(psi)}"

@@ -281,6 +281,12 @@ class BlackScholesBinary:
                  f"black_scholes_binary requires strike >= 0, got {self.strike}")
         _require(self.sigma >= 0.0, f"black_scholes_binary requires sigma >= 0, got {self.sigma}")
         _require(self.tau > 0.0, f"black_scholes_binary requires tau > 0, got {self.tau}")
+        _require(math.isfinite(self.sigma * math.sqrt(self.tau)),
+                 f"black_scholes_binary needs finite sigma*sqrt(tau), got {self.sigma}, {self.tau}")
+
+    def is_step(self) -> bool:
+        """Zero volatility sigma * sqrt(tau), by underflow too: a step at the strike."""
+        return self.sigma * math.sqrt(self.tau) == 0.0
 
 
 @dataclass(frozen=True)
@@ -412,7 +418,7 @@ def eval_payoff(spec: PayoffSpec, p: float) -> float:
 
 def eval_payoff_derivative(spec: PayoffSpec, p: float) -> float:
     """f'(p) away from breakpoints."""
-    if not (spec.interval.alpha < p < spec.interval.beta) or p <= 0.0:
+    if not spec.interval.alpha < p < spec.interval.beta:
         raise DomainError(f"price {p} is not interior to the replication interval")
     if p in spec.breakpoints:
         raise BreakpointDerivativeError(
@@ -484,7 +490,7 @@ def _cash_or_nothing_forms(p0: float) -> CatalogClosedForms:
         return 1.0 / p0 if p <= p0 else 0.0
 
     def g_inv(x):
-        return p0 if x > 0.0 else math.inf
+        return p0
 
     def psi(r1, r2):
         return r1 + p0 * r2 - 1.0
@@ -513,14 +519,8 @@ def _capped_call_forms(p0: float, p1: float) -> CatalogClosedForms:
 
 
 def _bs_binary_forms(strike: float, sigma: float, tau: float) -> CatalogClosedForms:
-    vol = sigma * math.sqrt(tau)
-
-    def d(p):
-        if p <= 0.0:
-            return -math.inf
-        if vol == 0.0:
-            return math.inf if p > strike else -math.inf
-        return (math.log(p / strike) - 0.5 * vol * vol) / vol
+    form = NormalCdfForm(strike, sigma, tau)
+    d, vol = form.d, form._vol
 
     def g(p):
         # Survival form Phi(-x) rather than 1 - Phi(x): no cancellation in
@@ -541,7 +541,7 @@ def _logarithmic_forms(p0: float) -> CatalogClosedForms:
         return 1.0 / p0 if p < p0 else 1.0 / p
 
     def g_inv(x):
-        return 1.0 / x if x > 0.0 else math.inf
+        return 1.0 / x
 
     def psi(r1, r2):
         return r1 + math.log(p0 * r2)
@@ -591,13 +591,18 @@ def _constant_proportion_forms(w: float, c: float) -> CatalogClosedForms:
             return math.inf
         return coef * p ** (w - 1.0)
 
+    # A tiny reserve's price lies past the float range, where the powers fail.
     def g_inv(x):
-        if x <= 0.0:
+        try:
+            return ((1.0 - w) * x / (w * c)) ** (-1.0 / (1.0 - w))
+        except (ZeroDivisionError, OverflowError):
             return math.inf
-        return ((1.0 - w) * x / (w * c)) ** (-1.0 / (1.0 - w))
 
     def psi(r1, r2):
-        return r1 - c * ((1.0 - w) * r2 / (w * c)) ** (-w / (1.0 - w))
+        try:
+            return r1 - c * ((1.0 - w) * r2 / (w * c)) ** (-w / (1.0 - w))
+        except (ZeroDivisionError, OverflowError):
+            raise NumericalError(f"psi at risky reserve {r2!r} overflows") from None
 
     return CatalogClosedForms(g, g_inv, psi)
 
@@ -653,11 +658,11 @@ FAMILIES = (
          "g, g_inverse, trading function (via the normal CDF)"),
         segments=lambda b: (
             _whole(ConstantForm(1.0)) if b.strike == 0.0
-            else _step_segments(b.strike, 0.0, 1.0) if b.sigma == 0.0
+            else _step_segments(b.strike, 0.0, 1.0) if b.is_step()
             else _whole(NormalCdfForm(b.strike, b.sigma, b.tau))),
         closed_forms=lambda b: (
             None if b.strike == 0.0
-            else _cash_or_nothing_forms(b.strike) if b.sigma == 0.0
+            else _cash_or_nothing_forms(b.strike) if b.is_step()
             else _bs_binary_forms(b.strike, b.sigma, b.tau))),
     Family(
         Logarithmic, "logarithmic", (("p0", "p0"),),
@@ -877,9 +882,7 @@ def piecewise_exact_forms(spec: PayoffSpec) -> Optional[CatalogClosedForms]:
     neg_top_g = [-g(t) for t in tops]  # nondecreasing
 
     def g_inverse(x: float) -> float:
-        k = bisect_right(neg_top_g, -x)  # segments whose top still has g >= x
-        if k == len(below):
-            return tops[-1]
+        k = bisect_right(neg_top_g, -x)  # tops with g >= x; the last top's g is 0
         if slopes[k] > 0.0:
             return max(lows[k], tops[k] * math.exp((neg_top_g[k] + x) / -slopes[k]))
         return lows[k]
@@ -980,7 +983,7 @@ def parse_payoff_file(text: str) -> PayoffSpec:
 
 
 def serialize_payoff(spec: PayoffSpec) -> str:
-    """Render a payoff back to its JSON document (round-trips with parse)."""
+    """The payoff's JSON document (round-trips with parse); InvalidParameterError if none."""
     def num(x):
         return "inf" if math.isinf(x) else x
 
@@ -996,6 +999,10 @@ def serialize_payoff(spec: PayoffSpec) -> str:
         doc["beta"] = num(spec.interval.beta)
         return json.dumps(doc)
 
+    for s in spec.segments:  # a table is linear between its points, flat past the last
+        if (not isinstance(s.form, (ConstantForm, LinearForm))
+                or s.hi == math.inf and s.form.slope(s.lo) > 0.0):
+            raise InvalidParameterError(f"{s.form!r} on [{s.lo}, {s.hi}] has no table form")
     prices = [s.lo for s in spec.segments[1:]]
     if not isinstance(spec.segments[0].form, ConstantForm):
         prices = [spec.segments[0].lo] + prices

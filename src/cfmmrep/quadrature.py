@@ -46,17 +46,6 @@ def _non_finite(v: float, x: float) -> NumericalError:
     return NumericalError(f"integrand is {v} at {x}")
 
 
-def _safe_eval(f: Callable[[float], float], x: float) -> float:
-    v = f(x)
-    if not math.isfinite(v):
-        raise _non_finite(v, x)
-    return v
-
-
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
-    return h / 6.0 * (fa + 4.0 * fm + fb)
-
-
 def adaptive_simpson(
     f: Callable[[float], float],
     a: float,
@@ -70,17 +59,21 @@ def adaptive_simpson(
         r = adaptive_simpson(f, b, a, opts)
         return QuadratureResult(-r.value, r.error, r.converged)
 
-    fa = _safe_eval(f, a)
-    fb = _safe_eval(f, b)
+    isfinite = math.isfinite
+    fa = f(a)
+    if not isfinite(fa):
+        raise _non_finite(fa, a)
+    fb = f(b)
+    if not isfinite(fb):
+        raise _non_finite(fb, b)
     m = 0.5 * (a + b)
-    fm = _safe_eval(f, m)
-    whole = _simpson(fa, fm, fb, b - a)
+    fm = f(m)
+    if not isfinite(fm):
+        raise _non_finite(fm, m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     rel_tol, max_depth = opts.rel_tol, opts.max_depth
     tol = max(opts.abs_tol, rel_tol * abs(whole))
-    isfinite = math.isfinite
 
-    # The hot loop: _safe_eval and _simpson written out, with the same
-    # arithmetic in the same order.
     def recurse(lo, hi, flo, fmid, fhi, s, tol, depth):
         mid = 0.5 * (lo + hi)
         lm = 0.5 * (lo + mid)

@@ -256,8 +256,6 @@ class ReplicationProfile:
             return self.interval.alpha
         if self.g_inverse_closed_form is not None:
             p = self.g_inverse_closed_form(r2)
-            if math.isinf(p):
-                return self.interval.beta
             return min(max(p, self.interval.alpha), self.interval.beta)
         return self._bisect_inverse(r2)
 
@@ -271,8 +269,6 @@ class ReplicationProfile:
         survives a jump of g exactly at the boundary.
         """
         alpha, beta = self.interval.alpha, self.interval.beta
-        if self.interval.bounded and self.g(beta) >= r2:
-            return beta
         lo = alpha
         if lo == 0.0:
             lo = min(self.payoff.breakpoints + (beta, 1.0))
@@ -338,8 +334,6 @@ def portfolio_value_integral(
     opts = opts or profile.opts
     alpha = profile.interval.alpha
     total = profile.v_alpha
-    if p == alpha:
-        return total
 
     what = f"integral of g up to price {p}"
     lo = alpha

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
@@ -70,6 +71,8 @@ class GbmParams:
             raise InvalidParameterError("steps and seed must be integers")
         if self.steps < 1:
             raise InvalidParameterError(f"steps must be >= 1, got {self.steps}")
+        if self.steps > sys.float_info.max:  # horizon / steps needs a float
+            raise InvalidParameterError("steps must be at most the largest float")
 
 
 @dataclass(frozen=True)

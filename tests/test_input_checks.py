@@ -1,0 +1,240 @@
+"""Checks on input from outside the program, and the float-range edges of
+the closed forms: each case names the input and the error it must raise."""
+
+import hashlib
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from cfmmrep import (
+    BlackScholesBinary,
+    ConstantProportion,
+    DomainError,
+    GbmParams,
+    InvalidParameterError,
+    Logarithmic,
+    NumericalError,
+    PayoffParseError,
+    PayoffSpec,
+    PriceInterval,
+    ReplicationProfile,
+    TradingFunction,
+    g_inverse,
+    make_catalog_payoff,
+    make_piecewise_payoff,
+    parse_payoff_file,
+    portfolio_value_integral,
+    serialize_payoff,
+    trading_function_eval,
+)
+from cfmmrep.cli import main
+from cfmmrep.payoffs import ConstantForm, LinearForm, PowerForm, Segment, family
+from cfmmrep.quadrature import adaptive_simpson, integrate_from_zero
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestCliInput:
+    @pytest.mark.parametrize("argv, message", [
+        (["--payoff", "catalog:logarithmic", "--param", "p0=abc"],
+         "expected a number or 'inf'"),
+        (["--payoff", "catalog:logarithmic", "--param", "alpha=1"],
+         "is not a catalog parameter"),
+        (["--payoff", str(GOLDEN / "piecewise.json"), "--param", "p0=1"],
+         "only applies to catalog payoffs"),
+    ])
+    def test_bad_param_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "replicate", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_interval_override_on_a_table_file(self, capsys, tmp_path):
+        table = GOLDEN / "piecewise.json"
+        doc = json.loads(table.read_text())
+        doc.update(alpha=0.75, beta=4)
+        bounded = tmp_path / "bounded.json"
+        bounded.write_text(json.dumps(doc))
+        code, by_flags, _ = run_cli(capsys, "replicate", "--grid", "7", "--alpha", "0.75",
+                                    "--beta", "4", "--payoff", str(table))
+        assert code == 0
+        code, by_file, _ = run_cli(capsys, "replicate", "--grid", "7",
+                                   "--payoff", str(bounded))
+        assert code == 0
+        assert by_flags == by_file
+        assert hashlib.sha256(by_flags.encode()).hexdigest().startswith("e99728a6")
+
+    def test_step_count_past_the_float_range_is_typed(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--payoff", "catalog:logarithmic", "--param", "p0=1e-6",
+            "--paths", "2", "--steps", "1" + "0" * 400)
+        assert code == 1
+        assert out == ""
+        assert err == "error: steps must be at most the largest float\n"
+
+
+class TestLognormalBinaryVolatility:
+    def test_underflowing_volatility_is_the_step(self, capsys):
+        # sigma * sqrt(tau) underflows to 0 although sigma > 0.
+        code, out, _ = run_cli(
+            capsys, "verify", "--payoff", "catalog:black_scholes_binary",
+            "--param", "K=1", "--param", "sigma=1e-200", "--param", "tau=1e-250")
+        assert code == 0
+        assert out.splitlines()[-1] == "12/12 checks passed"
+
+    def test_underflowing_volatility_matches_zero_sigma(self):
+        tiny = make_catalog_payoff(BlackScholesBinary(1.0, 1e-200, 1e-250))
+        zero = make_catalog_payoff(BlackScholesBinary(1.0, 0.0, 1.0))
+        assert tiny.segments == zero.segments and tiny.jumps == zero.jumps
+        prices = [0.5, 1.0, 1.0 + 1e-12, 3.0]
+        a, b = ReplicationProfile(tiny), ReplicationProfile(zero)
+        assert [a.g(p) for p in prices] == [b.g(p) for p in prices]
+
+    @pytest.mark.parametrize("sigma, tau", [
+        (math.inf, 1.0), (0.2, math.inf), (0.0, math.inf), (1e300, 1e100)])
+    def test_infinite_volatility_is_rejected(self, sigma, tau):
+        with pytest.raises(InvalidParameterError, match="finite sigma"):
+            BlackScholesBinary(1.0, sigma, tau)
+
+
+class TestConstantProportionTinyReserve:
+    """The price matching a reserve of a few subnormals lies past the float range."""
+
+    @pytest.fixture
+    def profile(self):
+        return ReplicationProfile(make_catalog_payoff(ConstantProportion(0.5, 1.0)))
+
+    @pytest.mark.parametrize("r2", [5e-324, 1e-320])
+    def test_g_inverse_is_beta(self, profile, r2):
+        assert g_inverse(profile, r2) == profile.interval.beta == math.inf
+
+    @pytest.mark.parametrize("r2", [5e-324, 1e-320])
+    def test_psi_names_the_reserve(self, profile, r2):
+        with pytest.raises(NumericalError, match=repr(r2)):
+            trading_function_eval(TradingFunction(profile), 1.0, r2)
+
+
+class TestSerializeTables:
+    def test_non_linear_segment_is_rejected(self):
+        spec = PayoffSpec((Segment(0.0, 1.0, ConstantForm(0.0)),
+                           Segment(1.0, math.inf, PowerForm(1.0, 0.5, -1.0))),
+                          (), PriceInterval(0.0, 9.0))
+        with pytest.raises(InvalidParameterError, match="PowerForm"):
+            serialize_payoff(spec)
+
+    def test_rising_linear_tail_is_rejected(self):
+        spec = PayoffSpec((Segment(0.0, 1.0, ConstantForm(0.0)),
+                           Segment(1.0, math.inf, LinearForm(1.0, 0.0, 1.0))),
+                          (), PriceInterval(0.0, 9.0))
+        with pytest.raises(InvalidParameterError, match="LinearForm"):
+            serialize_payoff(spec)
+
+    @pytest.mark.parametrize("points", [[[0, 0], [1, 1], [2, 1.5]], [[0, 2]]])
+    def test_round_trip(self, points):
+        first = make_piecewise_payoff(points)
+        second = parse_payoff_file(serialize_payoff(first))
+        assert second.segments == first.segments
+        assert second.jumps == first.jumps
+        assert second.interval == first.interval
+
+
+class TestPayoffSpecInput:
+    def test_no_segments(self):
+        with pytest.raises(InvalidParameterError, match="at least one segment"):
+            PayoffSpec((), (), PriceInterval())
+
+    def test_segments_must_cover_the_half_line(self):
+        with pytest.raises(InvalidParameterError, match="cover"):
+            PayoffSpec((Segment(0.0, 1.0, ConstantForm(0.0)),), (), PriceInterval())
+
+    def test_negative_jump(self):
+        segs = (Segment(0.0, 1.0, ConstantForm(0.0)), Segment(1.0, math.inf, ConstantForm(1.0)))
+        with pytest.raises(InvalidParameterError, match="must be >= 0"):
+            PayoffSpec(segs, ((1.0, -1.0),), PriceInterval())
+
+    def test_jump_off_a_breakpoint(self):
+        segs = (Segment(0.0, 1.0, ConstantForm(0.0)), Segment(1.0, math.inf, ConstantForm(1.0)))
+        with pytest.raises(InvalidParameterError, match="not a breakpoint"):
+            PayoffSpec(segs, ((2.0, 1.0),), PriceInterval())
+
+
+class TestPiecewiseInput:
+    @pytest.mark.parametrize("points, jumps, interval, message", [
+        ([], (), None, "at least one point"),
+        ([(1, 0), (1, 1)], (), None, "strictly increasing"),
+        ([(-1, 0), (1, 1)], (), None, "must be >= 0"),
+        ([(1, -1), (2, 1)], (), None, "is negative"),
+        ([(1, 0), (2, 1)], [(1, -0.5)], None, "jump size"),
+        ([(1, 0), (2, 1), (3, 2)], [(1, 0.5)], PriceInterval(2.0, 3.0), "outside"),
+    ])
+    def test_rejected(self, points, jumps, interval, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            make_piecewise_payoff(points, jumps, interval)
+
+
+class TestParseInput:
+    @pytest.mark.parametrize("doc, message", [
+        ('{"catalog": "black_scholes_binary", "K": 1, "strike": 1, "sigma": 0.2, "tau": 1}',
+         "given twice"),
+        ("[1, 2]", "must be a JSON object"),
+        ('{"piecewise": [[1, 0]]}', '"piecewise" must be an object'),
+        ('{"piecewise": {"points": [[1, 0]]}, "extra": 1}', "unexpected top-level keys"),
+        ('{"piecewise": {"points": []}, "alpha": 1}', "at least one point"),
+    ])
+    def test_rejected(self, doc, message):
+        with pytest.raises(PayoffParseError, match=message):
+            parse_payoff_file(doc)
+
+
+class TestLibraryInput:
+    def test_family_of_unknown_params(self):
+        with pytest.raises(InvalidParameterError, match="unknown catalog params"):
+            family(object())
+
+    def test_negative_reserve(self):
+        profile = ReplicationProfile(make_catalog_payoff(Logarithmic(1.0)))
+        with pytest.raises(InvalidParameterError, match="must be >= 0"):
+            g_inverse(profile, -1.0)
+
+    def test_integral_at_infinity(self):
+        profile = ReplicationProfile(make_catalog_payoff(Logarithmic(1.0)))
+        with pytest.raises(DomainError, match="finite price"):
+            portfolio_value_integral(profile, math.inf)
+
+    def test_fractional_steps(self):
+        with pytest.raises(InvalidParameterError, match="integers"):
+            GbmParams(1.0, 0.5, 1.0, 1.5, 1)
+
+    def test_step_count_past_the_float_range(self):
+        with pytest.raises(InvalidParameterError, match="largest float"):
+            GbmParams(1.0, 0.5, 1.0, 10**400, 1)
+
+    def test_integral_from_zero_to_zero(self):
+        r = integrate_from_zero(lambda u: 1.0, 0.0)
+        assert (r.value, r.error, r.converged) == (0.0, 0.0, True)
+
+    @pytest.mark.parametrize("bad", [0.25, 0.75])
+    def test_simpson_recursion_checks_its_nodes(self, bad):
+        with pytest.raises(NumericalError, match=f"integrand is nan at {bad}"):
+            adaptive_simpson(lambda x: math.nan if x == bad else x, 0.0, 1.0)
+
+    @pytest.mark.parametrize("bad, evaluated", [
+        (0.0, [0.0]), (1.0, [0.0, 1.0]), (0.5, [0.0, 1.0, 0.5])])
+    def test_simpson_checks_its_first_nodes_in_order(self, bad, evaluated):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.inf if x == bad else x
+
+        with pytest.raises(NumericalError, match=f"integrand is inf at {bad}"):
+            adaptive_simpson(f, 0.0, 1.0)
+        assert calls == evaluated
