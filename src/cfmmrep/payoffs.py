@@ -342,9 +342,9 @@ class PayoffSpec:
     """A monotone payoff plus its replication interval.
 
     segments cover [0, inf) contiguously, each with positive width, so every
-    breakpoint is a positive price; jumps list (location, size) pairs with
-    positive sizes at segment boundaries.  Immutable after construction,
-    safe to evaluate concurrently.
+    breakpoint is a positive price; jumps list (location, size) pairs at
+    segment boundaries, whose sizes must sum to f's step there.  Immutable
+    after construction, safe to evaluate concurrently.
     """
 
     segments: tuple
@@ -369,12 +369,17 @@ class PayoffSpec:
             raise InvalidParameterError("segments must be contiguous")
         object.__setattr__(self, "breakpoints", bounds)
         object.__setattr__(self, "_values", tuple(s.form.value for s in self.segments))
-        locs = set(bounds)
+        listed = dict.fromkeys(bounds, 0.0)
         for q, size in self.jumps:
             if size < 0.0:
                 raise InvalidParameterError(f"jump size at {q} must be >= 0")
-            if q not in locs:
+            if q not in listed:
                 raise InvalidParameterError(f"jump location {q} is not a breakpoint")
+            listed[q] += size
+        for (q, size), below, above in zip(listed.items(), self.segments, self.segments[1:]):
+            a, b = below.form.value(q), above.form.value(q)
+            if abs(b - a - size) > 1e-12 * max(1.0, abs(a), abs(b)):
+                raise InvalidParameterError(f"f steps by {b - a!r} at {q}; jumps list {size!r}")
 
     def _segment_at(self, p: float) -> Segment:
         # bisect_left sends a boundary point to the lower segment, which is
@@ -842,9 +847,9 @@ def piecewise_exact_forms(spec: PayoffSpec) -> Optional[CatalogClosedForms]:
     sloped segment's whole term s * log(t / lo) (infinite from lo = 0,
     where f rises linearly from the origin) and each jump's size / q.  A
     call to g then costs two bisects (segments, jumps) and one log: it adds
-    the term of the segment holding p, then the whole terms above it, then
-    the jump terms from p up, in ascending price order, so every table sums
-    in one fixed order.
+    the term of the segment holding p, then the stored whole terms above it,
+    then the stored jump terms from p up, in ascending price order, so every
+    table sums in one fixed order, and a call makes no slice.
 
     Returns None when a segment below beta has any other form.
     """
@@ -861,7 +866,8 @@ def piecewise_exact_forms(spec: PayoffSpec) -> Optional[CatalogClosedForms]:
              for lo, top, slope in pieces]
     jumps = sorted(((q, size) for q, size in spec.jumps if q < beta), key=lambda j: j[0])
     jump_locs = [q for q, _ in jumps]
-    jump_terms = [size / q for q, size in jumps]
+    whole_tails, jump_tails = ([tuple(terms[k:]) for k in range(len(terms) + 1)]
+                               for terms in (whole, [size / q for q, size in jumps]))
 
     def g(p: float) -> float:
         # Segments whose top is at or below p add nothing; the one holding
@@ -871,11 +877,11 @@ def piecewise_exact_forms(spec: PayoffSpec) -> Optional[CatalogClosedForms]:
         if k < len(pieces):
             lo, top, slope = pieces[k]
             total += slope * math.log(top / p) if p > lo else whole[k]
-            for term in whole[k + 1:]:
+            for term in whole_tails[k + 1]:
                 total += term
         # An explicit loop, not sum(): sum() compensates rounding on
         # Python >= 3.12, which would change the bits between versions.
-        for term in jump_terms[bisect_left(jump_locs, p):]:
+        for term in jump_tails[bisect_left(jump_locs, p)]:
             total += term
         return total
 

@@ -223,9 +223,10 @@ class ReplicationProfile:
         """The replicating holdings at each price: lists (f(p)), (g(p)).
 
         Each price must lie in the interval.  f runs as one list kernel when
-        all prices share a payoff segment, g once per price.  An infinite g at
-        price 0 raises InfiniteReplicationCostError, as no pool can hold it;
-        above 0, g is finite by construction: inf is overflow, a NumericalError.
+        all prices share a payoff segment, else per price as PayoffSpec.value;
+        g once per price.  An infinite g at price 0 raises
+        InfiniteReplicationCostError, as no pool can hold it; above 0, g is
+        finite by construction: inf is overflow, a NumericalError.
         """
         if not prices:
             return [], []
@@ -235,9 +236,10 @@ class ReplicationProfile:
         if not interval.alpha <= lo <= hi <= interval.beta or math.isnan(sum(prices)):
             for p in (lo, hi, math.nan):
                 interval.check(p)
-        k = bisect_left(payoff.breakpoints, lo)
-        r1 = (payoff.segments[k].form.values(prices) if k == bisect_left(payoff.breakpoints, hi)
-              else [payoff.value(p) for p in prices])
+        bps, values = payoff.breakpoints, payoff._values
+        k = bisect_left(bps, lo)
+        r1 = (payoff.segments[k].form.values(prices) if k == bisect_left(bps, hi)
+              else [values[bisect_left(bps, p)](p) for p in prices])
         r2 = [self.g(p) for p in prices]
         if math.inf in r2:
             p = prices[r2.index(math.inf)]

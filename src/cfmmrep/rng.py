@@ -24,6 +24,7 @@ _BLOCK = 1024
 _LANE = (1 << 128) - 1
 _ONES = ((1 << 128 * _BLOCK) - 1) // _LANE  # 1 in every lane
 _LANE_MASK = _ONES * _MASK64
+_ODD_MASK = _ONES * ((1 << 54) - 2)  # bits 1..53 of every lane
 # (k + 1) * gamma in lane k; with x = 2**128, (x - 1) * sum (k + 1) x**k = n x**n - sum x**k.
 _COUNTERS = _GAMMA * (((_BLOCK << 128 * _BLOCK) - _ONES) // _LANE)
 
@@ -42,7 +43,7 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
-    def _next_uint64s(self, n: int) -> list:
+    def _lanes(self, n: int, odd: bool) -> list:
         state, out = self._state, []
         for start in range(0, n, _BLOCK):
             m = min(_BLOCK, n - start)
@@ -51,14 +52,20 @@ class SplitMix64:
             s = (state * (_ONES & cut) + (_COUNTERS & cut)) & mask
             s = ((s ^ ((s >> 30) & mask)) * 0xBF58476D1CE4E5B9) & mask
             s = ((s ^ ((s >> 27) & mask)) * 0x94D049BB133111EB) & mask
-            out += _unpack(s ^ ((s >> 31) & mask), m, sys.byteorder)
+            s ^= (s >> 31) & mask
+            if odd:  # 2 * (z >> 11) + 1: bits 11..63 of z to bits 1..53, bit 0 set
+                s = ((s >> 10) & _ODD_MASK & cut) | (_ONES & cut)
+            out += _unpack(s, m, sys.byteorder)
             state = (state + m * _GAMMA) & _MASK64
         self._state = state
         return out
 
+    def _next_uint64s(self, n: int) -> list:
+        return self._lanes(n, False)
+
     def _uniforms(self, n: int) -> list:
-        # 53-bit mantissa, offset half a step: lands strictly inside (0, 1).
-        return [((z >> 11) + 0.5) * 2.0 ** -53 for z in self._next_uint64s(n)]
+        # ((z >> 11) + 0.5) * 2**-53 in (0, 1): float(2k + 1) rounds as 2 * (k + 0.5).
+        return [m * 2.0 ** -54 for m in self._lanes(n, True)]
 
     def next_uint64(self) -> int:
         return self._next_uint64s(1)[0]
@@ -71,4 +78,4 @@ class SplitMix64:
 
     def normals(self, n: int) -> list:
         """The next n standard normals."""
-        return [norm_inv(u) for u in self._uniforms(n)]
+        return [norm_inv(m * 2.0 ** -54) for m in self._lanes(n, True)]

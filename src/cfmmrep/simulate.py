@@ -23,6 +23,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import accumulate
 
 from .cfmm import arbitrage_to_price  # noqa: F401  (traced by name in bench/spans.py)
@@ -85,6 +86,11 @@ class EarningsReport:
     path_term: float
 
 
+@lru_cache(maxsize=1)  # every path of a run shares one time grid
+def _times(dt: float, steps: int) -> tuple:
+    return tuple([i * dt for i in range(steps + 1)])
+
+
 def gbm_path(params: GbmParams) -> PricePath:
     """Sample one path; identical seeds give identical paths.
 
@@ -105,37 +111,36 @@ def gbm_path(params: GbmParams) -> PricePath:
         raise NumericalError(
             f"price path left the float range at step {step} of {params.steps}: "
             f"{prices[step - 1]!r} became {prices[step]!r}")
-    times = tuple([i * dt for i in range(params.steps + 1)])
     # dt > 0 and the range check above stand in for PricePath's own checks.
     path = object.__new__(PricePath)
-    path.__dict__.update(times=times, prices=tuple(prices))
+    path.__dict__.update(times=_times(dt, params.steps), prices=tuple(prices))
     return path
 
 
 def run_arbitrage(profile: ReplicationProfile, path: PricePath) -> EarningsReport:
     """Arbitrage the pool along the path and report earnings.
 
-    Prices are clamped into [alpha, beta] first (p > inf is False): outside
-    the interval the payoff extends constant and the portfolio is static, so
-    a step that leaves the interval is booked at its edge, not at the market.
-    The pool after each step holds (f(P_i), g(P_i)), so one sweep of f (by a
-    segment's list kernel on a path within one segment) and g over the
-    clamped prices gives every step profit
+    A path that leaves [alpha, beta] is clamped into it first (p > inf is
+    False): outside the interval the payoff extends constant and the
+    portfolio is static, so a step out of the interval is booked at its edge,
+    not at the market.  The pool after each step holds (f(P_i), g(P_i)), so
+    one sweep of f and g over the prices gives every step profit
 
         P_i * (g(P_{i-1}) - g(P_i)) + f(P_{i-1}) - f(P_i),
 
-    and every path-leg term g(P_{i-1}) * (P_i - P_{i-1}); each equals what
-    chained arbitrage_to_price calls compute, bit for bit.
+    every path-leg term g(P_{i-1}) * (P_i - P_{i-1}) and V = f + p * g at the
+    ends, bit for bit as arbitrage_to_price and portfolio_value compute them.
     """
     alpha, beta = profile.interval.alpha, profile.interval.beta
-    prices = [alpha if p < alpha else beta if p > beta else p for p in path.prices]
+    prices = (path.prices if alpha <= min(path.prices) and max(path.prices) <= beta
+              else [alpha if p < alpha else beta if p > beta else p for p in path.prices])
     r1, r2 = profile.portfolios(prices)
     after = prices[1:]
     profits = [p * (g0 - g1) + f0 - f1
                for p, f0, f1, g0, g1 in zip(after, r1, r1[1:], r2, r2[1:])]
     legs = [g0 * (p - p0) for p0, p, g0 in zip(prices, after, r2)]
 
-    payoff_term = profile.portfolio_value(prices[0]) - profile.portfolio_value(prices[-1])
+    payoff_term = (r1[0] + prices[0] * r2[0]) - (r1[-1] + prices[-1] * r2[-1])  # prices > 0
     try:
         total_w, path_term = math.fsum(profits), math.fsum(legs)
     except (OverflowError, ValueError):  # a partial sum past the float range, or inf - inf

@@ -3,11 +3,13 @@
 import contextlib
 import io
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cfmmrep
 from cfmmrep.cli import main
 from cfmmrep.payoffs import FAMILIES
 
@@ -310,6 +312,14 @@ class TestCatalog:
         assert "unknown" in err
 
 
+def child_env() -> dict:
+    """This environment with PYTHONPATH led by the directory cfmmrep was imported
+    from: the pytest pythonpath setting reaches only this process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cfmmrep.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestSubprocessEntry:
     def test_module_invocation_end_to_end(self, tmp_path):
         import subprocess
@@ -319,13 +329,13 @@ class TestSubprocessEntry:
             [sys.executable, "-m", "cfmmrep.cli", "replicate",
              "--payoff", "catalog:cash_or_nothing", "--param", "p0=2",
              "--grid", "4"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert out.returncode == 0
         assert out.stdout.splitlines()[0] == "p,f,g,V"
 
         bad = subprocess.run(
             [sys.executable, "-m", "cfmmrep.cli", "catalog", "nope"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert bad.returncode == 2
 
 
@@ -345,7 +355,7 @@ class TestParserReuse:
         # Neither --param p0=2 nor --out carried over into the second call.
         for argv, (code, out, err) in zip((first, second), calls):
             fresh = subprocess.run([sys.executable, "-m", "cfmmrep.cli", *argv],
-                                   capture_output=True, text=True)
+                                   capture_output=True, text=True, env=child_env())
             assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
         assert calls[0][1] == "" and calls[1][1].startswith("r2,")
         assert out_path.read_text().startswith("p,f,g,V\n")

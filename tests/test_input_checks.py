@@ -165,6 +165,31 @@ class TestPayoffSpecInput:
         with pytest.raises(InvalidParameterError, match="not a breakpoint"):
             PayoffSpec(segs, ((2.0, 1.0),), PriceInterval())
 
+    STEP = (Segment(0.0, 1.0, ConstantForm(0.0)), Segment(1.0, math.inf, ConstantForm(1.0)))
+
+    def test_value_gap_its_jumps_do_not_list(self):
+        # This spec used to build, and every replication quantity missed the
+        # step: g(0.5) was 0.0 where the jump needs 1.0.
+        with pytest.raises(InvalidParameterError, match=r"f steps by 1\.0 at 1\.0; jumps list 0\.0"):
+            PayoffSpec(self.STEP, (), PriceInterval(0.0, 2.0))
+
+    def test_listed_jump_of_the_wrong_size(self):
+        with pytest.raises(InvalidParameterError, match=r"at 1\.0; jumps list 0\.5"):
+            PayoffSpec(self.STEP, ((1.0, 0.5),), PriceInterval(0.0, 2.0))
+
+    def test_listed_jumps_that_sum_to_the_gap(self):
+        spec = PayoffSpec(self.STEP, ((1.0, 0.25), (1.0, 0.75)), PriceInterval(0.0, 2.0))
+        assert ReplicationProfile(spec).g(0.5) == 1.0
+
+    def test_tolerance_at_a_kink(self):
+        # A continuous join of two forms, and rounding inside the tolerance.
+        segs = (Segment(0.0, 1.0, PowerForm(1.0, 0.5)),
+                Segment(1.0, math.inf, LinearForm(1.0, 1.0 + 1e-13, 0.5)))
+        assert PayoffSpec(segs, (), PriceInterval(0.0, 4.0)).value(1.0) == 1.0
+        with pytest.raises(InvalidParameterError, match="at 1.0"):
+            PayoffSpec((segs[0], Segment(1.0, math.inf, LinearForm(1.0, 1.0 + 1e-9, 0.5))),
+                       (), PriceInterval(0.0, 4.0))
+
 
 class TestPiecewiseInput:
     @pytest.mark.parametrize("points, jumps, interval, message", [

@@ -209,13 +209,28 @@ class TestPortfolio:
 
 class TestPortfoliosMatchPerPrice:
     """portfolios gives f and g exactly as one call per price does, whether
-    its prices lie in one payoff segment (one list kernel) or not."""
+    its prices lie in one payoff segment (one list kernel) or not (each
+    price's segment form), on the families and on seeded tables with jumps."""
 
     @staticmethod
     def suite():
         table = make_piecewise_payoff([(0.5, 0.1), (1.0, 0.3), (2.0, 0.5), (4.0, 1.5)],
                                       [(1.0, 0.2), (2.0, 0.25)])
-        return profile_suite() + [(ReplicationProfile(table), 0.5, 4.0)]
+        suite = profile_suite() + [(ReplicationProfile(table), 0.5, 4.0)]
+        rng = random.Random(31)
+        for _ in range(20):
+            n = rng.randint(3, 9)
+            points, jumps, p, v = [], [], rng.uniform(0.1, 0.5), rng.uniform(0.0, 0.3)
+            for i in range(n):
+                points.append((p, v))
+                if 0 < i < n - 1 and rng.random() < 0.5:
+                    jumps.append((p, rng.uniform(0.01, 0.5)))
+                    v += jumps[-1][1]
+                v += rng.choice((0.0, rng.uniform(0.0, 1.0)))
+                p *= rng.uniform(1.2, 2.0)
+            table = make_piecewise_payoff(points, jumps)
+            suite.append((ReplicationProfile(table), points[0][0], points[-1][0]))
+        return suite
 
     @staticmethod
     def price_lists(spec, lo, hi, rng):

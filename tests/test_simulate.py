@@ -25,6 +25,7 @@ from cfmmrep import (
     make_piecewise_payoff,
     monte_carlo_earnings,
     pool_init,
+    portfolio_value,
     run_arbitrage,
 )
 from cfmmrep import cfmm
@@ -86,6 +87,12 @@ class TestGbm:
     def test_time_grid(self):
         path = gbm_path(GbmParams(1.0, 0.3, 2.0, 4, 9))
         assert path.times == (0.0, 0.5, 1.0, 1.5, 2.0)
+        # Paths of one run share a grid; other steps or another horizon get their own.
+        for _ in range(2):
+            assert gbm_path(GbmParams(1.0, 0.3, 2.0, 4, 10)).times == path.times
+            assert gbm_path(GbmParams(1.0, 0.3, 2.0, 5, 9)).times == tuple(
+                i * 0.4 for i in range(6))
+            assert gbm_path(GbmParams(1.0, 0.3, 1.0, 4, 9)).times == (0.0, 0.25, 0.5, 0.75, 1.0)
 
     def test_built_path_passes_the_public_checks(self):
         # gbm_path skips PricePath's checks; the path must pass them anyway.
@@ -198,6 +205,8 @@ class TestBatchedDraws:
     @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
     def test_uint64s_match_scalar_reference_at_block_edges(self, seed, n):
         assert SplitMix64(seed)._next_uint64s(n) == reference_uint64s(seed, n)
+        # Uniforms come from the odd lanes 2 * (z >> 11) + 1, not from z.
+        assert SplitMix64(seed)._uniforms(n) == reference_uniforms(seed, n)
 
     @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1, -3])
     def test_mixed_calls_continue_one_stream_across_blocks(self, seed):
@@ -293,7 +302,8 @@ class TestRunArbitrage:
         path = PricePath((0.0, 1.0), (1.5, 5.0))  # 5.0 clamps to beta = 2
         report = run_arbitrage(prof, path)
         direct = PricePath((0.0, 1.0), (1.5, 2.0))
-        assert report.total_w == pytest.approx(run_arbitrage(prof, direct).total_w)
+        assert report == run_arbitrage(prof, direct)
+        assert report.step_profits == (2.0 * (prof.g(1.5) - prof.g(2.0)) + 0.5 - 1.0,)
 
     def test_telescoping_identity_random_paths(self):
         rng = random.Random(19)
@@ -384,8 +394,9 @@ class TestPaperArithmeticOnly:
 
 class TestSweepMatchesOneStepApi:
     """run_arbitrage's sweep over f and g gives exactly the profits of
-    chained arbitrage_to_price calls, also at the edges of the float range,
-    on a constant path and on a path that sits on the table's jumps."""
+    chained arbitrage_to_price calls, and V at the clamped ends exactly as
+    portfolio_value, also at the edges of the float range, on a constant
+    path and on a path that sits on the table's jumps."""
 
     @staticmethod
     def assert_same(profile, path):
@@ -393,6 +404,10 @@ class TestSweepMatchesOneStepApi:
         profits, path_term = chained_arbitrage(profile, path)
         assert report.step_profits == profits
         assert report.path_term == path_term
+        assert report.total_w == math.fsum(profits)
+        alpha, beta = profile.interval.alpha, profile.interval.beta
+        first, last = (min(max(p, alpha), beta) for p in (path.prices[0], path.prices[-1]))
+        assert report.payoff_term == portfolio_value(profile, first) - portfolio_value(profile, last)
 
     @pytest.mark.parametrize("index", range(7))
     @pytest.mark.parametrize("seed", [1, 2, 3])
