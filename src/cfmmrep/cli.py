@@ -162,12 +162,13 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
     profile = ReplicationProfile(payoff)
     params = GbmParams(p_start=cfg.p_start, sigma=cfg.sigma, horizon=cfg.horizon,
                        steps=cfg.steps, seed=cfg.seed)
-    reports = monte_carlo_reports(profile, params, cfg.paths)
-    mean, stderr = earnings_mean_stderr([r.total_w for r in reports])
-    lines = ["path_id,w,payoff_term,path_term"]
-    for i, rep in enumerate(reports):
+    # One report at a time; the rows are written only once every path has run.
+    lines, totals = ["path_id,w,payoff_term,path_term"], []
+    for i, rep in enumerate(monte_carlo_reports(profile, params, cfg.paths)):
+        totals.append(rep.total_w)
         lines.append(f"{i},{_fmt(rep.total_w)},{_fmt(rep.payoff_term)},"
                      f"{_fmt(rep.path_term)}")
+    mean, stderr = earnings_mean_stderr(totals)
     _write(cfg, lines)
 
     # A cut interval clamps the paths and changes the expected earnings.

@@ -275,14 +275,14 @@ class ReplicationProfile:
         if lo == 0.0:
             lo = min(self.payoff.breakpoints + (beta, 1.0))
             while self.g(lo) < r2:
-                lo *= 0.5
-                if lo < 1e-300:  # can be exact: when r2 == g(0), no p > 0 has g >= r2
+                if r2 == self.g_alpha:  # the first form rises: g(p) < g(0) for all p > 0
                     return 0.0
+                lo *= 0.5
         if self.interval.bounded:
             hi = beta
         else:
             hi = lo * 2.0
-            while self.g(hi) >= r2:
+            while hi and self.g(hi) >= r2:  # a walk that reached lo = 0 answers 0
                 lo, hi = hi, hi * 2.0
                 if hi > 1e300:
                     raise NumericalError(

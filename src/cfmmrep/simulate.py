@@ -157,17 +157,15 @@ def run_arbitrage(profile: ReplicationProfile, path: PricePath) -> EarningsRepor
 
 
 def monte_carlo_reports(profile: ReplicationProfile, params: GbmParams, n_paths: int):
-    """One earnings report per independent path; path i uses seed + i.
+    """An iterator of one earnings report per independent path (seed + i for
+    path i), each computed as it is read: wrap it in list() to keep them all.
 
-    A Monte Carlo estimate needs at least two paths for its standard error.
+    A standard error needs two paths; n_paths >= 2 is checked at the call.
     """
     if n_paths < 2:
         raise InvalidParameterError(f"n_paths must be >= 2, got {n_paths}")
-    reports = []
-    for i in range(n_paths):
-        path = gbm_path(replace(params, seed=params.seed + i))
-        reports.append(run_arbitrage(profile, path))
-    return reports
+    return (run_arbitrage(profile, gbm_path(replace(params, seed=params.seed + i)))
+            for i in range(n_paths))
 
 
 def earnings_mean_stderr(totals) -> tuple:

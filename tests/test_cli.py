@@ -218,6 +218,19 @@ class TestNumericalErrors:
         assert err.startswith("error: ") and cause in err
         assert "out of range')" not in err and "prices must be positive" not in err
 
+    def test_later_path_failure_prints_no_rows(self, capsys):
+        # With seed 10, paths 0 and 1 stay below the float maximum and
+        # path 2 (seed 12) passes it.
+        code, out, err = run_cli(
+            capsys, "simulate", "--payoff", "catalog:cash_or_nothing", "--param", "p0=2",
+            "--p-start", "1e308", "--steps", "5", "--paths", "3", "--seed", "10")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: price path left the float range")
+        assert run_cli(capsys, "simulate", "--payoff", "catalog:cash_or_nothing",
+                       "--param", "p0=2", "--p-start", "1e308", "--steps", "5",
+                       "--paths", "2", "--seed", "10")[0] == 0
+
     @pytest.mark.parametrize("p_start", ["1e-300", "1e300"])
     def test_prices_near_the_float_limits(self, capsys, p_start):
         code, out, _ = run_cli(

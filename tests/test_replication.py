@@ -34,6 +34,7 @@ from cfmmrep import (
     trading_function_infimum,
 )
 from cfmmrep.normal import norm_cdf
+from cfmmrep.payoffs import ConstantForm, PayoffSpec, PowerForm, Segment
 from cfmmrep.replication import quadrature_replication_cost
 
 E = math.e
@@ -331,6 +332,25 @@ class TestGInverse:
         with pytest.raises(NumericalError, match="risky reserve 1e-301"):
             numeric.g_inverse_value(1e-301)
 
+    def test_numeric_at_g_alpha_from_a_steep_origin(self):
+        # g falls from g(0) at once, so only price 0 holds g(0): the walk
+        # toward 0 used to fail in quadrature near price 1e-16.
+        spec = make_catalog_payoff(CappedPower(0.0, 4.0, 1.01))
+        exact = ReplicationProfile(spec)
+        numeric = ReplicationProfile(spec, use_closed_forms=False)
+        assert numeric.g_inverse_value(numeric.g_alpha) == 0.0
+        assert exact.g_inverse_value(exact.g_alpha) == 0.0
+
+    def test_numeric_walk_that_reaches_zero_answers_zero(self):
+        # Quadrature puts g at every tiny price 1e-13 below g(0), so a
+        # reserve between them walks lo down to 0 on an unbounded interval.
+        spec = PayoffSpec((Segment(0.0, 1.0, PowerForm(1.0, 2.5)),
+                           Segment(1.0, math.inf, ConstantForm(1.0))),
+                          (), PriceInterval(0.0, math.inf))
+        numeric = ReplicationProfile(spec, use_closed_forms=False)
+        assert numeric.g(1e-300) < numeric.g_alpha - 1e-14
+        assert numeric.g_inverse_value(numeric.g_alpha - 1e-14) == 0.0
+
     def test_monotone_in_reserve(self):
         prof = ReplicationProfile(make_catalog_payoff(CappedCall(1.0, E)))
         reserves = [0.0, 0.1, 0.4, 0.7, 1.0]
@@ -396,7 +416,6 @@ class TestGrowthClassification:
         # A hand-built (non-catalog) payoff with a slow power tail classifies
         # by its tail exponent, as the profile does; its probes settle too
         # slowly to decide from, but stay as evidence.
-        from cfmmrep.payoffs import PayoffSpec, PowerForm, Segment
         spec = PayoffSpec(
             segments=(Segment(0.0, 1.0, PowerForm(1.0, 0.5, 0.0)),
                       Segment(1.0, math.inf, PowerForm(1.0, 0.5, 0.0))),

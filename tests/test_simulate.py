@@ -2,6 +2,7 @@
 
 import math
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -24,11 +25,12 @@ from cfmmrep import (
     make_catalog_payoff,
     make_piecewise_payoff,
     monte_carlo_earnings,
+    monte_carlo_reports,
     pool_init,
     portfolio_value,
     run_arbitrage,
 )
-from cfmmrep import cfmm
+from cfmmrep import cfmm, cli, simulate
 from cfmmrep.normal import norm_inv
 from cfmmrep import rng as rng_module
 from cfmmrep.rng import SplitMix64
@@ -486,6 +488,17 @@ class TestMonteCarlo:
         with pytest.raises(InvalidParameterError):
             monte_carlo_earnings(prof, GbmParams(1.0, 0.4, 1.0, 10, 1), 1)
 
+    def test_reports_iterator_checks_paths_at_the_call(self):
+        prof = ReplicationProfile(make_catalog_payoff(Logarithmic(1.0)))
+        with pytest.raises(InvalidParameterError, match="n_paths must be >= 2"):
+            monte_carlo_reports(prof, GbmParams(1.0, 0.4, 1.0, 10, 1), 1)
+
+    def test_reports_match_one_path_per_seed(self):
+        prof = ReplicationProfile(make_catalog_payoff(Logarithmic(1e-6)))
+        params = GbmParams(1.0, 0.5, 1.0, 30, 41)
+        assert list(monte_carlo_reports(prof, params, 4)) == [
+            run_arbitrage(prof, gbm_path(replace(params, seed=41 + i))) for i in range(4)]
+
     @pytest.mark.parametrize("totals", [[], [1.0]])
     def test_stderr_needs_two_totals(self, totals):
         with pytest.raises(InvalidParameterError, match="two or more totals"):
@@ -519,3 +532,34 @@ class TestMonteCarlo:
         coarse = mean_gap(250)
         fine = mean_gap(2000)
         assert fine < coarse
+
+
+class TestStreamedReports:
+    """A Monte Carlo run holds one path's report at a time, not all of them."""
+
+    @pytest.fixture
+    def alive_at_each_path(self, monkeypatch):
+        """Per path, how many earlier reports are still alive as it starts."""
+        reports, alive = [], []
+        real = simulate.run_arbitrage
+
+        def tracked(profile, path):
+            alive.append(sum(ref() is not None for ref in reports))
+            report = real(profile, path)
+            reports.append(weakref.ref(report))
+            return report
+
+        monkeypatch.setattr(simulate, "run_arbitrage", tracked)
+        return alive
+
+    def test_cli_simulate(self, capsys, alive_at_each_path):
+        assert cli.main(["simulate", "--payoff", "catalog:logarithmic", "--param",
+                         "p0=1e-6", "--steps", "20", "--paths", "6", "--seed", "3"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 8
+        assert len(alive_at_each_path) == 6 and max(alive_at_each_path) <= 1
+
+    def test_monte_carlo_earnings(self, alive_at_each_path):
+        prof = ReplicationProfile(make_catalog_payoff(Logarithmic(1e-6)))
+        _, _, totals = monte_carlo_earnings(prof, GbmParams(1.0, 0.5, 1.0, 20, 3), 6)
+        assert len(totals) == 6
+        assert len(alive_at_each_path) == 6 and max(alive_at_each_path) <= 1
