@@ -19,7 +19,7 @@ from .cfmm import (
     trading_function_eval,
     trading_function_infimum,
 )
-from .payoffs import ConstantProportion, catalog_closed_forms, constant_product_level
+from .payoffs import ConstantProportion, constant_product_level, make_catalog_payoff
 from .replication import ReplicationProfile, portfolio_value_integral
 from .simulate import GbmParams, gbm_path, run_arbitrage
 
@@ -143,12 +143,13 @@ def run_verification(profile: ReplicationProfile, seed: int = 7, samples: int = 
     record("earnings nonnegative", -report.total_w, 1e-9)
 
     # Constant-proportion pools must sit on the constant-product curve.  A
-    # pool cut at a finite beta holds g(beta) less of the risky asset, the
-    # shift its closed forms carry: r1**(1-w) * (r2 + g(beta))**w == k.
+    # pool cut at a finite beta holds less of the risky asset by the uncut
+    # pool's g(beta): r1**(1-w) * (r2 + g(beta))**w == k.
     if isinstance(payoff.catalog, ConstantProportion) and payoff.catalog.c > 0.0:
         w = payoff.catalog.w
         level = constant_product_level(payoff.catalog)
-        shift = catalog_closed_forms(payoff.catalog).g(profile.interval.beta)
+        uncut = ReplicationProfile(make_catalog_payoff(payoff.catalog))
+        shift = uncut.g(profile.interval.beta)
         worst_cp = 0.0
         pool = pool_init(profile, _log_uniform(rng, lo, hi))
         for _ in range(samples):

@@ -7,10 +7,12 @@ report its value and slope, plus an explicit list of upward jumps.  At a
 jump the payoff takes its lower value (lower semicontinuous), so the jump
 mass is carried separately and stays visible to the integration code.
 
-Six catalog families ship with closed forms for the replication quantities;
-each is defined once, by its Family record in FAMILIES.  Everything else is
-expressed as a monotone piecewise-linear table, whose g and g_inverse are
-also exact.
+Every payoff's g and g_inverse are exact: each segment form knows its
+replication cost over a piece of its segment and that cost's inverse, and
+piecewise_exact_forms sums them with the jumps.  Six catalog families are
+each defined once, by their Family record in FAMILIES, which also holds the
+family's explicit trading function.  Everything else is expressed as a
+monotone piecewise-linear table or built by hand from segments.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import (
     DomainError,
@@ -73,6 +75,11 @@ class PriceInterval:
 # Segment forms
 # ---------------------------------------------------------------------------
 
+# Besides f and f', a form reports direction(), a number with the sign of f'
+# on its segment, and, where f rises, its exact replication cost over a piece
+# [lo, hi] of the segment, cost(lo, hi) = integral of f'(q)/q dq, with
+# cost_inverse(y, hi), the lo at which that cost is y.
+
 @dataclass(frozen=True, slots=True)
 class ConstantForm:
     c: float
@@ -84,6 +91,9 @@ class ConstantForm:
         return [self.c] * len(prices)
 
     def slope(self, p: float) -> float:
+        return 0.0
+
+    def direction(self) -> float:
         return 0.0
 
     def growth_exponent(self) -> float:
@@ -114,6 +124,15 @@ class LinearForm:
     def slope(self, p: float) -> float:
         return self.m
 
+    def direction(self) -> float:
+        return self.m
+
+    def cost(self, lo: float, hi: float) -> float:
+        return self.m * math.log(hi / lo)
+
+    def cost_inverse(self, y: float, hi: float) -> float:
+        return hi * math.exp(y / -self.m)
+
     def growth_exponent(self) -> float:
         return 1.0 if self.m > 0.0 else 0.0
 
@@ -131,6 +150,12 @@ class PowerForm:
     scale: float
     exponent: float
     offset: float = 0.0
+    _coef: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # The cost's factor: c*a/(a - 1), or c where a = 1 makes it linear.
+        a = self.exponent
+        object.__setattr__(self, "_coef", self.scale * a / (a - 1.0) if a != 1.0 else self.scale)
 
     def value(self, p: float) -> float:
         return self.scale * p**self.exponent + self.offset
@@ -143,6 +168,25 @@ class PowerForm:
         if p == 0.0:
             return 0.0 if self.exponent >= 1.0 else math.inf
         return self.scale * self.exponent * p ** (self.exponent - 1.0)
+
+    def direction(self) -> float:
+        return self.scale * self.exponent
+
+    def cost(self, lo: float, hi: float) -> float:
+        a = self.exponent
+        if a == 1.0:  # the linear cost, not a division by a - 1
+            return self._coef * math.log(hi / lo)
+        return self._coef * (hi ** (a - 1.0) - lo ** (a - 1.0))
+
+    def cost_inverse(self, y: float, hi: float) -> float:
+        a = self.exponent
+        if a == 1.0:
+            return hi * math.exp(y / -self.scale)
+        base = hi ** (a - 1.0) + (1.0 - a) / (self.scale * a) * y
+        try:  # below a tiny cost the price lies past the float range
+            return max(base, 0.0) ** (1.0 / (a - 1.0))
+        except (ZeroDivisionError, OverflowError):
+            return math.inf
 
     def growth_exponent(self) -> float:
         return self.exponent if self.scale > 0.0 else 0.0
@@ -161,14 +205,28 @@ class LogForm:
     p0: float
 
     def value(self, p: float) -> float:
-        return math.log(p / self.p0)
+        r = p / self.p0
+        # Past the float range p / p0 is inf where its log is not.
+        return math.log(r) if r < math.inf else math.log(p) - math.log(self.p0)
 
     def values(self, prices) -> list:
         log, p0 = math.log, self.p0
-        return [log(p / p0) for p in prices]
+        out = [log(p / p0) for p in prices]
+        if sum(out) == math.inf:  # some p / p0 overflowed; no log is -inf
+            return [self.value(p) for p in prices]
+        return out
 
     def slope(self, p: float) -> float:
         return 1.0 / p
+
+    def direction(self) -> float:
+        return 1.0
+
+    def cost(self, lo: float, hi: float) -> float:
+        return 1.0 / lo - 1.0 / hi
+
+    def cost_inverse(self, y: float, hi: float) -> float:
+        return 1.0 / (y + 1.0 / hi)
 
     def growth_exponent(self) -> float:
         # Slower than any positive power, fast enough for finite replication.
@@ -209,6 +267,26 @@ class NormalCdfForm:
         if p <= 0.0:
             return 0.0
         return norm_pdf(self.d(p)) / (p * self._vol)
+
+    def direction(self) -> float:
+        return 1.0
+
+    def _survival(self, p: float) -> float:
+        # Phi(-(d + vol)) rather than 1 - Phi(d + vol): no cancellation in the
+        # deep tail.  d is written out: g calls this once per price.
+        if not 0.0 < p < math.inf:
+            return 1.0 if p <= 0.0 else 0.0
+        vol = self._vol
+        return norm_cdf(-((math.log(p / self.strike) - 0.5 * vol * vol) / vol + vol))
+
+    def cost(self, lo: float, hi: float) -> float:
+        top = self._survival(hi) if hi < math.inf else 0.0
+        return (self._survival(lo) - top) / self.strike
+
+    def cost_inverse(self, y: float, hi: float) -> float:
+        vol = self._vol
+        u = max(1.0 - (self.strike * y + self._survival(hi)), 0.0)
+        return self.strike * math.exp(vol * norm_inv(u) - 0.5 * vol * vol)
 
     def growth_exponent(self) -> float:
         return 0.0
@@ -364,11 +442,19 @@ class PayoffSpec:
         for s in self.segments:
             if not s.lo < s.hi:
                 raise InvalidParameterError(f"segment [{s.lo}, {s.hi}] has no width")
+            if not s.form.direction() >= 0.0:
+                raise MonotonicityError(f"{s.form!r} decreases on [{s.lo}, {s.hi}]")
         bounds = tuple(s.hi for s in self.segments[:-1])
         if bounds != tuple(s.lo for s in self.segments[1:]):
             raise InvalidParameterError("segments must be contiguous")
         object.__setattr__(self, "breakpoints", bounds)
         object.__setattr__(self, "_values", tuple(s.form.value for s in self.segments))
+        try:
+            start = self.segments[0].form.value(0.0)
+        except (ValueError, ZeroDivisionError):  # log(0) or 0**-e: f falls to -inf at 0
+            start = -math.inf
+        if not start >= 0.0:
+            raise MonotonicityError(f"payoff value {start} at price 0 is negative")
         listed = dict.fromkeys(bounds, 0.0)
         for q, size in self.jumps:
             if size < 0.0:
@@ -447,6 +533,88 @@ def payoff_price_anchors(spec: PayoffSpec) -> list:
 
 
 # ---------------------------------------------------------------------------
+# The exact replication route
+# ---------------------------------------------------------------------------
+
+class ExactForms(NamedTuple):
+    g: Callable[[float], float]
+    g_inverse: Callable[[float], float]
+
+
+def piecewise_exact_forms(spec: PayoffSpec) -> ExactForms:
+    """Exact g and g_inverse of any payoff, from its segment forms' costs.
+
+    A rising segment with top t (its hi, or beta) adds its form's
+    cost(max(p, lo), t) to g(p), and a jump at q in [p, beta) adds
+    size / q.  Every term that does not depend on p is computed here, once:
+    each rising segment's whole term cost(lo, t) (infinite from lo = 0
+    where f rises like p**e, e <= 1) and each jump's size / q, with their
+    tails.  A call to g then costs two bisects (segments, jumps) and one
+    cost: it adds the term of the segment holding p, then the whole terms
+    above it, then the jump terms from p up, in ascending price order, so
+    every payoff sums in one fixed order.  With one rising segment and no
+    jump below beta, or one jump and no rising segment, g is that one term,
+    found without a bisect.
+
+    g_inverse bisects the segment-top values for the first segment whose
+    top falls below x and solves on it with the form's cost_inverse; a
+    crossing inside a jump or on a flat segment lands on the segment's low
+    end, the rightmost price.
+    """
+    beta = spec.interval.beta
+    below = [s for s in spec.segments if s.lo < beta]
+    lows = [s.lo for s in below]
+    tops = [min(s.hi, beta) for s in below]
+    forms = [s.form for s in below]
+    whole = [0.0 if not form.direction() > 0.0
+             else math.inf if lo == 0.0 and 0.0 < form.growth_exponent() <= 1.0
+             else form.cost(lo, top)
+             for lo, top, form in zip(lows, tops, forms)]
+    pieces = [(lo, top, form.cost, term)
+              for lo, top, form, term in zip(lows, tops, forms, whole) if term > 0.0]
+    piece_tops = [top for _, top, _, _ in pieces]
+    jumps = sorted(((q, size) for q, size in spec.jumps if q < beta), key=lambda j: j[0])
+    jump_locs = [q for q, _ in jumps]
+    whole_tails, jump_tails = ([tuple(terms[k:]) for k in range(len(terms) + 1)]
+                               for terms in ([term for *_, term in pieces],
+                                             [size / q for q, size in jumps]))
+
+    if len(pieces) + len(jumps) == 1:
+        # A lone jump at q is the piece [q, q], whose cost is never asked for.
+        (lo, top, cost, term), = pieces or [(q, q, None, size / q) for q, size in jumps]
+
+        def g(p: float) -> float:
+            return term if p <= lo else cost(p, top) if p < top else 0.0
+    else:
+        def g(p: float) -> float:
+            # Segments whose top is at or below p add nothing; the one
+            # holding p adds its partial term, every one above it its whole.
+            k = bisect_right(piece_tops, p)
+            total = 0.0
+            if k < len(pieces):
+                lo, top, cost, term = pieces[k]
+                total += cost(p, top) if p > lo else term
+                for term in whole_tails[k + 1]:
+                    total += term
+            # An explicit loop, not sum(): sum() compensates rounding on
+            # Python >= 3.12, which would change the bits between versions.
+            for term in jump_tails[bisect_left(jump_locs, p)]:
+                total += term
+            return total
+
+    neg_top_g = [-g(t) for t in tops]  # nondecreasing
+
+    def g_inverse(x: float) -> float:
+        k = bisect_right(neg_top_g, -x)  # tops with g >= x; the last top's g is 0
+        y = neg_top_g[k] + x  # the cost segment k owes below its top
+        if y > whole[k]:  # a jump at its low end, or a flat segment
+            return lows[k]
+        return max(lows[k], forms[k].cost_inverse(y, tops[k]))
+
+    return ExactForms(g, g_inverse)
+
+
+# ---------------------------------------------------------------------------
 # Catalog segments
 # ---------------------------------------------------------------------------
 
@@ -472,144 +640,33 @@ def _capped_segments(p0: float, p1: float, form: SegmentForm):
 
 
 # ---------------------------------------------------------------------------
-# Closed forms for the catalog
+# The catalog's trading functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CatalogClosedForms:
-    """Exact formulas for the replication quantities on one interval.
-
-    g maps price to required risky amount, g_inverse maps a risky reserve in
-    (0, g(alpha)] back to the rightmost matching price, psi is the trading
-    function over (numeraire, risky) reserves, or None where the generic
-    r1 + p* r2 - V(p*) is the exact form.
-    """
-
-    g: Callable[[float], float]
-    g_inverse: Callable[[float], float]
-    psi: Optional[Callable[[float, float], float]]
+def _step_psi(p0: float):
+    return lambda r1, r2: r1 + p0 * r2 - 1.0
 
 
-def _cash_or_nothing_forms(p0: float) -> CatalogClosedForms:
-    def g(p):
-        return 1.0 / p0 if p <= p0 else 0.0
-
-    def g_inv(x):
-        return p0
-
-    def psi(r1, r2):
-        return r1 + p0 * r2 - 1.0
-
-    return CatalogClosedForms(g, g_inv, psi)
+def _capped_call_psi(p0: float, p1: float):
+    return lambda r1, r2: r1 + p0 - p1 * math.exp(-r2)
 
 
-def _capped_call_forms(p0: float, p1: float) -> CatalogClosedForms:
-    # From p0 = 0 the payoff rises linearly from the origin: g(0) = inf.
-    g_max = math.log(p1 / p0) if p0 > 0.0 else math.inf
-
-    def g(p):
-        if p <= p0:
-            return g_max
-        if p <= p1:
-            return math.log(p1 / p)
-        return 0.0
-
-    def g_inv(x):
-        return p1 * math.exp(-x)
-
-    def psi(r1, r2):
-        return r1 + p0 - p1 * math.exp(-r2)
-
-    return CatalogClosedForms(g, g_inv, psi)
-
-
-def _bs_binary_forms(strike: float, sigma: float, tau: float) -> CatalogClosedForms:
-    form = NormalCdfForm(strike, sigma, tau)
-    d, vol = form.d, form._vol
-
-    def g(p):
-        # Survival form Phi(-x) rather than 1 - Phi(x): no cancellation in
-        # the deep tail.
-        return norm_cdf(-(d(p) + vol)) / strike
-
-    def g_inv(x):
-        return strike * math.exp(vol * norm_inv(1.0 - strike * x) - 0.5 * vol * vol)
-
-    def psi(r1, r2):
-        return r1 - norm_cdf(norm_inv(1.0 - strike * r2) - vol)
-
-    return CatalogClosedForms(g, g_inv, psi)
-
-
-def _logarithmic_forms(p0: float) -> CatalogClosedForms:
-    def g(p):
-        return 1.0 / p0 if p < p0 else 1.0 / p
-
-    def g_inv(x):
-        return 1.0 / x
-
-    def psi(r1, r2):
-        return r1 + math.log(p0 * r2)
-
-    return CatalogClosedForms(g, g_inv, psi)
-
-
-def _capped_power_forms(p0: float, p1: float, a: float) -> CatalogClosedForms:
+def _capped_power_psi(p0: float, p1: float, a: float):
     if a == 1.0:
-        return _capped_call_forms(p0, p1)
-    coef = a / (a - 1.0)
-    p1_pow = p1 ** (a - 1.0) if math.isfinite(p1) else (0.0 if a < 1.0 else math.inf)
-
-    def g(p):
-        if p < p0:
-            p = p0
-        if p >= p1:
-            return 0.0
-        if p == 0.0 and a < 1.0:
-            return math.inf  # p0 = 0 with a sublinear start: divergent at 0
-        return coef * (p1_pow - p ** (a - 1.0))
-
-    def g_inv(x):
-        base = p1_pow + (1.0 - a) / a * x
-        if a < 1.0:
-            if base <= 0.0:
-                return math.inf  # x = 0 on an uncapped sublinear tail
-            return base ** (1.0 / (a - 1.0))
-        # a > 1: the exponent is positive, so the base hitting 0 means the
-        # price hit 0; clamp float noise below it.
-        return max(base, 0.0) ** (1.0 / (a - 1.0))
-
-    def psi(r1, r2):
-        base = p1_pow + (1.0 - a) / a * r2
-        if a > 1.0:
-            base = max(base, 0.0)
-        return r1 + p0**a - base ** (a / (a - 1.0))
-
-    return CatalogClosedForms(g, g_inv, psi)
+        return _capped_call_psi(p0, p1)
+    p1_pow = p1 ** (a - 1.0)  # 0 from p1 = inf for a < 1; max() clamps noise for a > 1
+    return lambda r1, r2: r1 + p0**a - max(p1_pow + (1.0 - a) / a * r2, 0.0) ** (a / (a - 1.0))
 
 
-def _constant_proportion_forms(w: float, c: float) -> CatalogClosedForms:
-    coef = c * w / (1.0 - w)
-
-    def g(p):
-        if p == 0.0:
-            return math.inf
-        return coef * p ** (w - 1.0)
-
+def _constant_proportion_psi(w: float, c: float):
     # A tiny reserve's price lies past the float range, where the powers fail.
-    def g_inv(x):
-        try:
-            return ((1.0 - w) * x / (w * c)) ** (-1.0 / (1.0 - w))
-        except (ZeroDivisionError, OverflowError):
-            return math.inf
-
     def psi(r1, r2):
         try:
             return r1 - c * ((1.0 - w) * r2 / (w * c)) ** (-w / (1.0 - w))
         except (ZeroDivisionError, OverflowError):
             raise NumericalError(f"psi at risky reserve {r2!r} overflows") from None
 
-    return CatalogClosedForms(g, g_inv, psi)
+    return psi
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +680,9 @@ class Family:
     keys lists (key, field) pairs accepted in payoff documents and --param;
     the first key naming a field is the canonical one serialization writes.
     help is (parameters, validity, closed forms) as `cfmmrep catalog` prints
-    it.  segments and closed_forms build the payoff and its formulas from
-    the params (closed_forms returns None for flat, degenerate parameters).
-    capped families are capped at p1: their natural interval is [0, p1], and
-    lowering p1 to beta >= p0 leaves the payoff on [0, beta] unchanged.
+    it.  segments builds the payoff from the params; its g and g_inverse
+    come from the segment forms' costs, like any payoff's.  psi builds the
+    paper's explicit trading function (see catalog_psi for where it holds).
     earnings, when given, is the expected arbitrage earnings E[W] along a
     driftless GBM path as a function of (sigma, horizon).
     """
@@ -636,8 +692,7 @@ class Family:
     keys: tuple
     help: tuple
     segments: Callable
-    closed_forms: Callable
-    capped: bool = False
+    psi: Callable
     earnings: Optional[Callable[[float, float], float]] = None
 
 
@@ -647,14 +702,13 @@ FAMILIES = (
         ("p0", "pays 1 above p0, 0 at or below; needs p0 > 0",
          "g, g_inverse, trading function (linear market maker)"),
         segments=lambda c: _step_segments(c.p0, 0.0, 1.0),
-        closed_forms=lambda c: _cash_or_nothing_forms(c.p0)),
+        psi=lambda c: _step_psi(c.p0)),
     Family(
         CappedCall, "capped_call", (("p0", "p0"), ("p1", "p1")),
         ("p0, p1", "pays p - p0 between p0 and p1, capped; needs 0 < p0 <= p1 < inf",
          "g, g_inverse, trading function"),
         segments=lambda c: _capped_segments(c.p0, c.p1, LinearForm(c.p0, 0.0, 1.0)),
-        closed_forms=lambda c: None if c.p0 == c.p1 else _capped_call_forms(c.p0, c.p1),
-        capped=True),
+        psi=lambda c: _capped_call_psi(c.p0, c.p1)),
     Family(
         BlackScholesBinary, "black_scholes_binary",
         (("K", "strike"), ("strike", "strike"), ("sigma", "sigma"), ("tau", "tau")),
@@ -665,15 +719,14 @@ FAMILIES = (
             _whole(ConstantForm(1.0)) if b.strike == 0.0
             else _step_segments(b.strike, 0.0, 1.0) if b.is_step()
             else _whole(NormalCdfForm(b.strike, b.sigma, b.tau))),
-        closed_forms=lambda b: (
-            None if b.strike == 0.0
-            else _cash_or_nothing_forms(b.strike) if b.is_step()
-            else _bs_binary_forms(b.strike, b.sigma, b.tau))),
+        psi=lambda b: _step_psi(b.strike) if b.is_step() else (
+            lambda r1, r2: r1 - norm_cdf(norm_inv(1.0 - b.strike * r2)
+                                         - b.sigma * math.sqrt(b.tau)))),
     Family(
         Logarithmic, "logarithmic", (("p0", "p0"),),
         ("p0", "pays log(p/p0) above p0; needs p0 > 0", "g, g_inverse, trading function"),
         segments=lambda lg: _capped_segments(lg.p0, math.inf, LogForm(lg.p0)),
-        closed_forms=lambda lg: _logarithmic_forms(lg.p0),
+        psi=lambda lg: lambda r1, r2: r1 + math.log(lg.p0 * r2),
         earnings=lambda sigma, horizon: 0.5 * sigma * sigma * horizon),
     Family(
         CappedPower, "capped_power", (("p0", "p0"), ("p1", "p1"), ("a", "a")),
@@ -682,15 +735,14 @@ FAMILIES = (
          "p1 must be finite when a >= 1 or the replication cost diverges",
          "g, g_inverse, trading function"),
         segments=lambda c: _capped_segments(c.p0, c.p1, PowerForm(1.0, c.a, -c.p0**c.a)),
-        closed_forms=lambda c: None if c.p0 == c.p1 else _capped_power_forms(c.p0, c.p1, c.a),
-        capped=True),
+        psi=lambda c: _capped_power_psi(c.p0, c.p1, c.a)),
     Family(
         ConstantProportion, "constant_proportion", (("w", "w"), ("C", "c"), ("c", "c")),
         ("w, C", "holds fixed value shares: f(p) = C * p**w; needs 0 < w < 1, C >= 0",
          "g, g_inverse, trading function (constant product/mean form)"),
         segments=lambda cp: _whole(ConstantForm(0.0) if cp.c == 0.0
                                    else PowerForm(cp.c, cp.w, 0.0)),
-        closed_forms=lambda cp: None if cp.c == 0.0 else _constant_proportion_forms(cp.w, cp.c)),
+        psi=lambda cp: _constant_proportion_psi(cp.w, cp.c)),
 )
 
 _BY_PARAMS = {fam.params: fam for fam in FAMILIES}
@@ -705,9 +757,9 @@ def family(params: CatalogParams) -> Family:
 
 
 def natural_interval(params: CatalogParams) -> PriceInterval:
-    """The interval each family is quoted on: [0, p1] for capped payoffs,
-    [0, inf) otherwise."""
-    return PriceInterval(0.0, params.p1 if family(params).capped else math.inf)
+    """The interval each family is quoted on: [0, p1] for the families
+    capped at p1, [0, inf) otherwise."""
+    return PriceInterval(0.0, getattr(params, "p1", math.inf))
 
 
 def make_catalog_payoff(
@@ -738,36 +790,20 @@ def make_catalog_payoff(
     return spec
 
 
-def catalog_closed_forms(params: CatalogParams,
-                         beta: float = math.inf) -> Optional[CatalogClosedForms]:
-    """Closed forms of a catalog family on an interval ending at beta.
+def catalog_psi(spec: PayoffSpec) -> Optional[Callable[[float, float], float]]:
+    """The catalog family's own psi(r1, r2) for the spec, or None.
 
-    Returns None for degenerate (flat) parameters.  The family's own forms
-    hold wherever g(beta) = 0, that is when the interval reaches the price
-    where the payoff stops moving.  Cutting a family short of that is
-    exactly a shift by g(beta):
-
-        g(p) - g(beta),   g_inverse(x + g(beta)),   psi(r1, r2 + g(beta)).
-
-    Where g(beta) is infinite (a linear tail, p1 = inf), the family capped
-    at beta is the same payoff on [0, beta] and its own forms apply.
+    It holds where the payoff rises and the interval reaches the price at
+    which it stops: the uncut g is positive at 0 and 0 at beta.  Elsewhere,
+    and for a payoff from no family, psi is the generic r1 + p* r2 - V(p*).
     """
-    fam = family(params)
-    forms = fam.closed_forms(params)
-    if forms is None or math.isinf(beta):
-        return forms
-    shift = forms.g(beta)
-    if shift == 0.0:
-        return forms
-    if math.isinf(shift):  # a linear tail, or the zero-width interval [0, 0]
-        if not fam.capped:
-            return None
-        return catalog_closed_forms(replace(params, p1=max(beta, params.p0)))
-    g, g_inverse, psi = forms.g, forms.g_inverse, forms.psi
-    return CatalogClosedForms(
-        lambda p: g(p) - shift if p < beta else 0.0,
-        lambda x: g_inverse(x + shift),
-        lambda r1, r2: psi(r1, r2 + shift))
+    if spec.catalog is None:
+        return None
+    whole = replace(spec, interval=PriceInterval()) if spec.interval.bounded else spec
+    uncut = piecewise_exact_forms(whole).g
+    if uncut(0.0) == 0.0 or uncut(spec.interval.beta) != 0.0:
+        return None
+    return family(spec.catalog).psi(spec.catalog)
 
 
 def constant_product_level(params: ConstantProportion) -> float:
@@ -795,8 +831,6 @@ def make_piecewise_payoff(points, jumps=(), interval=None) -> PayoffSpec:
             raise InvalidParameterError("piecewise point prices must be strictly increasing")
     if pts[0][0] < 0.0:
         raise InvalidParameterError("piecewise point prices must be >= 0")
-    if pts[0][1] < 0.0:
-        raise MonotonicityError(f"payoff value {pts[0][1]} at {pts[0][0]} is negative")
 
     jump_map = {}
     for q, size in jumps:
@@ -813,9 +847,6 @@ def make_piecewise_payoff(points, jumps=(), interval=None) -> PayoffSpec:
         segs.append(Segment(0.0, pts[0][0], ConstantForm(pts[0][1])))
     for (pa, va), (pb, vb) in zip(pts, pts[1:]):
         start = va + jump_map.get(pa, 0.0)
-        if vb < start:
-            raise MonotonicityError(
-                f"payoff decreases from {start} at {pa} to {vb} at {pb}")
         segs.append(Segment(pa, pb, LinearForm(pa, start, (vb - start) / (pb - pa))))
     top = pts[-1][1] + jump_map.get(pts[-1][0], 0.0)
     segs.append(Segment(pts[-1][0], math.inf, ConstantForm(top)))
@@ -829,71 +860,6 @@ def make_piecewise_payoff(points, jumps=(), interval=None) -> PayoffSpec:
                 f"jump at {q} lies outside [alpha, beta) = [{interval.alpha}, {interval.beta})")
     jump_list = tuple(sorted(jump_map.items()))
     return PayoffSpec(segments=tuple(segs), jumps=jump_list, interval=interval)
-
-
-def piecewise_exact_forms(spec: PayoffSpec) -> Optional[CatalogClosedForms]:
-    """Exact g and g_inverse when every segment below beta is linear or constant.
-
-    Each linear segment of slope s on [lo, hi] contributes
-    s * log(min(hi, beta) / max(p, lo)) to g(p), and each jump at q in
-    [p, beta) contributes size / q.  So on a segment with top t (its hi, or
-    beta) g(p) = g(t) + s * log(t / p), where g(t) already holds a jump at
-    t.  g_inverse bisects the segment-top values for the first segment whose
-    top falls below x and solves on it with one exp; a crossing inside a
-    jump or on a flat segment lands on the segment's low end, the rightmost
-    price.  psi is None: r1 + p* r2 - V(p*) with this p* is already exact.
-
-    Every term that does not depend on p is computed here, once: each
-    sloped segment's whole term s * log(t / lo) (infinite from lo = 0,
-    where f rises linearly from the origin) and each jump's size / q.  A
-    call to g then costs two bisects (segments, jumps) and one log: it adds
-    the term of the segment holding p, then the stored whole terms above it,
-    then the stored jump terms from p up, in ascending price order, so every
-    table sums in one fixed order, and a call makes no slice.
-
-    Returns None when a segment below beta has any other form.
-    """
-    beta = spec.interval.beta
-    below = [s for s in spec.segments if s.lo < beta]
-    if not all(isinstance(s.form, (ConstantForm, LinearForm)) for s in below):
-        return None
-    lows = [s.lo for s in below]
-    tops = [min(s.hi, beta) for s in below]
-    slopes = [s.form.slope(s.lo) for s in below]
-    pieces = [piece for piece in zip(lows, tops, slopes) if piece[2] > 0.0]
-    piece_tops = [top for _, top, _ in pieces]
-    whole = [slope * math.log(top / lo) if lo > 0.0 else math.inf
-             for lo, top, slope in pieces]
-    jumps = sorted(((q, size) for q, size in spec.jumps if q < beta), key=lambda j: j[0])
-    jump_locs = [q for q, _ in jumps]
-    whole_tails, jump_tails = ([tuple(terms[k:]) for k in range(len(terms) + 1)]
-                               for terms in (whole, [size / q for q, size in jumps]))
-
-    def g(p: float) -> float:
-        # Segments whose top is at or below p add nothing; the one holding
-        # p adds its partial term, and every segment above it its whole term.
-        k = bisect_right(piece_tops, p)
-        total = 0.0
-        if k < len(pieces):
-            lo, top, slope = pieces[k]
-            total += slope * math.log(top / p) if p > lo else whole[k]
-            for term in whole_tails[k + 1]:
-                total += term
-        # An explicit loop, not sum(): sum() compensates rounding on
-        # Python >= 3.12, which would change the bits between versions.
-        for term in jump_tails[bisect_left(jump_locs, p)]:
-            total += term
-        return total
-
-    neg_top_g = [-g(t) for t in tops]  # nondecreasing
-
-    def g_inverse(x: float) -> float:
-        k = bisect_right(neg_top_g, -x)  # tops with g >= x; the last top's g is 0
-        if slopes[k] > 0.0:
-            return max(lows[k], tops[k] * math.exp((neg_top_g[k] + x) / -slopes[k]))
-        return lows[k]
-
-    return CatalogClosedForms(g, g_inverse, None)
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,13 @@ nonincreasing and nonnegative, V is nondecreasing and concave.  The
 generalized inverse g_inverse(x) is the rightmost price where g is still
 at least x (alpha when there is none, beta when every price qualifies).
 
-Each payoff has one exact route: catalog payoffs use their family's closed
-forms on any interval (shifted by g(beta) when cut below the family's cap),
-and piecewise-linear payoffs use the exact segment sums and their exact
-inverse.  Only other hand-built payoffs, and profiles built with
-use_closed_forms=False, evaluate g by adaptive quadrature and g_inverse by
-geometric bisection; that numeric route is the oracle the tests hold the
-exact routes against.  Unbounded price intervals are folded to (0, 1/p]
-with the substitution u = 1/q before integrating.
+Every payoff has one exact route: g sums its segment forms' exact costs
+and its jump terms, and g_inverse solves on the crossing segment with that
+form's inverse cost (payoffs.piecewise_exact_forms), on any interval.  Only
+profiles built with use_closed_forms off evaluate g by adaptive
+quadrature and g_inverse by geometric bisection; that numeric route is the
+oracle the tests hold the exact route against.  Unbounded price intervals
+are folded to (0, 1/p] with the substitution u = 1/q before integrating.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .payoffs import (
     LogForm,
     PayoffSpec,
     PriceInterval,
-    catalog_closed_forms,
+    catalog_psi,
     payoff_price_anchors,
     piecewise_exact_forms,
 )
@@ -166,11 +165,11 @@ def quadrature_replication_cost(
 class ReplicationProfile:
     """g / V / g_inverse evaluators for a payoff on its own interval.
 
-    The exact route is chosen from the payoff: a catalog family's closed
-    forms (see catalog_closed_forms), else the exact piecewise-linear forms
-    when every segment below beta is linear or constant, else quadrature g
-    with bisection g_inverse.  use_closed_forms=False forces the numeric
-    route, with opts as its quadrature options: the oracle the tests compare
+    g and g_inverse take the exact route of every payoff (see
+    piecewise_exact_forms); psi is a catalog family's own trading function
+    where it holds (see catalog_psi), else r1 + p* r2 - V(p*).
+    Turning use_closed_forms off forces quadrature g with bisection g_inverse,
+    with opts as its quadrature options: the oracle the tests compare
     against, and the only switch between routes.  The profile is immutable
     after construction and safe to share across threads.
     """
@@ -191,14 +190,10 @@ class ReplicationProfile:
                 "payoff grows at least linearly on an unbounded interval; "
                 "sublinear growth is required for a finite replication cost")
 
-        forms = None
-        if use_closed_forms and payoff.catalog is not None:
-            forms = catalog_closed_forms(payoff.catalog, self.interval.beta)
-        if use_closed_forms and forms is None:
-            forms = piecewise_exact_forms(payoff)
-        self.g_closed_form = forms.g if forms else None
-        self.g_inverse_closed_form = forms.g_inverse if forms else None
-        self.psi_closed_form = forms.psi if forms else None
+        self.g_closed_form = self.g_inverse_closed_form = self.psi_closed_form = None
+        if use_closed_forms:
+            self.g_closed_form, self.g_inverse_closed_form = piecewise_exact_forms(payoff)
+            self.psi_closed_form = catalog_psi(payoff)
 
         self.g_alpha = self.g(self.interval.alpha)
         self.v_alpha = self.portfolio_value(self.interval.alpha)
@@ -206,8 +201,9 @@ class ReplicationProfile:
     # -- evaluators ---------------------------------------------------------
 
     def g(self, p: float) -> float:
-        if self.g_closed_form is not None:
-            return self.g_closed_form(p)
+        g = self.g_closed_form
+        if g is not None:
+            return g(p)
         return quadrature_replication_cost(self.payoff, self.interval, p, self.opts)
 
     def portfolio_value(self, p: float) -> float:

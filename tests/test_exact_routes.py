@@ -1,10 +1,12 @@
-"""Every catalog and piecewise-linear payoff evaluates on an exact route.
+"""Every payoff evaluates on one exact route.
 
-Quadrature and bisection are the oracle the exact routes are held against.
+Quadrature and bisection are the oracle the exact route is held against.
 With them patched to raise, g, g_inverse, V and psi still evaluate for the
-six catalog families on their natural intervals and on cut ones, and for
-piecewise tables with jumps; against a use_closed_forms=False profile they
-agree to 1e-9.
+six catalog families on their natural intervals and on cut ones, for
+piecewise tables with jumps, and for hand-built specs of each segment form;
+against a use_closed_forms=False profile they agree to 1e-9.  The route
+keeps the bits of the per-family formulas it replaced and of the table
+loop, both kept here as references.
 """
 
 import contextlib
@@ -29,8 +31,12 @@ from cfmmrep import (
     trading_function_eval,
 )
 from cfmmrep import quadrature, replication
+from cfmmrep.normal import norm_cdf, norm_inv
 from cfmmrep.payoffs import (
     ConstantForm,
+    LinearForm,
+    LogForm,
+    NormalCdfForm,
     PayoffSpec,
     PowerForm,
     Segment,
@@ -151,16 +157,91 @@ def test_piecewise_tables_match_oracle(seed):
     _assert_matches_oracle(random_piecewise_payoff(random.Random(seed)), seed)
 
 
-def test_hand_built_nonlinear_segment_uses_quadrature():
+# ---------------------------------------------------------------------------
+# Hand-built specs: every segment form on the exact route
+# ---------------------------------------------------------------------------
+
+INF = math.inf
+
+# (name, segments, jumps, the top of the last rise or inf, a cut inside a rise)
+HAND_BUILT = [
+    ("constant", (Segment(0.0, 1.0, ConstantForm(0.0)), Segment(1.0, 2.0, ConstantForm(0.5)),
+                  Segment(2.0, INF, ConstantForm(1.5))), ((1.0, 0.5), (2.0, 1.0)), 3.0, 1.5),
+    ("linear", (Segment(0.0, 1.0, LinearForm(0.0, 0.0, 1.0)),
+                Segment(1.0, 3.0, LinearForm(1.0, 1.25, 0.5)),
+                Segment(3.0, INF, ConstantForm(2.25))), ((1.0, 0.25),), 3.0, 2.0),
+    ("power_sqrt_from_0", (Segment(0.0, 4.0, PowerForm(1.0, 0.5)),
+                           Segment(4.0, INF, ConstantForm(2.0))), (), 4.0, 2.5),
+    ("power_2_5_from_0", (Segment(0.0, 2.0, PowerForm(0.5, 2.5, 0.1)),
+                          Segment(2.0, INF, ConstantForm(0.5 * 2.0**2.5 + 0.1))), (), 2.0, 1.5),
+    ("power_1", (Segment(0.0, 1.0, ConstantForm(0.0)), Segment(1.0, 3.0, PowerForm(2.0, 1.0, -2.0)),
+                 Segment(3.0, INF, ConstantForm(4.0))), (), 3.0, 2.0),
+    ("power_sqrt_tail", (Segment(0.0, 1.0, ConstantForm(0.0)),
+                         Segment(1.0, INF, PowerForm(1.0, 0.5, -1.0))), (), INF, 9.0),
+    ("power_rising_negative_exponent", (Segment(0.0, 1.0, ConstantForm(0.0)),
+                                        Segment(1.0, INF, PowerForm(-1.0, -1.0, 1.0))),
+     (), INF, 4.0),
+    ("log", (Segment(0.0, 1.0, ConstantForm(0.0)), Segment(1.0, INF, LogForm(1.0))), (), INF, 5.0),
+    ("normal_cdf", (Segment(0.0, INF, NormalCdfForm(1.0, 0.3, 1.0)),), (), INF, 2.0),
+]
+
+
+def _hand_built(case, interval):
+    return PayoffSpec(case[1], case[2], interval)
+
+
+@pytest.mark.parametrize("case", HAND_BUILT, ids=[case[0] for case in HAND_BUILT])
+@pytest.mark.parametrize("where", ["uncut", "cut", "uncut_from_alpha", "cut_from_alpha"])
+def test_hand_built_forms_match_oracle(case, where):
+    top, cut = case[3], case[4]
+    beta = cut if where.startswith("cut") else top
+    alpha = 0.4 if where.endswith("alpha") else 0.0
+    spec = _hand_built(case, PriceInterval(alpha, beta))
+    with numeric_route_forbidden():
+        assert ReplicationProfile(spec).psi_closed_form is None  # no family: generic psi
+    _assert_matches_oracle(spec, seed=len(case[0]) + len(where))
+
+
+@pytest.mark.parametrize("exponent", [0.5, 0.9, 1.0])
+def test_rise_from_zero_is_infinite_without_division_error(exponent):
+    spec = PayoffSpec((Segment(0.0, 4.0, PowerForm(1.0, exponent)),
+                       Segment(4.0, INF, ConstantForm(4.0**exponent))), (), PriceInterval(0.0, 4.0))
+    with numeric_route_forbidden():
+        profile = ReplicationProfile(spec)
+        assert profile.g(0.0) == profile.g_alpha == INF
+        assert profile.g_inverse_value(1e300) == 0.0
+    oracle = ReplicationProfile(spec, use_closed_forms=False)
+    assert oracle.g_alpha == INF
+    assert profile.g(0.5) == pytest.approx(oracle.g(0.5), rel=1e-9)
+
+
+def test_power_exponent_one_has_the_capped_calls_bits():
+    rng = random.Random(29)
+    for _ in range(20):
+        p0 = rng.uniform(0.1, 3.0)
+        p1 = p0 * rng.uniform(1.1, 10.0)
+        call = ReplicationProfile(make_catalog_payoff(CappedCall(p0, p1)))
+        power = ReplicationProfile(PayoffSpec(
+            (Segment(0.0, p0, ConstantForm(0.0)), Segment(p0, p1, PowerForm(1.0, 1.0, -p0)),
+             Segment(p1, INF, ConstantForm(p1 - p0))), (), PriceInterval(0.0, p1)))
+        for p in [0.0, p0, p1] + [rng.uniform(0.0, 1.2 * p1) for _ in range(30)]:
+            assert power.g(p) == call.g(p), p
+            x = call.g(p)
+            if 0.0 < x:
+                assert power.g_inverse_value(x) == call.g_inverse_value(x), x
+
+
+def test_hand_built_nonlinear_segment_is_exact():
     # A table-like payoff (no catalog entry) whose second segment is a power:
     # g(4) = integral of 0.5 q**-1.5 over [4, 9] = 1/2 - 1/3.
     spec = PayoffSpec(
         segments=(Segment(0.0, 1.0, ConstantForm(0.0)),
                   Segment(1.0, math.inf, PowerForm(1.0, 0.5, -1.0))),
         jumps=(), interval=PriceInterval(0.0, 9.0))
-    profile = ReplicationProfile(spec)
-    assert profile.g_closed_form is None
-    assert profile.g(4.0) == pytest.approx(1.0 / 6.0, rel=1e-9)
+    with numeric_route_forbidden():
+        profile = ReplicationProfile(spec)
+        assert profile.g_closed_form is not None
+        assert profile.g(4.0) == pytest.approx(1.0 / 6.0, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -235,3 +316,117 @@ def test_table_g_has_the_loops_bits():
                 continue
             assert g(p) == reference(p), (spec, p)
     assert zero_starts > 20
+
+
+# ---------------------------------------------------------------------------
+# The catalog g and g_inverse: the bits of the per-family formulas
+# ---------------------------------------------------------------------------
+
+def _family_forms(params):
+    """The reference: each family's own g and g_inverse on its natural
+    interval, as they were written before the segment forms' costs."""
+    if isinstance(params, CashOrNothing):
+        p0 = params.p0
+        return (lambda p: 1.0 / p0 if p <= p0 else 0.0), (lambda x: p0)
+    if isinstance(params, CappedCall) or isinstance(params, CappedPower) and params.a == 1.0:
+        p0, p1 = params.p0, params.p1
+        g_max = math.log(p1 / p0) if p0 > 0.0 else math.inf
+        return ((lambda p: g_max if p <= p0 else math.log(p1 / p) if p <= p1 else 0.0),
+                (lambda x: p1 * math.exp(-x)))
+    if isinstance(params, BlackScholesBinary):
+        form = NormalCdfForm(params.strike, params.sigma, params.tau)
+        k, d, vol = params.strike, form.d, form._vol
+        return ((lambda p: norm_cdf(-(d(p) + vol)) / k),
+                (lambda x: k * math.exp(vol * norm_inv(1.0 - k * x) - 0.5 * vol * vol)))
+    if isinstance(params, Logarithmic):
+        p0 = params.p0
+        return (lambda p: 1.0 / p0 if p < p0 else 1.0 / p), (lambda x: 1.0 / x)
+    if isinstance(params, CappedPower):
+        p0, p1, a = params.p0, params.p1, params.a
+        coef, p1_pow = a / (a - 1.0), p1 ** (a - 1.0)
+
+        def g(p):
+            p = max(p, p0)
+            if p >= p1:
+                return 0.0
+            if p == 0.0 and a < 1.0:
+                return math.inf
+            return coef * (p1_pow - p ** (a - 1.0))
+
+        def g_inverse(x):
+            base = p1_pow + (1.0 - a) / a * x
+            if a < 1.0:
+                return math.inf if base <= 0.0 else base ** (1.0 / (a - 1.0))
+            return max(base, 0.0) ** (1.0 / (a - 1.0))
+
+        return g, g_inverse
+    w, c = params.w, params.c
+    coef = c * w / (1.0 - w)
+
+    def g_inverse(x):
+        try:
+            return ((1.0 - w) * x / (w * c)) ** (-1.0 / (1.0 - w))
+        except (ZeroDivisionError, OverflowError):
+            return math.inf
+
+    return (lambda p: math.inf if p == 0.0 else coef * p ** (w - 1.0)), g_inverse
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _seeded_families(rng):
+    p0 = _log_uniform(rng, 0.1, 10.0)
+    return [
+        CashOrNothing(_log_uniform(rng, 0.1, 10.0)),
+        CappedCall(p0, p0 * _log_uniform(rng, 1.01, 20.0)),
+        BlackScholesBinary(_log_uniform(rng, 0.1, 10.0), rng.uniform(0.05, 1.5),
+                           rng.uniform(0.1, 3.0)),
+        Logarithmic(_log_uniform(rng, 1e-6, 10.0)),
+        CappedPower(p0, p0 * _log_uniform(rng, 1.01, 20.0), rng.uniform(0.3, 2.0)),
+        CappedPower(0.0, _log_uniform(rng, 0.1, 10.0), rng.uniform(0.3, 2.0)),
+        CappedPower(p0, p0 * _log_uniform(rng, 1.01, 20.0), 1.0),
+        CappedPower(0.0, math.inf, rng.uniform(0.3, 0.95)),
+        ConstantProportion(rng.uniform(0.05, 0.95), _log_uniform(rng, 0.1, 10.0)),
+    ]
+
+
+def test_catalog_route_has_the_family_formulas_bits():
+    rng = random.Random(404)
+    power_inverse = {"draws": 0, "differ": 0, "worst": 0.0}
+    for _ in range(40):
+        for params in _seeded_families(rng):
+            profile = ReplicationProfile(make_catalog_payoff(params))
+            g, g_inverse = _family_forms(params)
+            alpha, beta = profile.interval.alpha, profile.interval.beta
+            bps = profile.payoff.breakpoints
+            hi = beta if math.isfinite(beta) else max(bps + (1.0,)) * 100.0
+            prices = [0.0, beta, *bps] + [_log_uniform(rng, 1e-3, hi) for _ in range(20)]
+            for p in prices:
+                assert profile.g(p) == g(p), (params, p)
+            top = profile.g_alpha if math.isfinite(profile.g_alpha) else 50.0
+            reserves = [profile.g(p) for p in prices] + [rng.uniform(0.0, top) for _ in range(20)]
+            for x in reserves:
+                if not 0.0 < x <= profile.g_alpha:
+                    continue
+                new, old = profile.g_inverse_value(x), min(max(g_inverse(x), alpha), beta)
+                if isinstance(params, ConstantProportion):
+                    # One power inverse serves both power families, in
+                    # capped_power's operation order: the base differs in
+                    # its last bit, which the exponent 1/(1 - w) scales.
+                    power_inverse["draws"] += 1
+                    if new != old:
+                        power_inverse["differ"] += 1
+                        rel = abs(new - old) / old
+                        power_inverse["worst"] = max(power_inverse["worst"], rel)
+                        assert rel <= 3 * 2.0**-52 / (1.0 - params.w), (params, x)
+                elif new != old:
+                    # At g(alpha) the formula can land an ulp below the
+                    # low end p0 of the rising segment; the route answers
+                    # p0 itself, the rightmost price with g >= g(alpha).
+                    assert x == profile.g_alpha and new == params.p0, (params, x)
+                    assert old == pytest.approx(params.p0, rel=4 * 2.0**-52)
+    print("constant_proportion g_inverse: {differ} of {draws} draws differ, "
+          "worst relative difference {worst:.2g}".format(**power_inverse))
+    assert 0 < power_inverse["differ"] < power_inverse["draws"]

@@ -15,6 +15,7 @@ from cfmmrep import (
     GbmParams,
     InvalidParameterError,
     Logarithmic,
+    MonotonicityError,
     NumericalError,
     PayoffParseError,
     PayoffSpec,
@@ -30,7 +31,7 @@ from cfmmrep import (
     trading_function_eval,
 )
 from cfmmrep.cli import main
-from cfmmrep.payoffs import ConstantForm, LinearForm, PowerForm, Segment, family
+from cfmmrep.payoffs import ConstantForm, LinearForm, LogForm, PowerForm, Segment, family
 from cfmmrep.quadrature import adaptive_simpson, integrate_from_zero
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -189,6 +190,61 @@ class TestPayoffSpecInput:
         with pytest.raises(InvalidParameterError, match="at 1.0"):
             PayoffSpec((segs[0], Segment(1.0, math.inf, LinearForm(1.0, 1.0 + 1e-9, 0.5))),
                        (), PriceInterval(0.0, 4.0))
+
+
+class TestPayoffSpecMonotonicity:
+    """Every form has an exact cost, so a decreasing form would silently give
+    a negative g; PayoffSpec rejects it, and a negative start."""
+
+    def test_decreasing_power_segment(self):
+        # This built, with g(4) = -0.1667.
+        with pytest.raises(MonotonicityError, match=r"PowerForm.* decreases on \[1.0, inf\]"):
+            PayoffSpec((Segment(0.0, 1.0, ConstantForm(0.0)),
+                        Segment(1.0, math.inf, PowerForm(-1.0, 0.5, 1.0))),
+                       (), PriceInterval(0.0, 9.0))
+
+    def test_decreasing_linear_segment(self):
+        # This built, with g(0.5) = 0.0 and value(3) = -0.5.
+        with pytest.raises(MonotonicityError, match="LinearForm.* decreases"):
+            PayoffSpec((Segment(0.0, math.inf, LinearForm(0.0, 1.0, -0.5)),),
+                       (), PriceInterval(0.0, 1.0))
+
+    @pytest.mark.parametrize("form, start", [
+        (ConstantForm(-1.0), "-1.0"), (LinearForm(1.0, -0.5, 0.25), "-0.75"),
+        (LogForm(1.0), "-inf"), (PowerForm(-1.0, -1.0), "-inf"), (ConstantForm(math.nan), "nan"),
+    ])
+    def test_negative_start(self, form, start):
+        with pytest.raises(MonotonicityError, match=f"payoff value {start} at price 0 is negative"):
+            PayoffSpec((Segment(0.0, math.inf, form),), (), PriceInterval(0.0, 1.0))
+
+    def test_rising_negative_exponent_builds(self):
+        spec = PayoffSpec((Segment(0.0, 1.0, ConstantForm(0.0)),
+                           Segment(1.0, math.inf, PowerForm(-1.0, -1.0, 1.0))),
+                          (), PriceInterval(0.0, math.inf))
+        assert ReplicationProfile(spec).g(2.0) == pytest.approx(0.5 * (0.25 - 0.0))
+
+
+class TestLogPayoffPastTheFloatRange:
+    """p / p0 overflows before log(p / p0) does."""
+
+    def test_value(self):
+        spec = make_catalog_payoff(Logarithmic(1e-6))
+        assert spec.value(1e303) == pytest.approx(math.log(1e303) - math.log(1e-6), rel=1e-15)
+        form = LogForm(1e-6)
+        prices = [1.0, 1e303, 1.7e308, 2.5]
+        assert form.values(prices) == [form.value(p) for p in prices]
+        assert all(math.isfinite(v) for v in form.values(prices))
+        # Every finite p / p0 keeps its bits.
+        assert form.values([1.0, 2.5]) == [math.log(1.0 / 1e-6), math.log(2.5 / 1e-6)]
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    def test_simulate_from_a_huge_start(self, capsys, seed):
+        code = main(["simulate", "--payoff", "catalog:logarithmic", "--param", "p0=1e-6",
+                     "--p-start", "1e306", "--paths", "2", "--steps", "5", "--seed", seed])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert all(math.isfinite(float(x)) for line in out.splitlines()[1:]
+                   for x in line.split(",") if x)
 
 
 class TestPiecewiseInput:
