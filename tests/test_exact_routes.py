@@ -10,8 +10,10 @@ loop, both kept here as references.
 """
 
 import contextlib
+import hashlib
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -242,6 +244,75 @@ def test_hand_built_nonlinear_segment_is_exact():
         profile = ReplicationProfile(spec)
         assert profile.g_closed_form is not None
         assert profile.g(4.0) == pytest.approx(1.0 / 6.0, rel=1e-9)
+
+
+def _rising_table(pieces, tail):
+    """Contiguous segments (lo, hi, form) from 0, then tail from the last hi,
+    with the jumps their values step by."""
+    segs = [Segment(lo, hi, form) for lo, hi, form in pieces]
+    segs.append(Segment(segs[-1].hi, INF, tail))
+    jumps = tuple((b.lo, b.form.value(b.lo) - a.form.value(b.lo))
+                  for a, b in zip(segs, segs[1:]) if b.form.value(b.lo) > a.form.value(b.lo))
+    return tuple(segs), jumps
+
+
+# (name, segments, jumps, intervals): every cost form on its own (one g
+# term), from price 0 and from above it, and all four in one table, each on
+# an interval that reaches its top and on ones cut inside a rise.
+COST_FORM_SPECS = [
+    ("linear", *_rising_table([(0.0, 1.0, ConstantForm(0.0)), (1.0, 3.0, LinearForm(1.0, 0.0, 1.0))],
+                              ConstantForm(2.0)), [(0.0, INF), (0.0, 2.0), (0.5, 1.5)]),
+    ("linear_from_0", *_rising_table([(0.0, 2.0, LinearForm(0.0, 0.0, 0.75))], ConstantForm(1.5)),
+     [(0.0, 2.0), (0.0, 1.25)]),
+    ("power", *_rising_table([(0.0, 1.0, ConstantForm(0.0)), (1.0, 4.0, PowerForm(0.5, 2.5, -0.5))],
+                             ConstantForm(15.5)), [(0.0, INF), (0.0, 2.5)]),
+    ("power_from_0", *_rising_table([(0.0, 2.0, PowerForm(0.5, 2.5, 0.1))],
+                                    ConstantForm(0.5 * 2.0**2.5 + 0.1)), [(0.0, 2.0), (0.0, 1.5)]),
+    ("power_sqrt_from_0", *_rising_table([(0.0, 4.0, PowerForm(1.0, 0.5))], ConstantForm(2.0)),
+     [(0.0, 4.0), (0.0, 2.5)]),
+    ("power_1", *_rising_table([(0.0, 1.0, ConstantForm(0.0)), (1.0, 3.0, PowerForm(2.0, 1.0, -2.0))],
+                               ConstantForm(4.0)), [(0.0, INF), (0.0, 2.0)]),
+    ("power_tail", *_rising_table([(0.0, 1.0, ConstantForm(0.0))], PowerForm(-1.0, -1.0, 1.0)),
+     [(0.0, INF), (0.0, 4.0)]),
+    ("log", *_rising_table([(0.0, 1e-3, ConstantForm(0.0))], LogForm(1e-3)),
+     [(0.0, INF), (0.0, 5.0), (0.2, 50.0)]),
+    ("normal_cdf", (Segment(0.0, INF, NormalCdfForm(1.0, 0.3, 1.0)),), (),
+     [(0.0, INF), (0.0, 2.0), (0.4, 0.9)]),
+    ("normal_cdf_narrow", (Segment(0.0, INF, NormalCdfForm(2.0, 0.01, 0.5)),), (),
+     [(0.0, INF), (0.0, 2.0)]),
+    ("table", *_rising_table([(0.0, 2.0, NormalCdfForm(1.0, 0.3, 1.0)),
+                              (2.0, 4.0, LogForm(0.5)),
+                              (4.0, 8.0, LinearForm(4.0, 2.2, 0.3)),
+                              (8.0, 16.0, PowerForm(1.0, 0.5, 1.0))], ConstantForm(5.5)),
+     [(0.0, INF), (0.0, 6.0), (0.4, 10.0), (0.0, 2.0)]),
+    ("table_from_0", *_rising_table([(0.0, 1.0, LinearForm(0.0, 0.0, 0.5)),
+                                     (1.0, 3.0, PowerForm(0.25, 0.5, 0.5)),
+                                     (3.0, 9.0, LogForm(1.0))], ConstantForm(3.0)),
+     [(0.0, INF), (0.0, 5.0)]),
+    ("jump", *_rising_table([(0.0, 1.5, ConstantForm(0.0))], ConstantForm(1.0)),
+     [(0.0, INF), (0.0, 1.0)]),
+]
+
+# sha256 of every g and g_inverse value below, little-endian doubles.
+COST_FORM_BITS = "95b081f92cfe65a3d9e283b8ba9deac2eae5e1d32cc2e8a23123bebd77a22355"
+
+
+def test_cost_forms_keep_their_bits():
+    digest, values = hashlib.sha256(), 0
+    grid = [10.0 ** (k / 40.0) for k in range(-200, 121)]
+    for name, segments, jumps, intervals in COST_FORM_SPECS:
+        for alpha, beta in intervals:
+            with numeric_route_forbidden():
+                profile = ReplicationProfile(PayoffSpec(segments, jumps, PriceInterval(alpha, beta)))
+            prices = [0.0, alpha, beta, *(s.lo for s in segments), *grid]
+            gs = [profile.g(p) for p in prices]
+            reserves = [x for x in gs if 0.0 < x <= profile.g_alpha]
+            reserves += [profile.g_alpha * t for t in (1e-9, 0.1, 0.5, 0.999) if profile.g_alpha < INF]
+            out = gs + [profile.g_inverse_value(x) for x in reserves]
+            digest.update(struct.pack(f"<{len(out)}d", *out))
+            values += len(out)
+    assert values > 10_000
+    assert digest.hexdigest() == COST_FORM_BITS
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,8 @@ def test_inverse_edges():
         norm_inv(-0.1)
     with pytest.raises(ValueError):
         norm_inv(1.1)
+    with pytest.raises(ValueError):
+        norm_inv(math.nan)
 
 
 def test_symmetry():
