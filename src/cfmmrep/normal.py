@@ -29,14 +29,10 @@ def norm_cdf(x: float) -> float:
 
 def norm_inv(p: float) -> float:
     """Quantile function: x with norm_cdf(x) == p, for p in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        if p == 0.0:
-            return -math.inf
-        if p == 1.0:
-            return math.inf
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
     # Rational initial guess (Acklam; relative error ~1.15e-9), one form for
-    # the centre and one, odd about p = 1/2, for the tails.
+    # the centre and one, odd about p = 1/2, for the tails.  Most draws land
+    # in the centre, tested first: there |x| < 2, so only the tails need the
+    # domain check (NaN fails the centre's test too) and the overflow guard.
     if _P_LOW <= p <= _P_HIGH:
         q = p - 0.5
         r = q * q
@@ -47,6 +43,12 @@ def norm_inv(p: float) -> float:
                    - 1.556989798598866e+02) * r + 6.680131188771972e+01) * r
                  - 1.328068155288572e+01) * r + 1.0))
     else:
+        if not 0.0 < p < 1.0:
+            if p == 0.0:
+                return -math.inf
+            if p == 1.0:
+                return math.inf
+            raise ValueError(f"probability must lie in [0, 1], got {p}")
         q = math.sqrt(-2.0 * math.log(p if p < 0.5 else 1.0 - p))
         x = ((((((-7.784894002430293e-03 * q - 3.223964580411365e-01) * q
                  - 2.400758277161838e+00) * q - 2.549732539343734e+00) * q
@@ -55,13 +57,12 @@ def norm_inv(p: float) -> float:
                   + 2.445134137142996e+00) * q + 3.754408661907416e+00) * q + 1.0))
         if p > 0.5:
             x = -x
-    half_x2 = 0.5 * x * x
-    if half_x2 > 700.0:
-        # exp(x^2/2) would overflow; out here the guess's ~1e-9 relative
-        # accuracy already exceeds what doubles can resolve in p.
-        return x
+        if 0.5 * x * x > 700.0:
+            # exp(x^2/2) would overflow; out here the guess's ~1e-9 relative
+            # accuracy already exceeds what doubles can resolve in p.
+            return x
     # One Halley step against norm_cdf; the guess is good enough that this
     # converges fully.  The terms are written out so that a draw costs one
     # Python call.
-    u = (0.5 * math.erfc(-x / _SQRT2) - p) * _SQRT_2PI * math.exp(half_x2)
+    u = (0.5 * math.erfc(-x / _SQRT2) - p) * _SQRT_2PI * math.exp(0.5 * x * x)
     return x - u / (1.0 + 0.5 * x * u)

@@ -76,9 +76,10 @@ class PriceInterval:
 # ---------------------------------------------------------------------------
 
 # Besides f and f', a form reports direction(), a number with the sign of f'
-# on its segment, and, where f rises, its exact replication cost over a piece
-# [lo, hi] of the segment, cost(lo, hi) = integral of f'(q)/q dq, with
-# cost_inverse(y, hi), the lo at which that cost is y.
+# on its segment, and, where f rises, piece(lo, top, whole): g's term of a piece
+# of the segment as one closure, the cost (integral of f'(q)/q) from p up to top,
+# whole (by default the cost from lo) at and below lo, 0 from top on; and
+# cost_inverse(y, hi), the price below hi from which the cost up to hi is y.
 
 @dataclass(frozen=True, slots=True)
 class ConstantForm:
@@ -127,8 +128,10 @@ class LinearForm:
     def direction(self) -> float:
         return self.m
 
-    def cost(self, lo: float, hi: float) -> float:
-        return self.m * math.log(hi / lo)
+    def piece(self, lo: float, top: float, whole: Optional[float] = None):
+        m, log = self.m, math.log
+        whole = m * log(top / lo) if whole is None else whole
+        return lambda p: whole if p <= lo else m * log(top / p) if p < top else 0.0
 
     def cost_inverse(self, y: float, hi: float) -> float:
         return hi * math.exp(y / -self.m)
@@ -150,12 +153,6 @@ class PowerForm:
     scale: float
     exponent: float
     offset: float = 0.0
-    _coef: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # The cost's factor: c*a/(a - 1), or c where a = 1 makes it linear.
-        a = self.exponent
-        object.__setattr__(self, "_coef", self.scale * a / (a - 1.0) if a != 1.0 else self.scale)
 
     def value(self, p: float) -> float:
         return self.scale * p**self.exponent + self.offset
@@ -172,11 +169,13 @@ class PowerForm:
     def direction(self) -> float:
         return self.scale * self.exponent
 
-    def cost(self, lo: float, hi: float) -> float:
-        a = self.exponent
-        if a == 1.0:  # the linear cost, not a division by a - 1
-            return self._coef * math.log(hi / lo)
-        return self._coef * (hi ** (a - 1.0) - lo ** (a - 1.0))
+    def piece(self, lo: float, top: float, whole: Optional[float] = None):
+        a, e = self.exponent, self.exponent - 1.0
+        if e == 0.0:  # the linear cost, not a division by a - 1
+            return LinearForm(0.0, 0.0, self.scale).piece(lo, top, whole)
+        coef, top_pow = self.scale * a / e, top**e  # the cost is c*a/(a - 1) * (top**e - p**e)
+        whole = coef * (top_pow - lo**e) if whole is None else whole
+        return lambda p: whole if p <= lo else coef * (top_pow - p**e) if p < top else 0.0
 
     def cost_inverse(self, y: float, hi: float) -> float:
         a = self.exponent
@@ -204,6 +203,9 @@ class LogForm:
 
     p0: float
 
+    def __post_init__(self):
+        _require(0.0 < self.p0 < math.inf, f"log form needs 0 < p0 < inf, got p0={self.p0}")
+
     def value(self, p: float) -> float:
         r = p / self.p0
         # Past the float range p / p0 is inf where its log is not.
@@ -222,8 +224,10 @@ class LogForm:
     def direction(self) -> float:
         return 1.0
 
-    def cost(self, lo: float, hi: float) -> float:
-        return 1.0 / lo - 1.0 / hi
+    def piece(self, lo: float, top: float, whole: Optional[float] = None):
+        inv_top = 1.0 / top
+        whole = 1.0 / lo - inv_top if whole is None else whole
+        return lambda p: whole if p <= lo else 1.0 / p - inv_top if p < top else 0.0
 
     def cost_inverse(self, y: float, hi: float) -> float:
         return 1.0 / (y + 1.0 / hi)
@@ -249,7 +253,10 @@ class NormalCdfForm:
     _vol: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_vol", self.sigma * math.sqrt(self.tau))
+        vol = self.sigma * math.sqrt(self.tau) if self.tau >= 0.0 else math.nan
+        _require(0.0 < self.strike < math.inf and 0.0 < vol < math.inf,
+                 f"{self!r} needs 0 < strike < inf and 0 < sigma*sqrt(tau) < inf")
+        object.__setattr__(self, "_vol", vol)
 
     def d(self, p: float) -> float:
         if p <= 0.0:
@@ -273,15 +280,18 @@ class NormalCdfForm:
 
     def _survival(self, p: float) -> float:
         # Phi(-(d + vol)) rather than 1 - Phi(d + vol): no cancellation in the
-        # deep tail.  d is written out: g calls this once per price.
+        # deep tail.  The cost from p to top is the drop of this over strike.
         if not 0.0 < p < math.inf:
             return 1.0 if p <= 0.0 else 0.0
         vol = self._vol
         return norm_cdf(-((math.log(p / self.strike) - 0.5 * vol * vol) / vol + vol))
 
-    def cost(self, lo: float, hi: float) -> float:
-        top = self._survival(hi) if hi < math.inf else 0.0
-        return (self._survival(lo) - top) / self.strike
+    def piece(self, lo: float, top: float, whole: Optional[float] = None):
+        k, vol, log, tail = self.strike, self._vol, math.log, self._survival(top)
+        whole = (self._survival(lo) - tail) / k if whole is None else whole
+        half_v2 = 0.5 * vol * vol  # below, _survival(p) written out for lo < p < top
+        return lambda p: whole if p <= lo else (
+            norm_cdf(-((log(p / k) - half_v2) / vol + vol)) - tail) / k if p < top else 0.0
 
     def cost_inverse(self, y: float, hi: float) -> float:
         vol = self._vol
@@ -544,17 +554,17 @@ class ExactForms(NamedTuple):
 def piecewise_exact_forms(spec: PayoffSpec) -> ExactForms:
     """Exact g and g_inverse of any payoff, from its segment forms' costs.
 
-    A rising segment with top t (its hi, or beta) adds its form's
-    cost(max(p, lo), t) to g(p), and a jump at q in [p, beta) adds
-    size / q.  Every term that does not depend on p is computed here, once:
-    each rising segment's whole term cost(lo, t) (infinite from lo = 0
-    where f rises like p**e, e <= 1) and each jump's size / q, with their
-    tails.  A call to g then costs two bisects (segments, jumps) and one
-    cost: it adds the term of the segment holding p, then the whole terms
-    above it, then the jump terms from p up, in ascending price order, so
-    every payoff sums in one fixed order.  With one rising segment and no
-    jump below beta, or one jump and no rising segment, g is that one term,
-    found without a bisect.
+    A rising segment with top t (its hi, or beta) adds its form's piece
+    term to g(p), the cost from max(p, lo) up to t, and a jump at q in
+    [p, beta) adds size / q.  Every term that does not depend on p is
+    computed here, once: each rising segment's piece closure with its whole
+    term (infinite from lo = 0 where f rises like p**e, e <= 1) and each
+    jump's size / q, with their tails.  A call to g then costs two bisects
+    (segments, jumps) and one piece call: it adds the term of the segment
+    holding p, then the whole terms above it, then the jump terms from p up,
+    in ascending price order, so every payoff sums in one fixed order.  With
+    one rising segment and no jump below beta, or one jump and no rising
+    segment, g is that one term's closure, called without a bisect.
 
     g_inverse bisects the segment-top values for the first segment whose
     top falls below x and solves on it with the form's cost_inverse; a
@@ -566,25 +576,26 @@ def piecewise_exact_forms(spec: PayoffSpec) -> ExactForms:
     lows = [s.lo for s in below]
     tops = [min(s.hi, beta) for s in below]
     forms = [s.form for s in below]
-    whole = [0.0 if not form.direction() > 0.0
-             else math.inf if lo == 0.0 and 0.0 < form.growth_exponent() <= 1.0
-             else form.cost(lo, top)
+    parts = [form.piece(lo, top, math.inf if lo == 0.0 and 0.0 < form.growth_exponent() <= 1.0
+                        else None) if form.direction() > 0.0 else None
              for lo, top, form in zip(lows, tops, forms)]
-    pieces = [(lo, top, form.cost, term)
-              for lo, top, form, term in zip(lows, tops, forms, whole) if term > 0.0]
-    piece_tops = [top for _, top, _, _ in pieces]
+    whole = [0.0 if piece is None else piece(lo) for lo, piece in zip(lows, parts)]
+    pieces = [(top, piece, term) for top, piece, term in zip(tops, parts, whole) if term > 0.0]
+    piece_tops = [top for top, _, _ in pieces]
     jumps = sorted(((q, size) for q, size in spec.jumps if q < beta), key=lambda j: j[0])
     jump_locs = [q for q, _ in jumps]
     whole_tails, jump_tails = ([tuple(terms[k:]) for k in range(len(terms) + 1)]
                                for terms in ([term for *_, term in pieces],
                                              [size / q for q, size in jumps]))
 
-    if len(pieces) + len(jumps) == 1:
-        # A lone jump at q is the piece [q, q], whose cost is never asked for.
-        (lo, top, cost, term), = pieces or [(q, q, None, size / q) for q, size in jumps]
+    if len(pieces) == 1 and not jumps:
+        g = pieces[0][1]
+    elif len(jumps) == 1 and not pieces:
+        (q, size), = jumps
+        term = size / q
 
         def g(p: float) -> float:
-            return term if p <= lo else cost(p, top) if p < top else 0.0
+            return term if p <= q else 0.0
     else:
         def g(p: float) -> float:
             # Segments whose top is at or below p add nothing; the one
@@ -592,8 +603,7 @@ def piecewise_exact_forms(spec: PayoffSpec) -> ExactForms:
             k = bisect_right(piece_tops, p)
             total = 0.0
             if k < len(pieces):
-                lo, top, cost, term = pieces[k]
-                total += cost(p, top) if p > lo else term
+                total += pieces[k][1](p)
                 for term in whole_tails[k + 1]:
                     total += term
             # An explicit loop, not sum(): sum() compensates rounding on

@@ -226,17 +226,21 @@ class ReplicationProfile:
         """
         if not prices:
             return [], []
-        interval, payoff = self.interval, self.payoff
+        interval = self.interval
         lo, hi = min(prices), max(prices)
         # Past alpha <= lo, only a NaN (which min and max can skip) makes the sum NaN.
         if not interval.alpha <= lo <= hi <= interval.beta or math.isnan(sum(prices)):
             for p in (lo, hi, math.nan):
                 interval.check(p)
+        return self._portfolios(prices, lo, hi)
+
+    def _portfolios(self, prices, lo: float, hi: float) -> tuple:
+        payoff, g = self.payoff, self.g  # prices lie in the interval, lowest lo, highest hi
         bps, values = payoff.breakpoints, payoff._values
         k = bisect_left(bps, lo)
         r1 = (payoff.segments[k].form.values(prices) if k == bisect_left(bps, hi)
               else [values[bisect_left(bps, p)](p) for p in prices])
-        r2 = [self.g(p) for p in prices]
+        r2 = [g(p) for p in prices]
         if math.inf in r2:
             p = prices[r2.index(math.inf)]
             if p > 0.0:

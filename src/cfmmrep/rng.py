@@ -15,6 +15,7 @@ lanes.  Ints become bytes in the host's byte order, to line up with its words.
 
 import sys
 from array import array
+from functools import lru_cache
 
 from .normal import norm_inv
 
@@ -37,6 +38,12 @@ def _unpack(lanes: int, m: int, order: str) -> list:
     return words[::2 if order == "little" else -2].tolist()
 
 
+@lru_cache(maxsize=4)  # a run draws blocks of one or two sizes
+def _block(m: int) -> tuple:
+    cut = (1 << 128 * m) - 1  # m lanes of 1, (k + 1) * gamma, 64 bits and odd bits
+    return _ONES & cut, _COUNTERS & cut, _LANE_MASK & cut, _ODD_MASK & cut
+
+
 class SplitMix64:
     """64-bit counter-based generator; one multiply-xor-shift mix per draw."""
 
@@ -47,14 +54,13 @@ class SplitMix64:
         state, out = self._state, []
         for start in range(0, n, _BLOCK):
             m = min(_BLOCK, n - start)
-            cut = (1 << 128 * m) - 1
-            mask = _LANE_MASK & cut
-            s = (state * (_ONES & cut) + (_COUNTERS & cut)) & mask
+            ones, counters, mask, odd_mask = _block(m)
+            s = (state * ones + counters) & mask
             s = ((s ^ ((s >> 30) & mask)) * 0xBF58476D1CE4E5B9) & mask
             s = ((s ^ ((s >> 27) & mask)) * 0x94D049BB133111EB) & mask
             s ^= (s >> 31) & mask
             if odd:  # 2 * (z >> 11) + 1: bits 11..63 of z to bits 1..53, bit 0 set
-                s = ((s >> 10) & _ODD_MASK & cut) | (_ONES & cut)
+                s = ((s >> 10) & odd_mask) | ones
             out += _unpack(s, m, sys.byteorder)
             state = (state + m * _GAMMA) & _MASK64
         self._state = state

@@ -102,7 +102,8 @@ def gbm_path(params: GbmParams) -> PricePath:
         raise InvalidParameterError(f"time step {params.horizon} / {params.steps} underflows to 0")
     vol = params.sigma * math.sqrt(dt)
     drift = -0.5 * params.sigma * params.sigma * dt
-    moves = [math.exp(vol * z + drift) for z in SplitMix64(params.seed).normals(params.steps)]
+    exp = math.exp
+    moves = [exp(vol * z + drift) for z in SplitMix64(params.seed).normals(params.steps)]
     prices = list(accumulate(moves, operator.mul, initial=params.p_start))
     # Moves are exp(...) >= 0, so a price that reached inf, 0 or nan stays
     # out of range: a path that left the range ends outside it.
@@ -132,9 +133,11 @@ def run_arbitrage(profile: ReplicationProfile, path: PricePath) -> EarningsRepor
     ends, bit for bit as arbitrage_to_price and portfolio_value compute them.
     """
     alpha, beta = profile.interval.alpha, profile.interval.beta
-    prices = (path.prices if alpha <= min(path.prices) and max(path.prices) <= beta
+    lo, hi = min(path.prices), max(path.prices)
+    prices = (path.prices if alpha <= lo <= hi <= beta
               else [alpha if p < alpha else beta if p > beta else p for p in path.prices])
-    r1, r2 = profile.portfolios(prices)
+    lo, hi = min(max(lo, alpha), beta), min(max(hi, alpha), beta)  # the clamped ends
+    r1, r2 = profile._portfolios(prices, lo, hi)
     after = prices[1:]
     profits = [p * (g0 - g1) + f0 - f1
                for p, f0, f1, g0, g1 in zip(after, r1, r1[1:], r2, r2[1:])]

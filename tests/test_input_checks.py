@@ -31,7 +31,8 @@ from cfmmrep import (
     trading_function_eval,
 )
 from cfmmrep.cli import main
-from cfmmrep.payoffs import ConstantForm, LinearForm, LogForm, PowerForm, Segment, family
+from cfmmrep.payoffs import (ConstantForm, LinearForm, LogForm, NormalCdfForm, PowerForm, Segment,
+                             family)
 from cfmmrep.quadrature import adaptive_simpson, integrate_from_zero
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -222,6 +223,35 @@ class TestPayoffSpecMonotonicity:
                            Segment(1.0, math.inf, PowerForm(-1.0, -1.0, 1.0))),
                           (), PriceInterval(0.0, math.inf))
         assert ReplicationProfile(spec).g(2.0) == pytest.approx(0.5 * (0.25 - 0.0))
+
+
+class TestHandBuiltFormParameters:
+    """A hand-built log or normal-CDF form checks its parameters, as its
+    catalog family does, instead of failing later with a bare error or
+    building a payoff that is NaN or falls."""
+
+    @staticmethod
+    def profile(form):
+        return ReplicationProfile(PayoffSpec(
+            (Segment(0.0, 1.0, ConstantForm(0.0)), Segment(1.0, math.inf, form)), (),
+            PriceInterval(0.0, 4.0)))
+
+    @pytest.mark.parametrize("p0", [0.0, -1.0, math.nan, math.inf])
+    def test_log_form(self, p0):
+        # Before: ZeroDivisionError, a bare ValueError, f = nan, a bare ValueError.
+        with pytest.raises(InvalidParameterError, match=r"log form needs 0 < p0 < inf"):
+            self.profile(LogForm(p0))
+
+    @pytest.mark.parametrize("strike, sigma, tau", [
+        (0.0, 0.2, 1.0), (1.0, 0.0, 1.0), (1.0, -0.2, 1.0), (1.0, 0.2, -1.0),
+        (math.inf, 0.2, 1.0), (1.0, math.nan, 1.0), (1.0, 0.2, math.inf),
+    ])
+    def test_normal_cdf_form(self, strike, sigma, tau):
+        # Before: ZeroDivisionError for a zero strike or volatility, a payoff
+        # falling from f(0.5) = 0.9998 to f(2) = 0.0004 for sigma = -0.2.
+        with pytest.raises(InvalidParameterError,
+                           match=r"needs 0 < strike < inf and 0 < sigma\*sqrt\(tau\) < inf"):
+            self.profile(NormalCdfForm(strike, sigma, tau))
 
 
 class TestLogPayoffPastTheFloatRange:
