@@ -38,7 +38,7 @@ def _unpack(lanes: int, m: int, order: str) -> list:
     return words[::2 if order == "little" else -2].tolist()
 
 
-@lru_cache(maxsize=4)  # a run draws blocks of one or two sizes
+@lru_cache(maxsize=2)  # a run draws blocks of one or two sizes
 def _block(m: int) -> tuple:
     cut = (1 << 128 * m) - 1  # m lanes of 1, (k + 1) * gamma, 64 bits and odd bits
     return _ONES & cut, _COUNTERS & cut, _LANE_MASK & cut, _ODD_MASK & cut
