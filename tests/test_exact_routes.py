@@ -25,6 +25,7 @@ from cfmmrep import (
     CappedPower,
     CashOrNothing,
     ConstantProportion,
+    InfiniteReplicationCostError,
     Logarithmic,
     PriceInterval,
     ReplicationProfile,
@@ -313,6 +314,47 @@ def test_cost_forms_keep_their_bits():
             values += len(out)
     assert values > 10_000
     assert digest.hexdigest() == COST_FORM_BITS
+
+
+# The specs above whose g is one form's term: one rising segment, no jump.
+ONE_TERM = [spec for spec in COST_FORM_SPECS if spec[0] not in ("table", "table_from_0", "jump")]
+
+
+def _one_term_lists(rng, piece_lo, top, alpha):
+    """Price lists a path can sweep: strictly inside the rising piece, and
+    ones touching its low end or its top."""
+    a = max(piece_lo, alpha)
+    b = top if top < INF else max(a, 1.0) * 100.0
+    log_a = math.log(a) if a > 0.0 else math.log(b) - 12.0
+    inside = [p for p in (math.exp(rng.uniform(log_a, math.log(b))) for _ in range(80)) if a < p < b]
+    lists = [inside, [a, *inside], [*inside, b], [a, b], [b, a, *inside]]
+    if alpha < a:
+        lists.append([alpha, *inside])
+    if top < INF:
+        lists.append([top])
+    return lists
+
+
+@pytest.mark.parametrize("case", ONE_TERM, ids=[case[0] for case in ONE_TERM])
+def test_one_term_portfolios_have_gs_bits(case):
+    # A list sweep gives each price g(p)'s very bits, the sign of zero
+    # included, inside the one rising piece, at its ends and past them.
+    name, segments, jumps, intervals = case
+    rise, = [s for s in segments if s.form.direction() > 0.0]
+    cut = rise.lo + 0.5 * (rise.hi - rise.lo) if rise.hi < INF else 2.0 * (rise.lo or 1.0)
+    alpha = rise.lo + 0.25 * (rise.hi - rise.lo) if rise.hi < INF else 1.5 * rise.lo or 0.4
+    rng = random.Random(name)
+    for lo, hi in sorted({*intervals, (0.0, INF), (0.0, cut), (alpha, INF), (alpha, cut)}):
+        with numeric_route_forbidden():
+            profile = ReplicationProfile(PayoffSpec(segments, jumps, PriceInterval(lo, hi)))
+            for prices in _one_term_lists(rng, rise.lo, min(rise.hi, hi), lo):
+                want = [profile.g(p).hex() for p in prices]
+                if INF.hex() in want:  # g(0) = inf below a rise like p**e, e <= 1
+                    with pytest.raises(InfiniteReplicationCostError):
+                        profile.portfolios(prices)
+                    continue
+                got = [x.hex() for x in profile.portfolios(prices)[1]]
+                assert got == want, (lo, hi, prices)
 
 
 # ---------------------------------------------------------------------------
