@@ -78,8 +78,10 @@ class PriceInterval:
 # Besides f and f', a form reports direction(), a number with the sign of f'
 # on its segment, and, where f rises, piece(lo, top, whole): g's term of a piece
 # of the segment as one closure, the cost (integral of f'(q)/q) from p up to top,
-# whole (by default the cost from lo) at and below lo, 0 from top on; and
-# cost_inverse(y, hi), the price below hi from which the cost up to hi is y.
+# whole (by default the cost from lo) at and below lo, 0 from top on, paired
+# with its list kernel, the closure's middle expression over prices that all
+# lie strictly between lo and top; and cost_inverse(y, hi), the price below hi
+# from which the cost up to hi is y.
 
 @dataclass(frozen=True, slots=True)
 class ConstantForm:
@@ -131,7 +133,8 @@ class LinearForm:
     def piece(self, lo: float, top: float, whole: Optional[float] = None):
         m, log = self.m, math.log
         whole = m * log(top / lo) if whole is None else whole
-        return lambda p: whole if p <= lo else m * log(top / p) if p < top else 0.0
+        return (lambda p: whole if p <= lo else m * log(top / p) if p < top else 0.0,
+                lambda prices: [m * log(top / p) for p in prices])
 
     def cost_inverse(self, y: float, hi: float) -> float:
         return hi * math.exp(y / -self.m)
@@ -175,7 +178,8 @@ class PowerForm:
             return LinearForm(0.0, 0.0, self.scale).piece(lo, top, whole)
         coef, top_pow = self.scale * a / e, top**e  # the cost is c*a/(a - 1) * (top**e - p**e)
         whole = coef * (top_pow - lo**e) if whole is None else whole
-        return lambda p: whole if p <= lo else coef * (top_pow - p**e) if p < top else 0.0
+        return (lambda p: whole if p <= lo else coef * (top_pow - p**e) if p < top else 0.0,
+                lambda prices: [coef * (top_pow - p**e) for p in prices])
 
     def cost_inverse(self, y: float, hi: float) -> float:
         a = self.exponent
@@ -227,7 +231,8 @@ class LogForm:
     def piece(self, lo: float, top: float, whole: Optional[float] = None):
         inv_top = 1.0 / top
         whole = 1.0 / lo - inv_top if whole is None else whole
-        return lambda p: whole if p <= lo else 1.0 / p - inv_top if p < top else 0.0
+        return (lambda p: whole if p <= lo else 1.0 / p - inv_top if p < top else 0.0,
+                lambda prices: [1.0 / p - inv_top for p in prices])
 
     def cost_inverse(self, y: float, hi: float) -> float:
         return 1.0 / (y + 1.0 / hi)
@@ -290,8 +295,10 @@ class NormalCdfForm:
         k, vol, log, tail = self.strike, self._vol, math.log, self._survival(top)
         whole = (self._survival(lo) - tail) / k if whole is None else whole
         half_v2 = 0.5 * vol * vol  # below, _survival(p) written out for lo < p < top
-        return lambda p: whole if p <= lo else (
-            norm_cdf(-((log(p / k) - half_v2) / vol + vol)) - tail) / k if p < top else 0.0
+        return (lambda p: whole if p <= lo else (
+                    norm_cdf(-((log(p / k) - half_v2) / vol + vol)) - tail) / k if p < top else 0.0,
+                lambda prices: [(norm_cdf(-((log(p / k) - half_v2) / vol + vol)) - tail) / k
+                                for p in prices])
 
     def cost_inverse(self, y: float, hi: float) -> float:
         vol = self._vol
@@ -549,6 +556,7 @@ def payoff_price_anchors(spec: PayoffSpec) -> list:
 class ExactForms(NamedTuple):
     g: Callable[[float], float]
     g_inverse: Callable[[float], float]
+    g_values: Optional[tuple]  # (lo, top, list kernel) where g is one piece, else None
 
 
 def piecewise_exact_forms(spec: PayoffSpec) -> ExactForms:
@@ -564,7 +572,8 @@ def piecewise_exact_forms(spec: PayoffSpec) -> ExactForms:
     holding p, then the whole terms above it, then the jump terms from p up,
     in ascending price order, so every payoff sums in one fixed order.  With
     one rising segment and no jump below beta, or one jump and no rising
-    segment, g is that one term's closure, called without a bisect.
+    segment, g is that one term's closure, called without a bisect; the
+    piece's list kernel, with its lo and top, is then g_values.
 
     g_inverse bisects the segment-top values for the first segment whose
     top falls below x and solves on it with the form's cost_inverse; a
@@ -577,19 +586,21 @@ def piecewise_exact_forms(spec: PayoffSpec) -> ExactForms:
     tops = [min(s.hi, beta) for s in below]
     forms = [s.form for s in below]
     parts = [form.piece(lo, top, math.inf if lo == 0.0 and 0.0 < form.growth_exponent() <= 1.0
-                        else None) if form.direction() > 0.0 else None
+                        else None) if form.direction() > 0.0 else (None, None)
              for lo, top, form in zip(lows, tops, forms)]
-    whole = [0.0 if piece is None else piece(lo) for lo, piece in zip(lows, parts)]
-    pieces = [(top, piece, term) for top, piece, term in zip(tops, parts, whole) if term > 0.0]
-    piece_tops = [top for top, _, _ in pieces]
+    whole = [0.0 if piece is None else piece(lo) for lo, (piece, _) in zip(lows, parts)]
+    pieces = [(top, piece, term, (lo, top, values)) for lo, top, (piece, values), term
+              in zip(lows, tops, parts, whole) if term > 0.0]
+    piece_tops = [top for top, *_ in pieces]
     jumps = sorted(((q, size) for q, size in spec.jumps if q < beta), key=lambda j: j[0])
     jump_locs = [q for q, _ in jumps]
     whole_tails, jump_tails = ([tuple(terms[k:]) for k in range(len(terms) + 1)]
-                               for terms in ([term for *_, term in pieces],
+                               for terms in ([term for _, _, term, _ in pieces],
                                              [size / q for q, size in jumps]))
 
+    g_values = None
     if len(pieces) == 1 and not jumps:
-        g = pieces[0][1]
+        _, g, _, g_values = pieces[0]
     elif len(jumps) == 1 and not pieces:
         (q, size), = jumps
         term = size / q
@@ -621,7 +632,7 @@ def piecewise_exact_forms(spec: PayoffSpec) -> ExactForms:
             return lows[k]
         return max(lows[k], forms[k].cost_inverse(y, tops[k]))
 
-    return ExactForms(g, g_inverse)
+    return ExactForms(g, g_inverse, g_values)
 
 
 # ---------------------------------------------------------------------------

@@ -191,8 +191,10 @@ class ReplicationProfile:
                 "sublinear growth is required for a finite replication cost")
 
         self.g_closed_form = self.g_inverse_closed_form = self.psi_closed_form = None
+        self._g_values = None  # (lo, top, list kernel) of a g that is one piece
         if use_closed_forms:
-            self.g_closed_form, self.g_inverse_closed_form = piecewise_exact_forms(payoff)
+            self.g_closed_form, self.g_inverse_closed_form, self._g_values = (
+                piecewise_exact_forms(payoff))
             self.psi_closed_form = catalog_psi(payoff)
 
         self.g_alpha = self.g(self.interval.alpha)
@@ -220,9 +222,10 @@ class ReplicationProfile:
 
         Each price must lie in the interval.  f runs as one list kernel when
         all prices share a payoff segment, else per price as PayoffSpec.value;
-        g once per price.  An infinite g at price 0 raises
-        InfiniteReplicationCostError, as no pool can hold it; above 0, g is
-        finite by construction: inf is overflow, a NumericalError.
+        g runs as its piece's list kernel when g is one piece and every price
+        lies strictly inside it, else once per price.  An infinite g at price
+        0 raises InfiniteReplicationCostError, as no pool can hold it; above
+        0, g is finite by construction: inf is overflow, a NumericalError.
         """
         if not prices:
             return [], []
@@ -240,7 +243,9 @@ class ReplicationProfile:
         k = bisect_left(bps, lo)
         r1 = (payoff.segments[k].form.values(prices) if k == bisect_left(bps, hi)
               else [values[bisect_left(bps, p)](p) for p in prices])
-        r2 = [g(p) for p in prices]
+        piece = self._g_values
+        r2 = (piece[2](prices) if piece is not None and piece[0] < lo and hi < piece[1]
+              else [g(p) for p in prices])
         if math.inf in r2:
             p = prices[r2.index(math.inf)]
             if p > 0.0:

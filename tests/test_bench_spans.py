@@ -105,3 +105,24 @@ def test_infimum_g_count_is_pinned(g_calls, beta, first, again):
     g_calls.clear()
     trading_function_infimum(tf, r1, r2, 512)
     assert len(g_calls) == again
+
+
+def test_a_one_piece_list_takes_g_from_the_kernel(g_calls):
+    # The kernel bypasses the method the tracer patches: a list strictly
+    # inside the one piece of a one-term g makes no per-price call.  Any
+    # other list still calls g once per price.
+    closed = ReplicationProfile(make_catalog_payoff(Logarithmic(1.0)))
+    exact = ReplicationProfile(make_piecewise_payoff([(1.0, 0.0), (2.0, 1.0)]))
+    table = ReplicationProfile(make_piecewise_payoff(*TABLE))
+    numeric = ReplicationProfile(closed.payoff, use_closed_forms=False)
+    inside = [1.5, 1.25, 1.75, 1.5]
+    for profile in (closed, exact):
+        g_calls.clear()
+        assert profile.portfolios(inside)[1] == [profile.g(p) for p in inside]
+        assert g_calls == inside  # from the comparison, none from portfolios
+    for profile, prices in ((closed, [0.5, *inside]), (closed, [*inside, 1.0]),
+                            (exact, [*inside, 2.0]), (exact, [1.0, *inside]),
+                            (table, inside), (numeric, inside)):
+        g_calls.clear()
+        profile.portfolios(prices)
+        assert g_calls == prices

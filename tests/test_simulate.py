@@ -32,6 +32,7 @@ from cfmmrep import (
 )
 from cfmmrep import cfmm, cli, simulate
 from cfmmrep.normal import norm_inv
+from cfmmrep.payoffs import piecewise_exact_forms
 from cfmmrep import rng as rng_module
 from cfmmrep.rng import SplitMix64
 from cfmmrep.simulate import earnings_mean_stderr
@@ -377,7 +378,7 @@ class TestPaperArithmeticOnly:
         assert len(totals) == 2
 
     @pytest.mark.parametrize("index", range(7))
-    def test_one_g_per_price(self, monkeypatch, index):
+    def test_g_per_price_or_by_kernel(self, monkeypatch, index):
         spec, p_start = arithmetic_suite()[index]
         prof = ReplicationProfile(spec)
         calls = []
@@ -389,9 +390,17 @@ class TestPaperArithmeticOnly:
 
         monkeypatch.setattr(ReplicationProfile, "g", counting)
         steps = 40
-        run_arbitrage(prof, gbm_path(GbmParams(p_start, 0.5, 1.0, steps, 9)))
-        # One g per price, plus at most the two endpoint values V(P_0), V(P_T).
-        assert steps + 1 <= len(calls) <= steps + 3
+        path = gbm_path(GbmParams(p_start, 0.5, 1.0, steps, 9))
+        run_arbitrage(prof, path)
+        # A clamped path strictly inside the one piece of a one-term g gets
+        # every g from that piece's list kernel; any other path calls g once
+        # per price, and V(P_0), V(P_T) reuse the sweep's end values.
+        alpha, beta = prof.interval.alpha, prof.interval.beta
+        lo, hi = (min(max(p, alpha), beta) for p in (min(path.prices), max(path.prices)))
+        one = piecewise_exact_forms(spec).g_values
+        kernel = one is not None and one[0] < lo and hi < one[1]
+        assert kernel == (index in (1, 2, 4, 5))
+        assert len(calls) == (0 if kernel else steps + 1)
 
 
 class TestSweepMatchesOneStepApi:
