@@ -42,6 +42,8 @@ from cfmmrep.payoffs import (
     PowerForm,
     Segment,
     SegmentForm,
+    catalog_psi,
+    piecewise_exact_forms,
 )
 
 E = math.e
@@ -428,3 +430,45 @@ def test_kernel_matches_scalar_form_bit_for_bit(seed):
     ok = [(p, bits) for p, bits in zip(prices, scalar) if isinstance(bits, str)]
     assert len(ok) >= 20
     assert [v.hex() for v in form.values([p for p, _ in ok])] == [bits for _, bits in ok]
+
+
+# Every family with its degenerate configurations: strike 0, p0 == p1,
+# C = 0, the step binary, and linear or sublinear tails without a cap.
+PSI_CASES = [
+    CashOrNothing(0.5), CashOrNothing(2.0),
+    CappedCall(1.0, 4.0), CappedCall(2.0, 2.0), CappedCall(1.0, math.inf),
+    BlackScholesBinary(1.0, 0.2, 1.0), BlackScholesBinary(0.0, 0.2, 1.0),
+    BlackScholesBinary(1.5, 0.0, 1.0),
+    Logarithmic(1.0), Logarithmic(0.25),
+    CappedPower(1.0, 4.0, 2.0), CappedPower(0.0, 4.0, 2.0), CappedPower(0.0, 4.0, 1.0),
+    CappedPower(2.0, 2.0, 2.0), CappedPower(1.0, math.inf, 0.5),
+    CappedPower(0.0, math.inf, 0.5), CappedPower(1.0, math.inf, 2.0),
+    ConstantProportion(0.5, 1.0), ConstantProportion(0.3, 0.0),
+]
+
+
+def psi_specs():
+    """Each case on its natural interval and on [a, b] cuts, a in {0, 0.5},
+    b across and beyond the family's breakpoints."""
+    for params in PSI_CASES:
+        whole = make_catalog_payoff(params, PriceInterval(), allow_infinite_cost=True)
+        marks = set(whole.breakpoints) | {1.0, getattr(params, "p1", 1.0)}
+        betas = {m * s for m in marks if math.isfinite(m) for s in (0.5, 1.0, 1.5, 3.0)}
+        yield make_catalog_payoff(params, allow_infinite_cost=True)
+        for a in (0.0, 0.5):
+            for b in sorted(betas | {100.0, math.inf}):
+                if b > a:
+                    yield make_catalog_payoff(params, PriceInterval(a, b),
+                                              allow_infinite_cost=True)
+
+
+def test_catalog_psi_holds_where_the_uncut_cost_rises_and_stops():
+    # The reference rule: the family's psi holds unless the uncut g is 0 at
+    # price 0 (nothing rises) or still positive at beta (the cut stops short).
+    count = 0
+    for spec in psi_specs():
+        uncut = piecewise_exact_forms(dataclasses.replace(spec, interval=PriceInterval())).g
+        expected_none = uncut(0.0) == 0.0 or uncut(spec.interval.beta) != 0.0
+        assert (catalog_psi(spec) is None) == expected_none, (spec.catalog, spec.interval)
+        count += 1
+    assert count > 200
