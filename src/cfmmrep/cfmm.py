@@ -133,9 +133,11 @@ def trading_function_infimum(
     grid = tf._grids.get((lo, top, grid_points))
     if grid is None:
         candidates = [alpha] if alpha < lo else []
+        # The ends are lo and top themselves: exp(log(x)) can miss x by an
+        # ulp, which would put a price outside [alpha, beta].
         span = math.log(top) - math.log(lo)
-        candidates += [math.exp(math.log(lo) + span * i / (grid_points - 1))
-                       for i in range(grid_points)]
+        candidates += [lo] + [math.exp(math.log(lo) + span * i / (grid_points - 1))
+                              for i in range(1, grid_points - 1)] + [top]
         grid = candidates, [profile.portfolio_value(p) for p in candidates]
         tf._grids[lo, top, grid_points] = grid
     candidates, v_grid = grid

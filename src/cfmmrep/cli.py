@@ -100,7 +100,8 @@ def _write(cfg: argparse.Namespace, lines) -> None:
 
 def _price_grid(profile: ReplicationProfile, n: int):
     """Log-spaced prices: from alpha when positive, else from the first
-    breakpoint; capped at beta or a 100x span."""
+    breakpoint; capped at beta or a 100x span.  Each is clamped to
+    [alpha, beta], which rounding in exp and log can overstep by an ulp."""
     alpha, beta = profile.interval.alpha, profile.interval.beta
     bps = profile.payoff.breakpoints
     if profile.interval.bounded:
@@ -111,7 +112,7 @@ def _price_grid(profile: ReplicationProfile, n: int):
     if not lo < hi:
         lo = hi / 100.0
     step = (math.log(hi) - math.log(lo)) / (n - 1)
-    return [math.exp(math.log(lo) + i * step) for i in range(n)]
+    return [min(max(math.exp(math.log(lo) + i * step), alpha), beta) for i in range(n)]
 
 
 def cmd_replicate(cfg: argparse.Namespace) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import (
@@ -539,16 +539,6 @@ def payoff_breakpoints(spec: PayoffSpec) -> list:
     return list(spec.breakpoints)
 
 
-def payoff_price_anchors(spec: PayoffSpec) -> list:
-    """Positive characteristic prices of the payoff's smooth forms."""
-    out = set()
-    for seg in spec.segments:
-        for a in seg.form.price_anchors():
-            if a > 0.0 and math.isfinite(a):
-                out.add(a)
-    return sorted(out)
-
-
 # ---------------------------------------------------------------------------
 # The exact replication route
 # ---------------------------------------------------------------------------
@@ -814,15 +804,17 @@ def make_catalog_payoff(
 def catalog_psi(spec: PayoffSpec) -> Optional[Callable[[float, float], float]]:
     """The catalog family's own psi(r1, r2) for the spec, or None.
 
-    It holds where the payoff rises and the interval reaches the price at
-    which it stops: the uncut g is positive at 0 and 0 at beta.  Elsewhere,
-    and for a payoff from no family, psi is the generic r1 + p* r2 - V(p*).
+    It holds where the payoff rises (a rising segment or a jump) and the
+    interval reaches the price at which it stops: no rising segment ends
+    above beta and no jump sits at or above it.  Elsewhere, and for a payoff
+    from no family, psi is the generic r1 + p* r2 - V(p*).
     """
     if spec.catalog is None:
         return None
-    whole = replace(spec, interval=PriceInterval()) if spec.interval.bounded else spec
-    uncut = piecewise_exact_forms(whole).g
-    if uncut(0.0) == 0.0 or uncut(spec.interval.beta) != 0.0:
+    beta = spec.interval.beta
+    tops = [s.hi for s in spec.segments if s.form.direction() > 0.0]
+    if (not (tops or spec.jumps) or any(top > beta for top in tops)
+            or any(q >= beta for q, _ in spec.jumps)):
         return None
     return family(spec.catalog).psi(spec.catalog)
 

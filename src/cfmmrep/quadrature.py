@@ -41,6 +41,13 @@ class QuadratureResult:
     error: float
     converged: bool
 
+    def checked(self, what: str) -> float:
+        """The value, or NumericalError if the quadrature of what fell short."""
+        if not self.converged:
+            raise NumericalError(f"{what} did not converge (error estimate {self.error:.3g})",
+                                 error=self.error)
+        return self.value
+
 
 def _non_finite(v: float, x: float) -> NumericalError:
     return NumericalError(f"integrand is {v} at {x}")

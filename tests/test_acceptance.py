@@ -19,6 +19,7 @@ from cfmmrep import (
     GbmParams,
     GrowthClass,
     Logarithmic,
+    NumericProfile,
     PricePath,
     QuadratureOptions,
     ReplicationProfile,
@@ -81,7 +82,7 @@ def test_criterion_1_closed_form_vs_quadrature():
     worst = 0.0
     for name, spec, lo, hi in family_suite():
         prof = ReplicationProfile(spec)
-        oracle = ReplicationProfile(spec, opts=TIGHT, use_closed_forms=False)
+        oracle = NumericProfile(spec, opts=TIGHT)
         floor = 1e-12 * max(1.0, prof.g(lo))
         for p in log_spaced(lo, hi, 200):
             closed = prof.g(p)
@@ -147,7 +148,7 @@ def test_criterion_4_black_scholes_trading_function():
     strike, sigma, tau = 1.0, 0.2, 1.0
     vol = sigma * math.sqrt(tau)
     spec = make_catalog_payoff(BlackScholesBinary(strike, sigma, tau))
-    numeric = ReplicationProfile(spec, use_closed_forms=False)
+    numeric = NumericProfile(spec)
     tf = TradingFunction(numeric)
     worst = 0.0
     reserves = [0.0] + [0.005 + 0.99 * i / 48 for i in range(49)]

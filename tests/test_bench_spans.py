@@ -15,6 +15,7 @@ import pytest
 
 from cfmmrep import (
     Logarithmic,
+    NumericProfile,
     PriceInterval,
     ReplicationProfile,
     TradingFunction,
@@ -45,7 +46,7 @@ def test_patched_names_exist(spans):
 def test_route_functions_read_live_attributes(spans):
     closed = ReplicationProfile(make_catalog_payoff(Logarithmic(1.0)))
     exact = ReplicationProfile(make_piecewise_payoff([(1.0, 0.0), (2.0, 1.0)]))
-    numeric = ReplicationProfile(exact.payoff, use_closed_forms=False)
+    numeric = NumericProfile(exact.payoff)
     profiles = (closed, exact, numeric)
     assert [spans._route_g(p, 1.5) for p in profiles] == ["closed", "exact", "quadrature"]
     assert ([spans._route_g_inverse(p, 0.1) for p in profiles]
@@ -62,21 +63,24 @@ TABLE = ([(0.5, 0.1), (1.0, 0.3), (2.0, 0.5), (4.0, 1.5)], [(1.0, 0.2), (2.0, 0.
 
 @pytest.fixture
 def g_calls(monkeypatch):
+    # NumericProfile overrides g, so its calls are counted on its own method.
     calls = []
-    g = ReplicationProfile.g
 
-    def counting(self, p):
-        calls.append(p)
-        return g(self, p)
+    def counting(g):
+        def count(self, p):
+            calls.append(p)
+            return g(self, p)
+        return count
 
-    monkeypatch.setattr(ReplicationProfile, "g", counting)
+    for cls in (ReplicationProfile, NumericProfile):
+        monkeypatch.setattr(cls, "g", counting(cls.g))
     return calls
 
 
 def test_every_route_evaluates_g_through_the_method(g_calls):
     closed = ReplicationProfile(make_catalog_payoff(Logarithmic(1.0)))
     exact = ReplicationProfile(make_piecewise_payoff(*TABLE))
-    numeric = ReplicationProfile(exact.payoff, use_closed_forms=False)
+    numeric = NumericProfile(exact.payoff)
     prices = [0.5, 0.75, 1.0, 1.5, 2.0, 3.9, 4.0]
     for profile in (closed, exact, numeric):
         g_calls.clear()
@@ -114,7 +118,7 @@ def test_a_one_piece_list_takes_g_from_the_kernel(g_calls):
     closed = ReplicationProfile(make_catalog_payoff(Logarithmic(1.0)))
     exact = ReplicationProfile(make_piecewise_payoff([(1.0, 0.0), (2.0, 1.0)]))
     table = ReplicationProfile(make_piecewise_payoff(*TABLE))
-    numeric = ReplicationProfile(closed.payoff, use_closed_forms=False)
+    numeric = NumericProfile(closed.payoff)
     inside = [1.5, 1.25, 1.75, 1.5]
     for profile in (closed, exact):
         g_calls.clear()

@@ -17,6 +17,7 @@ from cfmmrep import (
     Logarithmic,
     NumericalError,
     PoolState,
+    PriceInterval,
     ReplicationProfile,
     TradingFunction,
     UnboundedTradingFunctionError,
@@ -188,6 +189,22 @@ class TestInfimumMemo:
             cold = [trading_function_infimum(TradingFunction(prof), r1, r2, n)
                     for r1, r2, n in pairs]
             assert warm == cold, prof.payoff.catalog
+
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 4.0), (7.0, 30.0), (0.37, math.inf)])
+    def test_grid_prices_lie_in_the_interval(self, alpha, beta):
+        # Grid ends are alpha (or lo) and beta (or top) exactly, not their
+        # exp(log(x)) round trips, which can miss by an ulp either way.
+        table = make_piecewise_payoff([(0.5, 0.1), (1.0, 0.3), (2.0, 0.5), (4.0, 1.5),
+                                       (40.0, 3.0)], jumps=[(1.0, 0.2)] if alpha < 1.0 else [],
+                                      interval=PriceInterval(alpha, beta))
+        prof = ReplicationProfile(table)
+        tf = TradingFunction(prof)
+        for p in (alpha or 0.6, 3.0, 12.0):
+            if prof.interval.contains(p):
+                trading_function_infimum(tf, table.value(p) + 0.1, prof.g(p), 64)
+        assert tf._grids
+        for prices, _ in tf._grids.values():
+            assert all(alpha <= p <= beta for p in prices), (min(prices), max(prices))
 
 
 class TestPsiShape:

@@ -48,6 +48,17 @@ class TestReplicate:
             p, f, g, v = map(float, line.split(","))
             assert g == pytest.approx((1.0 - f) / 2.0, abs=1e-12)
 
+    def test_rows_stay_inside_the_interval(self, capsys):
+        # exp(log(3)) is 3.0000000000000004: the last row used to price past
+        # beta and show f above the cut payoff's maximum of 2.
+        code, out, _ = run_cli(
+            capsys, "replicate", "--payoff", "catalog:capped_call", "--param", "p0=1",
+            "--param", "p1=inf", "--beta", "3", "--grid", "20")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[-1] == "3,2,0,2"
+        assert all(1.0 <= float(line.split(",")[0]) <= 3.0 for line in lines[1:])
+
     def test_invalid_file_diagnostic(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"catalog":\n "capped_call"\n oops}')

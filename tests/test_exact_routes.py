@@ -4,7 +4,7 @@ Quadrature and bisection are the oracle the exact route is held against.
 With them patched to raise, g, g_inverse, V and psi still evaluate for the
 six catalog families on their natural intervals and on cut ones, for
 piecewise tables with jumps, and for hand-built specs of each segment form;
-against a use_closed_forms=False profile they agree to 1e-9.  The route
+against a NumericProfile they agree to 1e-9.  The route
 keeps the bits of the per-family formulas it replaced and of the table
 loop, both kept here as references.
 """
@@ -27,13 +27,14 @@ from cfmmrep import (
     ConstantProportion,
     InfiniteReplicationCostError,
     Logarithmic,
+    NumericProfile,
     PriceInterval,
     ReplicationProfile,
     TradingFunction,
     make_catalog_payoff,
     trading_function_eval,
 )
-from cfmmrep import quadrature, replication
+from cfmmrep import oracle, quadrature, replication
 from cfmmrep.normal import norm_cdf, norm_inv
 from cfmmrep.payoffs import (
     ConstantForm,
@@ -85,7 +86,10 @@ def numeric_route_forbidden():
         mp.setattr(replication, "adaptive_simpson", _forbidden)
         mp.setattr(replication, "integrate_from_zero", _forbidden)
         mp.setattr(quadrature, "adaptive_simpson", _forbidden)
-        mp.setattr(replication.ReplicationProfile, "_bisect_inverse", _forbidden)
+        mp.setattr(oracle, "adaptive_simpson", _forbidden)
+        mp.setattr(oracle, "integrate_from_zero", _forbidden)
+        mp.setattr(oracle, "quadrature_replication_cost", _forbidden)
+        mp.setattr(oracle.NumericProfile, "_solve_inverse", _forbidden)
         yield
 
 
@@ -114,7 +118,7 @@ def _assert_matches_oracle(spec, seed):
     with numeric_route_forbidden():
         exact = ReplicationProfile(spec)
         rows = _evaluate(exact, random.Random(seed))
-    oracle = ReplicationProfile(spec, opts=ORACLE, use_closed_forms=False)
+    oracle = NumericProfile(spec, opts=ORACLE)
     tf = TradingFunction(oracle)
     for p, g, v, r2, p_star, r1, psi in rows:
         assert g == pytest.approx(oracle.g(p), rel=1e-9, abs=1e-12), p
@@ -213,7 +217,7 @@ def test_rise_from_zero_is_infinite_without_division_error(exponent):
         profile = ReplicationProfile(spec)
         assert profile.g(0.0) == profile.g_alpha == INF
         assert profile.g_inverse_value(1e300) == 0.0
-    oracle = ReplicationProfile(spec, use_closed_forms=False)
+    oracle = NumericProfile(spec)
     assert oracle.g_alpha == INF
     assert profile.g(0.5) == pytest.approx(oracle.g(0.5), rel=1e-9)
 

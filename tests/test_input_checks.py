@@ -72,7 +72,9 @@ class TestCliInput:
                                    "--payoff", str(bounded))
         assert code == 0
         assert by_flags == by_file
-        assert hashlib.sha256(by_flags.encode()).hexdigest().startswith("e99728a6")
+        # The last row prices at beta itself, not at exp(log(4)) = 4.0000000000000009.
+        assert by_flags.splitlines()[-1] == "4,1.375,0,1.375"
+        assert hashlib.sha256(by_flags.encode()).hexdigest().startswith("4e417c51")
 
     def test_step_count_past_the_float_range_is_typed(self, capsys):
         code, out, err = run_cli(

@@ -29,7 +29,7 @@ from cfmmrep import (
     trading_function_infimum,
 )
 from cfmmrep.quadrature import QuadratureOptions
-from cfmmrep.replication import quadrature_replication_cost
+from cfmmrep.oracle import quadrature_replication_cost
 
 TIGHT = QuadratureOptions(rel_tol=1e-10, abs_tol=1e-300)
 

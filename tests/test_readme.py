@@ -1,0 +1,24 @@
+"""README's Python quickstart runs as written.
+
+The first python block under "Library quickstart" is executed; its last
+statement is the earnings identity up to rounding, which must be True.
+"""
+
+import ast
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def quickstart() -> str:
+    section = README.read_text(encoding="utf-8").split("## Library quickstart", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_quickstart_runs_and_its_identity_holds():
+    tree = ast.parse(quickstart())
+    last = tree.body.pop()
+    assert isinstance(last, ast.Expr)
+    namespace = {}
+    exec(compile(tree, str(README), "exec"), namespace)
+    assert eval(compile(ast.Expression(last.value), str(README), "eval"), namespace) is True

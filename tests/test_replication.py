@@ -1,8 +1,11 @@
 """Replication cost, portfolio value, generalized inverse, growth analysis."""
 
+import ast
+import inspect
 import math
 import random
 from bisect import bisect_left
+from pathlib import Path
 
 import pytest
 from scipy.integrate import quad
@@ -17,6 +20,7 @@ from cfmmrep import (
     GrowthClass,
     InfiniteReplicationCostError,
     Logarithmic,
+    NumericProfile,
     NumericalError,
     PriceInterval,
     QuadratureOptions,
@@ -33,9 +37,10 @@ from cfmmrep import (
     replication_cost,
     trading_function_infimum,
 )
+import cfmmrep
 from cfmmrep.normal import norm_cdf
+from cfmmrep.oracle import quadrature_replication_cost
 from cfmmrep.payoffs import ConstantForm, PayoffSpec, PowerForm, Segment
-from cfmmrep.replication import quadrature_replication_cost
 
 E = math.e
 
@@ -79,7 +84,7 @@ class TestReplicationCost:
     def test_quadrature_matches_closed_forms(self):
         rng = random.Random(2)
         for prof, lo, hi in profile_suite():
-            oracle = ReplicationProfile(prof.payoff, opts=TIGHT, use_closed_forms=False)
+            oracle = NumericProfile(prof.payoff, opts=TIGHT)
             for _ in range(25):
                 p = math.exp(rng.uniform(math.log(lo), math.log(hi)))
                 c = prof.g(p)
@@ -304,8 +309,8 @@ class TestGInverse:
 
     def test_numeric_matches_closed(self):
         closed = ReplicationProfile(make_catalog_payoff(BlackScholesBinary(1.0, 0.2, 1.0)))
-        numeric = ReplicationProfile(make_catalog_payoff(BlackScholesBinary(1.0, 0.2, 1.0)),
-                                     opts=TIGHT, use_closed_forms=False)
+        numeric = NumericProfile(make_catalog_payoff(BlackScholesBinary(1.0, 0.2, 1.0)),
+                                 opts=TIGHT)
         for p in (0.8, 1.3, 3.0):
             r2 = closed.g(p)
             assert numeric.g_inverse_value(r2) == pytest.approx(
@@ -319,8 +324,7 @@ class TestGInverse:
         # g is flat at 1/p0 left of p0 for the logarithmic payoff.
         prof = ReplicationProfile(make_catalog_payoff(Logarithmic(1.0)))
         assert g_inverse(prof, 1.0) == pytest.approx(1.0)
-        numeric = ReplicationProfile(make_catalog_payoff(Logarithmic(1.0)),
-                                     use_closed_forms=False)
+        numeric = NumericProfile(make_catalog_payoff(Logarithmic(1.0)))
         assert numeric.g_inverse_value(1.0) == pytest.approx(1.0, rel=1e-9)
 
     def test_bracket_past_1e300_raises(self):
@@ -328,7 +332,7 @@ class TestGInverse:
         # stop at 1e300 and return inf.
         spec = make_catalog_payoff(Logarithmic(1.0))
         assert ReplicationProfile(spec).g_inverse_value(1e-301) > 1e300
-        numeric = ReplicationProfile(spec, use_closed_forms=False)
+        numeric = NumericProfile(spec)
         with pytest.raises(NumericalError, match="risky reserve 1e-301"):
             numeric.g_inverse_value(1e-301)
 
@@ -337,7 +341,7 @@ class TestGInverse:
         # toward 0 used to fail in quadrature near price 1e-16.
         spec = make_catalog_payoff(CappedPower(0.0, 4.0, 1.01))
         exact = ReplicationProfile(spec)
-        numeric = ReplicationProfile(spec, use_closed_forms=False)
+        numeric = NumericProfile(spec)
         assert numeric.g_inverse_value(numeric.g_alpha) == 0.0
         assert exact.g_inverse_value(exact.g_alpha) == 0.0
 
@@ -347,7 +351,7 @@ class TestGInverse:
         spec = PayoffSpec((Segment(0.0, 1.0, PowerForm(1.0, 2.5)),
                            Segment(1.0, math.inf, ConstantForm(1.0))),
                           (), PriceInterval(0.0, math.inf))
-        numeric = ReplicationProfile(spec, use_closed_forms=False)
+        numeric = NumericProfile(spec)
         assert numeric.g(1e-300) < numeric.g_alpha - 1e-14
         assert numeric.g_inverse_value(numeric.g_alpha - 1e-14) == 0.0
 
@@ -432,7 +436,7 @@ class TestDegenerateCatalogConfigs:
         # g(p) = 2*(4 - p) on [0, 4]: finite at 0, linear inverse.
         prof = ReplicationProfile(make_catalog_payoff(CappedPower(0.0, 4.0, 2.0)))
         assert prof.g(0.0) == pytest.approx(8.0)
-        oracle = ReplicationProfile(prof.payoff, use_closed_forms=False)
+        oracle = NumericProfile(prof.payoff)
         assert oracle.g(0.0) == pytest.approx(8.0, rel=1e-9)
         assert g_inverse(prof, 8.0) == pytest.approx(0.0, abs=1e-12)
         for x in (2.0, 4.0, 6.0):
@@ -451,7 +455,7 @@ class TestDegenerateCatalogConfigs:
         assert prof.payoff.value(2.0) == 0.0
         assert prof.payoff.value(2.0 + 1e-12) == 1.0
         assert prof.g(1.0) == pytest.approx(0.5)
-        oracle = ReplicationProfile(prof.payoff, use_closed_forms=False)
+        oracle = NumericProfile(prof.payoff)
         assert oracle.g(1.0) == pytest.approx(0.5)
         assert g_inverse(prof, 0.1) == pytest.approx(2.0)
 
@@ -475,9 +479,7 @@ class TestConcurrentEvaluation:
         must match the serial results exactly."""
         from concurrent.futures import ThreadPoolExecutor
 
-        prof = ReplicationProfile(
-            make_catalog_payoff(BlackScholesBinary(1.0, 0.2, 1.0)),
-            use_closed_forms=False)
+        prof = NumericProfile(make_catalog_payoff(BlackScholesBinary(1.0, 0.2, 1.0)))
         prices = [0.3 + 0.11 * i for i in range(40)]
         serial = [(prof.g(p), prof.portfolio_value(p)) for p in prices]
 
@@ -540,9 +542,32 @@ class TestIntervalHandling:
     def test_interval_is_the_payoffs(self):
         spec = make_catalog_payoff(CappedCall(1.0, 4.0), PriceInterval(0.0, 2.0))
         assert ReplicationProfile(spec).interval == spec.interval
-        # opts is keyword-only, so a stale positional interval fails loudly.
+        # The payoff is the only parameter, so a stale positional interval fails loudly.
         with pytest.raises(TypeError):
             ReplicationProfile(spec, PriceInterval(0.0, 3.0))
+
+
+class TestRouteSplit:
+    """ReplicationProfile takes the exact route only; the numeric oracle is
+    its own class, which no production module imports."""
+
+    def test_profile_takes_only_the_payoff(self):
+        assert list(inspect.signature(ReplicationProfile).parameters) == ["payoff"]
+
+    def test_only_the_package_root_imports_the_oracle(self):
+        def imports_oracle(node):
+            if isinstance(node, ast.Import):
+                return any(a.name == "cfmmrep.oracle" for a in node.names)
+            if isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                return (module in (".oracle", "cfmmrep.oracle") or module in (".", "cfmmrep")
+                        and any(a.name == "oracle" for a in node.names))
+            return False
+
+        package = Path(cfmmrep.__file__).parent
+        importers = {path.name for path in package.glob("*.py")
+                     if any(map(imports_oracle, ast.walk(ast.parse(path.read_text("utf-8")))))}
+        assert importers == {"__init__.py"}
 
 
 class TestLinearRiseFromZero:
@@ -553,8 +578,8 @@ class TestLinearRiseFromZero:
     def profiles(self):
         table = make_piecewise_payoff(self.RAMP)
         call = make_catalog_payoff(CappedPower(0.0, 4.0, 1.0))
-        return [ReplicationProfile(table), ReplicationProfile(table, use_closed_forms=False),
-                ReplicationProfile(call), ReplicationProfile(call, use_closed_forms=False)]
+        return [ReplicationProfile(table), NumericProfile(table),
+                ReplicationProfile(call), NumericProfile(call)]
 
     def test_exact_routes_build(self):
         table, _, call, _ = self.profiles()
@@ -590,11 +615,11 @@ class TestQuadratureConvergence:
         spec = make_catalog_payoff(BlackScholesBinary(1.0, 0.2, 1.0))
         shallow = QuadratureOptions(max_depth=1)
         with pytest.raises(NumericalError, match="did not converge") as info:
-            ReplicationProfile(spec, opts=shallow, use_closed_forms=False)
+            NumericProfile(spec, opts=shallow)
         assert info.value.error > 0.0
         with pytest.raises(NumericalError, match="g at price 1.5 did not converge"):
             quadrature_replication_cost(spec, spec.interval, 1.5, shallow)
-        numeric = ReplicationProfile(spec, use_closed_forms=False)
+        numeric = NumericProfile(spec)
         with pytest.raises(NumericalError,
                            match="integral of g up to price 1.5 did not converge") as info:
             portfolio_value_integral(numeric, 1.5, shallow)
@@ -605,6 +630,5 @@ class TestQuadratureConvergence:
         # f = p**a from 0: f'(q)/q = a q**(a - 2) is bounded at 0 but has an
         # infinite slope there below a = 3.  a = 2 is covered by
         # TestDegenerateCatalogConfigs.
-        prof = ReplicationProfile(make_catalog_payoff(CappedPower(0.0, 4.0, a)),
-                                  use_closed_forms=False)
+        prof = NumericProfile(make_catalog_payoff(CappedPower(0.0, 4.0, a)))
         assert prof.g(0.0) == pytest.approx(a / (a - 1.0) * 4.0 ** (a - 1.0), rel=1e-10)
