@@ -133,8 +133,7 @@ def trading_function_infimum(
     grid = tf._grids.get((lo, top, grid_points))
     if grid is None:
         candidates = [alpha] if alpha < lo else []
-        # The ends are lo and top themselves: exp(log(x)) can miss x by an
-        # ulp, which would put a price outside [alpha, beta].
+        # The ends are lo and top exactly: exp(log(x)) can miss x by an ulp.
         span = math.log(top) - math.log(lo)
         candidates += [lo] + [math.exp(math.log(lo) + span * i / (grid_points - 1))
                               for i in range(1, grid_points - 1)] + [top]

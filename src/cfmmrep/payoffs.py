@@ -581,12 +581,7 @@ def piecewise_exact_forms(spec: PayoffSpec) -> ExactForms:
     whole = [0.0 if piece is None else piece(lo) for lo, (piece, _) in zip(lows, parts)]
     pieces = [(top, piece, term, (lo, top, values)) for lo, top, (piece, values), term
               in zip(lows, tops, parts, whole) if term > 0.0]
-    piece_tops = [top for top, *_ in pieces]
     jumps = sorted(((q, size) for q, size in spec.jumps if q < beta), key=lambda j: j[0])
-    jump_locs = [q for q, _ in jumps]
-    whole_tails, jump_tails = ([tuple(terms[k:]) for k in range(len(terms) + 1)]
-                               for terms in ([term for _, _, term, _ in pieces],
-                                             [size / q for q, size in jumps]))
 
     g_values = None
     if len(pieces) == 1 and not jumps:
@@ -598,6 +593,12 @@ def piecewise_exact_forms(spec: PayoffSpec) -> ExactForms:
         def g(p: float) -> float:
             return term if p <= q else 0.0
     else:
+        piece_tops = [top for top, *_ in pieces]
+        jump_locs = [q for q, _ in jumps]
+        whole_tails, jump_tails = ([tuple(terms[k:]) for k in range(len(terms) + 1)]
+                                   for terms in ([term for _, _, term, _ in pieces],
+                                                 [size / q for q, size in jumps]))
+
         def g(p: float) -> float:
             # Segments whose top is at or below p add nothing; the one
             # holding p adds its partial term, every one above it its whole.

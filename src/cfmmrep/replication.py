@@ -42,8 +42,9 @@ class ReplicationProfile:
 
     g and g_inverse take the exact route of every payoff (see
     piecewise_exact_forms); psi is a catalog family's own trading function
-    where it holds (see catalog_psi), else r1 + p* r2 - V(p*).  The profile
-    is immutable after construction and safe to share across threads.
+    where it holds (see catalog_psi), else r1 + p* r2 - V(p*).  The numeric
+    oracle, oracle.NumericProfile, replaces _build_routes, g and _solve_inverse.
+    The profile is immutable after construction and safe to share across threads.
     """
 
     def __init__(self, payoff: PayoffSpec):
