@@ -14,6 +14,7 @@ import hashlib
 import math
 import random
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -433,6 +434,62 @@ def test_table_g_has_the_loops_bits():
                 continue
             assert g(p) == reference(p), (spec, p)
     assert zero_starts > 20
+
+
+def _bench_table(rng):
+    """The benchmark's kind of table: 8 points, 4 on each side of price 1,
+    and 2 jumps, on the table's price range."""
+    lo, hi = rng.uniform(0.1, 0.2), rng.uniform(6.0, 10.0)
+    prices = ([lo] + sorted(_log_uniform(rng, lo, 1.0) for _ in range(3))
+              + sorted(_log_uniform(rng, 1.0, hi) for _ in range(3)) + [hi])
+    jumps = {rng.randrange(1, 4): rng.uniform(0.05, 0.3),
+             rng.randrange(4, 7): rng.uniform(0.05, 0.3)}
+    values = [rng.uniform(0.0, 0.2)]
+    for i in range(7):
+        values.append(values[-1] + jumps.get(i, 0.0) + rng.uniform(0.02, 0.5))
+    return make_piecewise_payoff(list(zip(prices, values)),
+                                 [(prices[i], size) for i, size in sorted(jumps.items())])
+
+
+def _bench_table_cuts(rng, spec):
+    """The table uncut, from 0 to inf, with alpha inside its first piece,
+    and with beta cut inside a piece and at each jump (a jump at beta adds
+    nothing to g)."""
+    bps, (q1, _), (q2, _) = spec.breakpoints, *spec.jumps
+    alpha, beta = spec.interval.alpha, spec.interval.beta
+    k = rng.randrange(1, len(bps) - 1)  # above the first piece, where alpha is cut
+    inside = rng.uniform(bps[k], bps[k + 1])
+    cut_alpha = rng.uniform(alpha, bps[1])
+    intervals = [(alpha, beta), (0.0, INF), (cut_alpha, beta), (alpha, inside),
+                 (cut_alpha, inside), (alpha, q1), (alpha, q2)]
+    return [replace(spec, interval=PriceInterval(lo, hi)) for lo, hi in intervals]
+
+
+def test_table_portfolios_have_gs_bits():
+    # A list sweep on a table gives each price g(p)'s very bits: at every
+    # breakpoint, jump location, piece top and interval end, and at seeded
+    # prices, in sorted, shuffled and path-like orders.
+    rng = random.Random(1717)
+    for _ in range(40):
+        table = _bench_table(rng)
+        for spec in _bench_table_cuts(rng, table):
+            with numeric_route_forbidden():
+                profile = ReplicationProfile(spec)
+                alpha, beta = spec.interval.alpha, spec.interval.beta
+                top = beta if beta < INF else 2.0 * spec.breakpoints[-1]
+                special = {alpha, beta, *spec.breakpoints, *(q for q, _ in spec.jumps),
+                           *(min(s.hi, beta) for s in spec.segments)}
+                drawn = [rng.uniform(alpha, top) for _ in range(40)]
+                prices = sorted(p for p in special | set(drawn) if alpha <= p <= beta)
+                shuffled = rng.sample(prices, len(prices))
+                walk = [1.0]
+                for _ in range(60):
+                    walk.append(walk[-1] * math.exp(0.2 * rng.gauss(0.0, 1.0)))
+                walk = [min(max(p, alpha), beta) for p in walk]
+                for prices in (prices, shuffled, walk, drawn[:1]):
+                    want = [profile.g(p).hex() for p in prices]
+                    got = [x.hex() for x in profile.portfolios(prices)[1]]
+                    assert got == want, (spec, prices)
 
 
 # ---------------------------------------------------------------------------

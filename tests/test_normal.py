@@ -1,11 +1,12 @@
 """Normal CDF/quantile accuracy against a numeric-integration oracle."""
 
 import math
+import re
 
 import pytest
 from scipy.integrate import quad
 
-from cfmmrep.normal import norm_cdf, norm_inv, norm_pdf
+from cfmmrep.normal import _P_LOW, norm_cdf, norm_inv, norm_pdf
 
 
 def cdf_by_integration(x: float) -> float:
@@ -83,3 +84,36 @@ def test_extreme_tails_do_not_overflow():
         x = norm_inv(p)
         assert math.isfinite(x) and x < previous
         previous = x
+
+
+# norm_inv's bits at its branch edges, the ends of [0, 1] and deep in the
+# tails, as (p, norm_inv(p)) by float.hex: _P_LOW and 1 - _P_LOW with the
+# doubles on either side, 0 and 1 with the doubles inside, and the smallest
+# subnormal, 1e-300 and 1 - 2**-53.
+NORM_INV_BITS = [
+    ("0x0.0p+0", "-inf"),
+    ("0x0.0000000000001p-1022", "-0x1.33bd3f31179e2p+5"),
+    ("0x1.fffffffffffffp-1", "0x1.06b48525582dap+3"),
+    ("0x1.0000000000000p+0", "inf"),
+    ("0x1.8d4fdf3b645a1p-6", "-0x1.f913f9b7aa943p+0"),
+    ("0x1.8d4fdf3b645a2p-6", "-0x1.f913f9b7aa943p+0"),
+    ("0x1.8d4fdf3b645a3p-6", "-0x1.f913f9b7aa942p+0"),
+    ("0x1.f395810624dd2p-1", "0x1.f913f9b7aa93ep+0"),
+    ("0x1.f395810624dd3p-1", "0x1.f913f9b7aa943p+0"),
+    ("0x1.f395810624dd4p-1", "0x1.f913f9b7aa949p+0"),
+    ("0x1.56e1fc2f8f359p-997", "-0x1.286074064c26ep+5"),
+]
+
+
+def test_inverse_keeps_its_bits_at_edges():
+    assert float.fromhex(NORM_INV_BITS[4][0]) == math.nextafter(_P_LOW, 0.0)
+    assert float.fromhex(NORM_INV_BITS[8][0]) == 1.0 - _P_LOW
+    assert float.fromhex(NORM_INV_BITS[10][0]) == 1e-300
+    for p, x in NORM_INV_BITS:
+        assert norm_inv(float.fromhex(p)).hex() == x, p
+
+
+@pytest.mark.parametrize("p", [math.nan, -0.1, 1.1, -5e-324, math.nextafter(1.0, 2.0)])
+def test_inverse_rejects_outside_the_unit_interval(p):
+    with pytest.raises(ValueError, match=re.escape(f"probability must lie in [0, 1], got {p}")):
+        norm_inv(p)

@@ -1,5 +1,6 @@
 """Price paths, the arbitrage driver, and the earnings decomposition."""
 
+import hashlib
 import math
 import random
 import weakref
@@ -185,6 +186,22 @@ def reference_uniforms(seed, n):
     return [reference_uniform(z) for z in reference_uint64s(seed, n)]
 
 
+NORMALS_SHA256 = [
+    (0, 1, "f0f8cf18ab4b9fbece48192d4b940a735769dc2030b64d043ece0e8b3828debf"),
+    (0, 1000, "a7b35df7544c3fe7abe4929582643abde9ccc243c34f89d6de5abb492e27c721"),
+    (0, 1025, "24b148267466d07f87360514095b6e95107957d0afe317753b54b4f856b5ccce"),
+    (0, 2500, "fad1890928b36c0592a3f2b4107d129381bfe7f1197fd039b8fc7a9d6b1b0e23"),
+    (7, 1, "9ea46ca1c526c58dd2f50db485c05143faca03a74c8373c23472494b94042d81"),
+    (7, 1000, "c94107f0ba6604d971550761a327bac285adb9559b9233a1c95b5c572b8d0b6c"),
+    (7, 1025, "cf66ac2c7fd0d1a2288c40c605be9e72738e32af710e79140b898730e50d7a55"),
+    (7, 2500, "c56dfa6809c9afed0624bd46f3ee6331a8a57d123561b9c73c20c0da9579a958"),
+    (-3, 1, "582edaa277c7177a614fbcf5975a2de9f23fc55ae5ccd461337c6800ef585ed8"),
+    (-3, 1000, "68ad595504777c454d5d00251331e696e07934a5ed1d3eb8b6ed619c49c27059"),
+    (-3, 1025, "4ffacc12052fe79faa84c002038ec270330973cbaa43642b15a422d8b0b46964"),
+    (-3, 2500, "85931cff09579499817df2370cce6c6a5053724bb02a11564f7bb085ac915ece"),
+]
+
+
 class TestBatchedDraws:
     """A batch of draws equals the same number of scalar draws, bit for bit."""
 
@@ -196,6 +213,12 @@ class TestBatchedDraws:
         assert sum(u < _REF_P_LOW for u in uniforms) > 100
         assert sum(u > 1.0 - _REF_P_LOW for u in uniforms) > 100
         assert SplitMix64(seed).normals(n) == [reference_norm_inv(u) for u in uniforms]
+
+    @pytest.mark.parametrize("seed,n,digest", NORMALS_SHA256)
+    def test_normals_keep_their_bits(self, seed, n, digest):
+        # One lane block and part or all of a second; sha256 of the hex draws.
+        draws = " ".join(x.hex() for x in SplitMix64(seed).normals(n))
+        assert hashlib.sha256(draws.encode()).hexdigest() == digest
 
     def test_batches_continue_one_stream(self):
         rng = SplitMix64(11)
