@@ -546,7 +546,9 @@ def payoff_breakpoints(spec: PayoffSpec) -> list:
 class ExactForms(NamedTuple):
     g: Callable[[float], float]
     g_inverse: Callable[[float], float]
-    g_values: Optional[tuple]  # (lo, top, list kernel) where g is one piece, else None
+    # (lo, top, g's list kernel for prices strictly between): a one-piece g's
+    # piece bounds, a table's -inf and inf; None where g is one jump's term.
+    g_values: Optional[tuple]
 
 
 def piecewise_exact_forms(spec: PayoffSpec) -> ExactForms:
@@ -563,7 +565,9 @@ def piecewise_exact_forms(spec: PayoffSpec) -> ExactForms:
     in ascending price order, so every payoff sums in one fixed order.  With
     one rising segment and no jump below beta, or one jump and no rising
     segment, g is that one term's closure, called without a bisect; the
-    piece's list kernel, with its lo and top, is then g_values.
+    piece's list kernel, with its lo and top, is then g_values.  Any other
+    g, a table's, has a list kernel, g_values between -inf and inf: g's
+    body in one loop over the prices, the same bits with no call per price.
 
     g_inverse bisects the segment-top values for the first segment whose
     top falls below x and solves on it with the form's cost_inverse; a
@@ -613,6 +617,23 @@ def piecewise_exact_forms(spec: PayoffSpec) -> ExactForms:
             for term in jump_tails[bisect_left(jump_locs, p)]:
                 total += term
             return total
+
+        def values(prices) -> list:
+            # g's body, in one loop over the prices.
+            out = []
+            for p in prices:
+                k = bisect_right(piece_tops, p)
+                total = 0.0
+                if k < len(pieces):
+                    total += pieces[k][1](p)
+                    for term in whole_tails[k + 1]:
+                        total += term
+                for term in jump_tails[bisect_left(jump_locs, p)]:
+                    total += term
+                out.append(total)
+            return out
+
+        g_values = (-math.inf, math.inf, values)
 
     neg_top_g = [-g(t) for t in tops]  # nondecreasing
 

@@ -59,7 +59,7 @@ class ReplicationProfile:
         self.v_alpha = self.portfolio_value(self.interval.alpha)
 
     def _build_routes(self):
-        # _g_values is (lo, top, list kernel) of a g that is one piece, else None.
+        # _g_values is (lo, top, list kernel) of g, else None (see ExactForms).
         self.g_closed_form, self.g_inverse_closed_form, self._g_values = (
             piecewise_exact_forms(self.payoff))
         self.psi_closed_form = catalog_psi(self.payoff)
@@ -83,10 +83,11 @@ class ReplicationProfile:
 
         Each price must lie in the interval.  f runs as one list kernel when
         all prices share a payoff segment, else per price as PayoffSpec.value;
-        g runs as its piece's list kernel when g is one piece and every price
-        lies strictly inside it, else once per price.  An infinite g at price
-        0 raises InfiniteReplicationCostError, as no pool can hold it; above
-        0, g is finite by construction: inf is overflow, a NumericalError.
+        g runs as its list kernel, with g's bits, on prices strictly inside
+        a one-piece g's piece or on finite prices of a table's g, else once
+        per price.  An infinite g at price 0 raises InfiniteReplicationCostError,
+        as no pool can hold it; above 0, g is finite by construction: inf is
+        overflow, a NumericalError.
         """
         if not prices:
             return [], []

@@ -4,7 +4,8 @@ Uniforms come from SplitMix64 (Steele, Lea & Flood's 64-bit mixing
 generator), which is fully specified by integer arithmetic and therefore
 produces identical streams on every platform.  Normals are drawn by
 inverse-CDF so the whole pipeline is one uniform per variate.  Draws come
-in batches; a batch of n gives the same numbers as n single draws.
+in batches; a batch of n gives the same numbers as n single draws: a batch
+of normals is one norm_invs call, normal() one call of the global norm_inv.
 
 Draw k mixes the state seed + k * gamma, so a block of states is mixed at
 once: state k sits in bits [128k, 128k + 128) of one int, its lane.  A mask
@@ -17,7 +18,7 @@ import sys
 from array import array
 from functools import lru_cache
 
-from .normal import norm_inv
+from .normal import norm_inv, norm_invs
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -83,5 +84,5 @@ class SplitMix64:
         return norm_inv(self.uniform())
 
     def normals(self, n: int) -> list:
-        """The next n standard normals."""
-        return [norm_inv(m * 2.0 ** -54) for m in self._lanes(n, True)]
+        """The next n standard normals, from the list kernel norm_invs."""
+        return norm_invs(self._uniforms(n))

@@ -9,11 +9,14 @@ keeps the bits of the per-family formulas it replaced and of the table
 loop, both kept here as references.
 """
 
+import ast
 import contextlib
 import hashlib
+import inspect
 import math
 import random
 import struct
+import textwrap
 from dataclasses import replace
 
 import pytest
@@ -35,7 +38,7 @@ from cfmmrep import (
     make_catalog_payoff,
     trading_function_eval,
 )
-from cfmmrep import oracle, quadrature, replication
+from cfmmrep import oracle, payoffs, quadrature, replication
 from cfmmrep.normal import norm_cdf, norm_inv
 from cfmmrep.payoffs import (
     ConstantForm,
@@ -436,6 +439,20 @@ def test_table_g_has_the_loops_bits():
     assert zero_starts > 20
 
 
+def test_table_g_sums_without_sum_or_fsum():
+    # sum() compensates rounding from Python 3.12 on and fsum rounds once,
+    # so either would make the table g's bits, or its kernel's, differ from
+    # the left-to-right loop between the Python versions CI runs.
+    tree = ast.parse(textwrap.dedent(inspect.getsource(payoffs.piecewise_exact_forms)))
+    nested = [node for node in ast.walk(tree.body[0])
+              if isinstance(node, ast.FunctionDef) and node.name in ("g", "values")]
+    assert {node.name for node in nested} == {"g", "values"}
+    for function in nested:
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(function) if isinstance(node, ast.Call)}
+        assert not called & {"sum", "fsum"}, (function.name, called)
+
+
 def _bench_table(rng):
     """The benchmark's kind of table: 8 points, 4 on each side of price 1,
     and 2 jumps, on the table's price range."""
@@ -486,10 +503,10 @@ def test_table_portfolios_have_gs_bits():
                 for _ in range(60):
                     walk.append(walk[-1] * math.exp(0.2 * rng.gauss(0.0, 1.0)))
                 walk = [min(max(p, alpha), beta) for p in walk]
-                for prices in (prices, shuffled, walk, drawn[:1]):
-                    want = [profile.g(p).hex() for p in prices]
-                    got = [x.hex() for x in profile.portfolios(prices)[1]]
-                    assert got == want, (spec, prices)
+                for ordered in (prices, shuffled, walk, drawn[:1]):
+                    want = [profile.g(p).hex() for p in ordered]
+                    got = [x.hex() for x in profile.portfolios(ordered)[1]]
+                    assert got == want, (spec, ordered)
 
 
 # ---------------------------------------------------------------------------

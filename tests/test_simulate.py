@@ -265,16 +265,25 @@ class TestBatchedDraws:
         assert rng_module._LANE_MASK == _MASK64 * rng_module._ONES
 
     def test_one_norm_inv_call_per_normal(self, monkeypatch):
-        # bench/spans.py times normal.norm_inv by wrapping this module global.
-        calls = []
+        # One norm_inv call per scalar normal(), through this module global,
+        # which bench/spans.py wraps to time it; a batch of normals makes
+        # none, but one list-kernel call over its uniforms with their bits.
+        batches, scalars = [], []
 
-        def counting(p):
-            calls.append(p)
-            return norm_inv(p)
+        def counting(calls, f):
+            def count(p):
+                calls.append(p)
+                return f(p)
+            return count
 
-        monkeypatch.setattr(rng_module, "norm_inv", counting)
-        assert SplitMix64(4).normals(2500) == [norm_inv(p) for p in calls]
-        assert len(calls) == 2500
+        monkeypatch.setattr(rng_module, "norm_invs", counting(batches, rng_module.norm_invs))
+        monkeypatch.setattr(rng_module, "norm_inv", counting(scalars, norm_inv))
+        draws = SplitMix64(4).normals(2500)
+        assert len(batches) == 1 and scalars == []
+        assert batches[0] == reference_uniforms(4, 2500)
+        assert [x.hex() for x in draws] == [norm_inv(p).hex() for p in batches[0]]
+        assert SplitMix64(4).normal() == draws[0]
+        assert len(batches) == 1 and scalars == batches[0][:1]
 
     def test_norm_inv_matches_reference_at_branch_edges(self):
         edges = [_REF_P_LOW, math.nextafter(_REF_P_LOW, 0.0),
@@ -415,15 +424,21 @@ class TestPaperArithmeticOnly:
         steps = 40
         path = gbm_path(GbmParams(p_start, 0.5, 1.0, steps, 9))
         run_arbitrage(prof, path)
-        # A clamped path strictly inside the one piece of a one-term g gets
-        # every g from that piece's list kernel; any other path calls g once
-        # per price, and V(P_0), V(P_T) reuse the sweep's end values.
+        # A clamped path strictly inside the one piece of a one-term g, and
+        # any path on the table, gets every g from a list kernel; any other
+        # path calls g once per price, and V(P_0), V(P_T) reuse the sweep's
+        # end values.
         alpha, beta = prof.interval.alpha, prof.interval.beta
-        lo, hi = (min(max(p, alpha), beta) for p in (min(path.prices), max(path.prices)))
+        prices = [min(max(p, alpha), beta) for p in path.prices]
+        lo, hi = min(prices), max(prices)
         one = piecewise_exact_forms(spec).g_values
         kernel = one is not None and one[0] < lo and hi < one[1]
-        assert kernel == (index in (1, 2, 4, 5))
+        assert kernel == (index in (1, 2, 4, 5, 6))
         assert len(calls) == (0 if kernel else steps + 1)
+        calls.clear()
+        g = [original(prof, p).hex() for p in prices]
+        assert [x.hex() for x in prof.portfolios(prices)[1]] == g
+        assert calls == ([] if kernel else prices)
 
 
 class TestSweepMatchesOneStepApi:
