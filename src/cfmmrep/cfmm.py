@@ -10,9 +10,9 @@ Its zero level set is exactly the liquidity-provider curve
 infimum itself is also evaluated directly (grid plus golden-section) as a
 numerical cross-check oracle for the closed path.  The oracle's price grid
 and V on it depend only on the grid's ends and size, never on the reserves,
-so each TradingFunction memoises them per grid.  V is still evaluated
-directly at every grid point, once per grid rather than once per call, so
-the oracle stays independent of the closed path.
+so each TradingFunction memoises them per grid; V is evaluated directly, so
+the oracle stays independent of the closed path.  A call scans only the grid
+blocks that an exact bound (rounding is monotone) cannot rule out.
 
 Pools are immutable values: operations return new states.  Trades are
 accepted exactly when they do not decrease the invariant level (fee-free
@@ -24,6 +24,7 @@ Both use only f and g; a minted pool's level is zero, derived on demand.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -36,6 +37,7 @@ from .replication import ReplicationProfile
 
 _TRADE_TOL = 1e-12
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_BLOCK = 16  # grid points per block of the infimum oracle's first-minimum scan
 
 
 @dataclass(frozen=True)
@@ -43,10 +45,32 @@ class TradingFunction:
     """The pool invariant induced by a replication profile."""
 
     profile: ReplicationProfile
-    # (lo, top, grid_points) -> (grid prices, V at each), filled by
-    # trading_function_infimum.  A write that races another thread only
-    # stores the same values again.
+    # (lo, top, grid_points) -> (grid prices, V at each, block bounds or None
+    # if the Vs' sum is not finite), filled by trading_function_infimum.  A
+    # write that races another thread only stores the same values again.
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def _first_minimum(r1: float, r2: float, candidates: list, v_grid: list, blocks) -> tuple:
+    """(index, value) of the grid's first minimum (see trading_function_infimum)."""
+    def objective(pairs) -> list:
+        return [r1 + (0.0 if p == 0.0 else p * r2) - v for p, v in pairs]
+
+    runs = [(0, candidates, v_grid)]  # the plain scan
+    if blocks is not None and math.isfinite(r1) and math.isfinite(r2):
+        bounds = objective(blocks)
+        k = bounds.index(min(bounds)) * _BLOCK
+        cap = min(objective(zip(candidates[k:k + _BLOCK], v_grid[k:k + _BLOCK])))
+        kept = [i * _BLOCK for i, b in enumerate(bounds) if b <= cap]
+        if 4 * len(kept) <= len(bounds):
+            runs = [(i, candidates[i:i + _BLOCK], v_grid[i:i + _BLOCK]) for i in kept]
+    best = None
+    for lo, prices, vs in runs:
+        values = objective(zip(prices, vs))
+        least = min(values)
+        if best is None or least < best[1]:  # a tie keeps the earlier point
+            best = lo + values.index(least), least
+    return best
 
 
 def _check_reserves(tf: TradingFunction, r1: float, r2: float):
@@ -94,10 +118,16 @@ def trading_function_infimum(
     Log-spaced grid over the interval (truncated where r2 - g(p) turns
     positive when beta is unbounded), then golden-section refinement on the
     bracketing cell.  Used as the independent oracle for
-    trading_function_eval.  The grid and V on it are memoised on tf, keyed
-    by the grid's ends and size.  Every grid point still gets V directly
-    from portfolio_value, so the oracle stays independent of the closed
-    forms; only the first call that asks for a grid pays for it.
+    trading_function_eval.  The grid, V on it and each block of _BLOCK
+    points' lowest price and highest V are memoised on tf, keyed by the
+    grid's ends and size.  V comes from portfolio_value at every grid point
+    and from f and g in the refinement, never from a closed form.
+
+    Its first minimum comes from a pruned scan: rounding is monotone and
+    r2 >= 0, so no point of a block is below r1 + pmin*r2 - vmax.  The block
+    with the lowest bound caps the answer; then only blocks with a bound at
+    most the cap are scanned, in index order.  All points are scanned when a
+    V, r1 or r2 is not finite, or when over a quarter of the blocks survive.
     """
     if grid_points < 16:
         raise InvalidParameterError(f"grid_points must be >= 16, got {grid_points}")
@@ -107,10 +137,6 @@ def trading_function_infimum(
     if r2 == 0.0 and _unbounded_at_zero(tf):
         raise UnboundedTradingFunctionError(
             "infimum is -inf: zero risky reserve with unbounded portfolio value")
-
-    def objective(p: float) -> float:
-        value = 0.0 if p == 0.0 else p * r2
-        return r1 + value - profile.portfolio_value(p)
 
     if profile.interval.bounded:
         top = beta
@@ -137,19 +163,23 @@ def trading_function_infimum(
         span = math.log(top) - math.log(lo)
         candidates += [lo] + [math.exp(math.log(lo) + span * i / (grid_points - 1))
                               for i in range(1, grid_points - 1)] + [top]
-        grid = candidates, [profile.portfolio_value(p) for p in candidates]
-        tf._grids[lo, top, grid_points] = grid
-    candidates, v_grid = grid
-
-    values = [r1 + (0.0 if p == 0.0 else p * r2) - v for p, v in zip(candidates, v_grid)]
-    limit_value = None
-    if not profile.interval.bounded and r2 == 0.0:
-        # The objective decreases toward r1 - lim V; no finite grid attains it.
-        limit_value = r1 - profile.payoff.limit_at_infinity()
-    best = values.index(min(values))  # the first minimum
+        v_grid = [profile.portfolio_value(p) for p in candidates]
+        blocks = [(min(candidates[i:i + _BLOCK]), max(v_grid[i:i + _BLOCK]))
+                  for i in range(0, len(v_grid), _BLOCK)]
+        grid = tf._grids[lo, top, grid_points] = (
+            candidates, v_grid, blocks if math.isfinite(sum(v_grid)) else None)
+    candidates = grid[0]
+    best, best_value = _first_minimum(r1, r2, *grid)
 
     # Golden-section on the bracketing cell, in log-price (the objective is
-    # unimodal: its slope r2 - g(p) changes sign at most once).
+    # unimodal: its slope r2 - g(p) changes sign at most once), with V in
+    # portfolio_value's operation order: f from the segments, g by profile.g.
+    f_values, bps, g = profile.payoff._values, profile.payoff.breakpoints, profile.g
+
+    def objective(p: float) -> float:
+        v = f_values[bisect_left(bps, p)](p) + (0.0 if p == 0.0 else p * g(p))
+        return r1 + (0.0 if p == 0.0 else p * r2) - v
+
     left = candidates[max(best - 1, 0)]
     right = candidates[min(best + 1, len(candidates) - 1)]
     if left <= 0.0:
@@ -168,9 +198,10 @@ def trading_function_infimum(
             x2 = a + _GOLDEN * (b - a)
             f2 = objective(math.exp(x2))
 
-    refined = min(values[best], f1, f2)
-    if limit_value is not None:
-        refined = min(refined, limit_value)
+    refined = min(best_value, f1, f2)
+    if not profile.interval.bounded and r2 == 0.0:
+        # The objective decreases toward r1 - lim V; no finite grid attains it.
+        refined = min(refined, r1 - profile.payoff.limit_at_infinity())
     return refined
 
 

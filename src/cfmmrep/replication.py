@@ -44,12 +44,13 @@ class ReplicationProfile:
     piecewise_exact_forms); psi is a catalog family's own trading function
     where it holds (see catalog_psi), else r1 + p* r2 - V(p*).  The numeric
     oracle, oracle.NumericProfile, replaces _build_routes, g and _solve_inverse.
-    The profile is immutable after construction and safe to share across threads.
+    Safe to share across threads; past construction only its integral-cell memo changes.
     """
 
     def __init__(self, payoff: PayoffSpec):
         self.payoff = payoff
         self.interval = payoff.interval
+        self._cells = {}  # (a, b) -> (opts, QuadratureResult), see portfolio_value_integral
         if payoff.cost_diverges():
             raise InfiniteReplicationCostError(
                 "payoff grows at least linearly on an unbounded interval; "
@@ -160,6 +161,7 @@ def portfolio_value_integral(
 
     Cross-check path for portfolio_value; the two must agree to quadrature
     tolerance, opts.  Raises NumericalError when a cell does not converge.
+    Each whole cell below p keeps its result on the profile: one per segment.
     """
     profile.interval.check(p)
     if math.isinf(p):
@@ -168,6 +170,13 @@ def portfolio_value_integral(
     total = profile.v_alpha
 
     what = f"integral of g up to price {p}"
+
+    def cell(a: float, b: float, integrate) -> float:
+        hit = profile._cells.get((a, b)) if b < p else (opts, integrate())
+        if hit is None or hit[0] != opts:
+            hit = profile._cells[a, b] = opts, integrate()
+        return hit[1].checked(what)  # a cell that fell short raises on every use
+
     lo = alpha
     if alpha == 0.0:
         origin = profile.payoff.origin_growth_exponent()
@@ -178,14 +187,14 @@ def portfolio_value_integral(
             # exactly 1: soften both (any positive exponent tames the log);
             # above 1, g is finite at 0.
             s = 1.0 - origin if origin < 1.0 else 0.5 if origin == 1.0 else 0.0
-            r = integrate_from_zero(profile.g, first, singular_exponent=s, opts=opts)
-            total += r.checked(what)
+            total += cell(0.0, first, lambda: integrate_from_zero(
+                profile.g, first, singular_exponent=s, opts=opts))
             lo = first
 
     cells = [lo] + [b for b in profile.payoff.breakpoints if lo < b < p] + [p]
     for a, b in zip(cells, cells[1:]):
         if b > a:
-            total += adaptive_simpson(profile.g, a, b, opts).checked(what)
+            total += cell(a, b, lambda: adaptive_simpson(profile.g, a, b, opts))
     return total
 
 
