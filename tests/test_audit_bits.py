@@ -22,6 +22,7 @@ from cfmmrep import (
     CappedPower,
     CashOrNothing,
     ConstantProportion,
+    InfiniteReplicationCostError,
     Logarithmic,
     NumericalError,
     NumericProfile,
@@ -29,8 +30,10 @@ from cfmmrep import (
     QuadratureOptions,
     ReplicationProfile,
     TradingFunction,
+    arbitrage_to_price,
     make_catalog_payoff,
     make_piecewise_payoff,
+    pool_init,
     portfolio_value_integral,
     trading_function_infimum,
 )
@@ -265,9 +268,8 @@ def test_pruned_scan_falls_back_on_non_finite_input():
 
 def test_oracle_stores_no_blocks_for_a_grid_with_a_non_finite_v(monkeypatch):
     profile = ReplicationProfile(make_piecewise_payoff(*TABLE))
-    value = profile.portfolio_value
-    monkeypatch.setattr(profile, "portfolio_value",
-                        lambda p: math.inf if 2.0 < p < 2.1 else value(p))
+    g = profile.g
+    monkeypatch.setattr(profile, "g", lambda p: math.inf if 2.0 < p < 2.1 else g(p))
     tf = TradingFunction(profile)
     trading_function_infimum(tf, profile.payoff.value(1.5) + 0.25, profile.g(1.5), 512)
     (candidates, v_grid, blocks), = tf._grids.values()
@@ -302,3 +304,69 @@ def test_a_cell_that_falls_short_raises_on_every_call():
     # Other options do not reuse those cells.
     assert (portfolio_value_integral(profile, 5.0).hex()
             == portfolio_value_integral(ReplicationProfile(profile.payoff), 5.0).hex())
+
+
+# ---------------------------------------------------------------------------
+# The one-price pool mint
+# ---------------------------------------------------------------------------
+
+def _holdings(call):
+    """(r1 hex, r2 hex) of a mint, or its error's name and message."""
+    try:
+        r1, r2 = call()
+        return r1.hex(), r2.hex()
+    except CfmmRepError as err:
+        return type(err).__name__, str(err)
+
+
+def _held(pool):
+    return pool.r1, pool.r2
+
+
+def _mint_prices(profile, rng):
+    """The interval's ends and their outer neighbours, every breakpoint and
+    jump location, signed zeros, NaN, a negative price and seeded prices."""
+    alpha, beta = profile.interval.alpha, profile.interval.beta
+    lo, hi = sample_price_range(profile)
+    return ([alpha, beta, math.nextafter(alpha, -1.0), math.nextafter(beta, math.inf),
+             0.0, -0.0, math.nan, -1.0, math.inf, *profile.payoff.breakpoints,
+             *(q for q, _ in profile.payoff.jumps)]
+            + [_log_uniform(rng, lo, hi) for _ in range(40)])
+
+
+def test_mints_hold_the_list_methods_bits_and_errors():
+    # pool_init and arbitrage_to_price mint (f(p), g(p)) as portfolios((p,))
+    # does, bit for bit, and raise what it raises, with its message.
+    cases = [(f"{p!r} on {i}", make_catalog_payoff(p, i)) for p in FAMILIES for i in (None, CUT)]
+    cases.append(("table", make_piecewise_payoff(*TABLE)))
+    minted = raised = 0
+    for label, payoff in cases:
+        profile = ReplicationProfile(payoff)
+        rng = random.Random(label)
+        start = pool_init(profile, sample_price_range(profile)[0])
+        for p in _mint_prices(profile, rng):
+            want = _holdings(lambda: tuple(r[0] for r in profile.portfolios((p,))))
+            assert _holdings(lambda: _held(pool_init(profile, p))) == want, (label, p)
+            assert _holdings(lambda: _held(arbitrage_to_price(start, p)[0])) == want, (label, p)
+            if want[0].endswith("Error"):
+                raised += 1
+            else:
+                minted += 1
+                assert pool_init(profile, p).price is p
+    assert minted > 500 and raised > 50, (minted, raised)
+
+
+def test_mints_raise_the_cost_errors():
+    # An infinite g at price 0 is a cost no pool can hold; above 0 it is
+    # overflow past the float range.
+    proportion = ReplicationProfile(make_catalog_payoff(ConstantProportion(0.5, 1.0)))
+    with pytest.raises(InfiniteReplicationCostError, match="infinite at price 0.0"):
+        pool_init(proportion, 0.0)
+    with pytest.raises(InfiniteReplicationCostError):
+        arbitrage_to_price(pool_init(proportion, 1.0), 0.0)
+    huge = ReplicationProfile(make_catalog_payoff(ConstantProportion(0.5, 1e300),
+                                                  PriceInterval(0.0, 1e300)))
+    with pytest.raises(NumericalError, match="overflows the float range"):
+        pool_init(huge, 1e-20)
+    with pytest.raises(NumericalError, match="overflows the float range"):
+        arbitrage_to_price(pool_init(huge, 1.0), 1e-20)

@@ -153,22 +153,30 @@ class TestInfimumMemo:
     def test_one_grid_on_a_bounded_interval(self):
         prof = ReplicationProfile(make_catalog_payoff(CappedCall(1.0, E)))
         evaluated = []
-        value = prof.portfolio_value
+        g = prof.g
 
         def counting(p):
             evaluated.append(p)
-            return value(p)
+            return g(p)
 
-        prof.portfolio_value = counting
         tf = TradingFunction(prof)
         rng = random.Random(31)
+        calls = []
         for _ in range(50):
             p = math.exp(rng.uniform(math.log(0.05), math.log(E)))
-            trading_function_infimum(
-                tf, prof.payoff.value(p) + rng.uniform(0.0, 1.0), prof.g(p), 512)
-        # One grid of 512 prices plus alpha; the golden-section steps
-        # evaluate V inline, not through portfolio_value.
-        assert len(evaluated) == 512 + 1
+            calls.append((prof.payoff.value(p) + rng.uniform(0.0, 1.0), g(p)))
+        prof.g = counting
+        for r1, r2 in calls:
+            trading_function_infimum(tf, r1, r2, 512)
+        cold = len(evaluated)
+        (grid, _, _), = tf._grids.values()
+        assert evaluated[:len(grid)] == grid
+        evaluated.clear()
+        for r1, r2 in calls:
+            trading_function_infimum(tf, r1, r2, 512)
+        # One grid of 512 prices plus alpha; the same calls made again on
+        # the warm grid take the same golden-section steps and no grid.
+        assert cold - len(evaluated) == len(grid) == 512 + 1
 
     def test_shared_matches_fresh_per_call(self):
         jumpy = make_piecewise_payoff([(0.5, 0.1), (1.0, 0.3), (2.0, 0.5), (4.0, 1.5)],

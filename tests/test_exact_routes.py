@@ -324,6 +324,34 @@ def test_cost_forms_keep_their_bits():
     assert digest.hexdigest() == COST_FORM_BITS
 
 
+# sha256 of every segment form's value, then its values list, on the prices
+# above, little-endian doubles; a price whose value raises is left out of both.
+FORM_VALUE_BITS = "639549abdc979f917218d4453645edc0b0b42d490d09d1e16783bbfb2bc94969"
+
+
+def test_form_values_keep_their_bits():
+    digest, values = hashlib.sha256(), 0
+    grid = [10.0 ** (k / 40.0) for k in range(-200, 121)]
+    for name, segments, jumps, intervals in COST_FORM_SPECS:
+        for alpha, beta in intervals:
+            prices = [0.0, alpha, beta, *(s.lo for s in segments), *grid]
+            for form in (s.form for s in segments):
+                kept, out = [], []
+                for p in prices:
+                    try:
+                        out.append(form.value(p))
+                    except (ValueError, ZeroDivisionError):  # log(0), 0**-e
+                        continue
+                    kept.append(p)
+                listed = form.values(kept)
+                assert [x.hex() for x in listed] == [x.hex() for x in out], (name, form)
+                out += listed
+                digest.update(struct.pack(f"<{len(out)}d", *out))
+                values += len(out)
+    assert values > 30_000
+    assert digest.hexdigest() == FORM_VALUE_BITS
+
+
 # The specs above whose g is one form's term: one rising segment, no jump.
 ONE_TERM = [spec for spec in COST_FORM_SPECS if spec[0] not in ("table", "table_from_0", "jump")]
 
