@@ -10,8 +10,9 @@ Its zero level set is exactly the liquidity-provider curve
 infimum itself is also evaluated directly (grid plus golden-section) as a
 numerical cross-check oracle for the closed path.  The oracle's price grid
 and V on it depend only on the grid's ends and size, never on the reserves,
-so each TradingFunction memoises them per grid; V is evaluated directly, so
-the oracle stays independent of the closed path.  A call scans only the grid
+so each TradingFunction memoises them per grid; V is evaluated directly, as
+f from the segments plus p g(p) in portfolio_value's operation order, so the
+oracle stays independent of the closed path.  A call scans only the grid
 blocks that an exact bound (rounding is monotone) cannot rule out.
 
 Pools are immutable values: operations return new states.  Trades are
@@ -33,7 +34,7 @@ from .errors import (
     NumericalError,
     UnboundedTradingFunctionError,
 )
-from .replication import ReplicationProfile
+from .replication import ReplicationProfile, infinite_cost_error
 
 _TRADE_TOL = 1e-12
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -120,8 +121,9 @@ def trading_function_infimum(
     bracketing cell.  Used as the independent oracle for
     trading_function_eval.  The grid, V on it and each block of _BLOCK
     points' lowest price and highest V are memoised on tf, keyed by the
-    grid's ends and size.  V comes from portfolio_value at every grid point
-    and from f and g in the refinement, never from a closed form.
+    grid's ends and size.  V is f from the segments plus p*g(p), with g from
+    profile.g at every grid point, in portfolio_value's operation order,
+    never from a closed form.
 
     Its first minimum comes from a pruned scan: rounding is monotone and
     r2 >= 0, so no point of a block is below r1 + pmin*r2 - vmax.  The block
@@ -156,6 +158,7 @@ def trading_function_infimum(
 
     lo = alpha if alpha > 0.0 else min(
         top * 1e-9, min(profile.payoff.breakpoints, default=top) * 1e-3)
+    f_values, bps, g = profile.payoff._values, profile.payoff.breakpoints, profile.g
     grid = tf._grids.get((lo, top, grid_points))
     if grid is None:
         candidates = [alpha] if alpha < lo else []
@@ -163,7 +166,9 @@ def trading_function_infimum(
         span = math.log(top) - math.log(lo)
         candidates += [lo] + [math.exp(math.log(lo) + span * i / (grid_points - 1))
                               for i in range(1, grid_points - 1)] + [top]
-        v_grid = [profile.portfolio_value(p) for p in candidates]
+        # portfolio_value at each price, inline: f, then g, at every price.
+        v_grid = [f + (0.0 if p == 0.0 else p * gp) for p in candidates
+                  for f, gp in [(f_values[bisect_left(bps, p)](p), g(p))]]
         blocks = [(min(candidates[i:i + _BLOCK]), max(v_grid[i:i + _BLOCK]))
                   for i in range(0, len(v_grid), _BLOCK)]
         grid = tf._grids[lo, top, grid_points] = (
@@ -173,9 +178,7 @@ def trading_function_infimum(
 
     # Golden-section on the bracketing cell, in log-price (the objective is
     # unimodal: its slope r2 - g(p) changes sign at most once), with V in
-    # portfolio_value's operation order: f from the segments, g by profile.g.
-    f_values, bps, g = profile.payoff._values, profile.payoff.breakpoints, profile.g
-
+    # portfolio_value's operation order, as on the grid.
     def objective(p: float) -> float:
         v = f_values[bisect_left(bps, p)](p) + (0.0 if p == 0.0 else p * g(p))
         return r1 + (0.0 if p == 0.0 else p * r2) - v
@@ -239,8 +242,14 @@ class ArbStepProfit:
 
 
 def _mint(tf: TradingFunction, p: float) -> PoolState:
-    """The replicating allocation (f(p), g(p)) at price p."""
-    (r1,), (r2,) = tf.profile.portfolios((p,))
+    """The replicating allocation (f(p), g(p)) at price p: portfolios((p,))'s
+    bits and errors, without its list layer."""
+    profile = tf.profile
+    profile.interval.check(p)
+    payoff = profile.payoff
+    r1, r2 = payoff._values[bisect_left(payoff.breakpoints, p)](p), profile.g(p)
+    if r2 == math.inf:
+        raise infinite_cost_error(p)
     return PoolState(tf, r1, r2, p)
 
 

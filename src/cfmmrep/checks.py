@@ -47,14 +47,12 @@ def sample_price_range(profile: ReplicationProfile):
     return lo, hi
 
 
-def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
-
 def run_verification(profile: ReplicationProfile, seed: int = 7, samples: int = 200):
     """Run the cross-module invariant bundle; returns a list of CheckResult."""
     rng = random.Random(seed)
     lo, hi = sample_price_range(profile)
+    # Prices are drawn log-uniformly on [lo, hi], with both logs taken once.
+    exp, uniform, log_lo, log_hi = math.exp, rng.uniform, math.log(lo), math.log(hi)
     payoff = profile.payoff
     results = []
 
@@ -65,8 +63,8 @@ def run_verification(profile: ReplicationProfile, seed: int = 7, samples: int = 
     worst_mono = 0.0
     worst_neg = 0.0
     for _ in range(samples):
-        p = _log_uniform(rng, lo, hi)
-        q = _log_uniform(rng, lo, hi)
+        p = exp(uniform(log_lo, log_hi))
+        q = exp(uniform(log_lo, log_hi))
         p, q = min(p, q), max(p, q)
         worst_mono = max(worst_mono, payoff.value(p) - payoff.value(q))
         worst_neg = max(worst_neg, -payoff.value(p))
@@ -74,7 +72,7 @@ def run_verification(profile: ReplicationProfile, seed: int = 7, samples: int = 
     record("payoff nonnegative", worst_neg, 0.0)
 
     # Replication cost nonincreasing and nonnegative.
-    grid = sorted(_log_uniform(rng, lo, hi) for _ in range(samples))
+    grid = sorted(exp(uniform(log_lo, log_hi)) for _ in range(samples))
     g_vals = [profile.g(p) for p in grid]
     worst_inc = max((b - a for a, b in zip(g_vals, g_vals[1:])), default=0.0)
     record("replication cost nonincreasing", worst_inc, 1e-9)
@@ -83,7 +81,7 @@ def run_verification(profile: ReplicationProfile, seed: int = 7, samples: int = 
     # Portfolio value: the integral identity, monotone, concave.
     worst_ident = 0.0
     for _ in range(max(10, samples // 10)):
-        p = _log_uniform(rng, lo, hi)
+        p = exp(uniform(log_lo, log_hi))
         direct = profile.portfolio_value(p)
         via_integral = portfolio_value_integral(profile, p)
         worst_ident = max(worst_ident, abs(via_integral - direct) / max(1.0, abs(direct)))
@@ -92,8 +90,8 @@ def run_verification(profile: ReplicationProfile, seed: int = 7, samples: int = 
     worst_v_mono = 0.0
     worst_v_conc = 0.0
     for _ in range(samples):
-        p = _log_uniform(rng, lo, hi)
-        q = _log_uniform(rng, lo, hi)
+        p = exp(uniform(log_lo, log_hi))
+        q = exp(uniform(log_lo, log_hi))
         p, q = min(p, q), max(p, q)
         vp, vq, vm = (profile.portfolio_value(p), profile.portfolio_value(q),
                       profile.portfolio_value(0.5 * (p + q)))
@@ -106,7 +104,7 @@ def run_verification(profile: ReplicationProfile, seed: int = 7, samples: int = 
     tf = TradingFunction(profile)
     worst_psi = 0.0
     for _ in range(max(20, samples // 5)):
-        p = _log_uniform(rng, lo, hi)
+        p = exp(uniform(log_lo, log_hi))
         r2 = profile.g(p)
         if r2 <= 0.0:
             continue
@@ -121,12 +119,12 @@ def run_verification(profile: ReplicationProfile, seed: int = 7, samples: int = 
     worst_profit = 0.0
     worst_opt = 0.0
     for _ in range(samples):
-        p = _log_uniform(rng, lo, hi)
-        p_ext = _log_uniform(rng, lo, hi)
+        p = exp(uniform(log_lo, log_hi))
+        p_ext = exp(uniform(log_lo, log_hi))
         pool = pool_init(profile, p)
         _, step = arbitrage_to_price(pool, p_ext)
         worst_profit = max(worst_profit, -step.profit)
-        q = _log_uniform(rng, lo, hi)
+        q = exp(uniform(log_lo, log_hi))
         held = payoff.value(q) + p_ext * profile.g(q)
         optimal = payoff.value(p_ext) + p_ext * profile.g(p_ext)
         worst_opt = max(worst_opt, optimal - held)
@@ -151,9 +149,9 @@ def run_verification(profile: ReplicationProfile, seed: int = 7, samples: int = 
         uncut = ReplicationProfile(make_catalog_payoff(payoff.catalog))
         shift = uncut.g(profile.interval.beta)
         worst_cp = 0.0
-        pool = pool_init(profile, _log_uniform(rng, lo, hi))
+        pool = pool_init(profile, exp(uniform(log_lo, log_hi)))
         for _ in range(samples):
-            pool, _ = arbitrage_to_price(pool, _log_uniform(rng, lo, hi))
+            pool, _ = arbitrage_to_price(pool, exp(uniform(log_lo, log_hi)))
             product = pool.r1 ** (1.0 - w) * (pool.r2 + shift) ** w
             worst_cp = max(worst_cp, abs(product - level) / level)
         record("constant product recovered", worst_cp, 1e-9)

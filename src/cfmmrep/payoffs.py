@@ -32,7 +32,7 @@ from .errors import (
     NumericalError,
     PayoffParseError,
 )
-from .normal import norm_cdf, norm_inv, norm_pdf
+from .normal import _SQRT2, norm_cdf, norm_inv, norm_pdf
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +268,11 @@ class NormalCdfForm:
             return -math.inf
         return (math.log(p / self.strike) - 0.5 * self._vol * self._vol) / self._vol
 
-    def value(self, p: float) -> float:
-        return norm_cdf(self.d(p))
+    def value(self, p: float) -> float:  # norm_cdf(self.d(p)) inline; N(-inf) is 0
+        if p <= 0.0:
+            return 0.0
+        vol = self._vol
+        return 0.5 * math.erfc(-((math.log(p / self.strike) - 0.5 * vol * vol) / vol) / _SQRT2)
 
     def values(self, prices) -> list:
         d = self.d
@@ -294,11 +297,13 @@ class NormalCdfForm:
     def piece(self, lo: float, top: float, whole: Optional[float] = None):
         k, vol, log, tail = self.strike, self._vol, math.log, self._survival(top)
         whole = (self._survival(lo) - tail) / k if whole is None else whole
-        half_v2 = 0.5 * vol * vol  # below, _survival(p) written out for lo < p < top
-        return (lambda p: whole if p <= lo else (
-                    norm_cdf(-((log(p / k) - half_v2) / vol + vol)) - tail) / k if p < top else 0.0,
-                lambda prices: [(norm_cdf(-((log(p / k) - half_v2) / vol + vol)) - tail) / k
-                                for p in prices])
+        half_v2, erfc, root2 = 0.5 * vol * vol, math.erfc, _SQRT2
+        # Below, _survival(p) written out for lo < p < top, norm_cdf(-x) as
+        # 0.5 * erfc(x / root2): the same operations, as -(-x) is x.
+        return (lambda p: whole if p <= lo else (0.5 * erfc(
+                    ((log(p / k) - half_v2) / vol + vol) / root2) - tail) / k if p < top else 0.0,
+                lambda prices: [(0.5 * erfc(((log(p / k) - half_v2) / vol + vol) / root2) - tail)
+                                / k for p in prices])
 
     def cost_inverse(self, y: float, hi: float) -> float:
         vol = self._vol

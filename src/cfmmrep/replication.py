@@ -86,9 +86,7 @@ class ReplicationProfile:
         all prices share a payoff segment, else per price as PayoffSpec.value;
         g runs as its list kernel, with g's bits, on prices strictly inside
         a one-piece g's piece or on finite prices of a table's g, else once
-        per price.  An infinite g at price 0 raises InfiniteReplicationCostError,
-        as no pool can hold it; above 0, g is finite by construction: inf is
-        overflow, a NumericalError.
+        per price.  An infinite g raises infinite_cost_error(p).
         """
         if not prices:
             return [], []
@@ -110,11 +108,7 @@ class ReplicationProfile:
         r2 = (piece[2](prices) if piece is not None and piece[0] < lo and hi < piece[1]
               else [g(p) for p in prices])
         if math.inf in r2:
-            p = prices[r2.index(math.inf)]
-            if p > 0.0:
-                raise NumericalError(
-                    f"replication cost at price {p} overflows the float range")
-            raise InfiniteReplicationCostError(f"replication cost is infinite at price {p}")
+            raise infinite_cost_error(prices[r2.index(math.inf)])
         return r1, r2
 
     def g_inverse_value(self, r2: float) -> float:
@@ -133,6 +127,14 @@ class ReplicationProfile:
 # ---------------------------------------------------------------------------
 # Module-level operations
 # ---------------------------------------------------------------------------
+
+def infinite_cost_error(p: float) -> Exception:
+    """What an infinite g at price p raises: no pool can hold it at 0, and
+    above 0 g is finite by construction, so inf there is overflow."""
+    if p > 0.0:
+        return NumericalError(f"replication cost at price {p} overflows the float range")
+    return InfiniteReplicationCostError(f"replication cost is infinite at price {p}")
+
 
 def replication_cost(profile: ReplicationProfile, p: float) -> float:
     """Risky asset required at price p."""
