@@ -19,6 +19,7 @@ from .cfmm import (
     trading_function_eval,
     trading_function_infimum,
 )
+from .errors import InvalidParameterError
 from .payoffs import ConstantProportion, constant_product_level, make_catalog_payoff
 from .replication import ReplicationProfile, portfolio_value_integral
 from .simulate import GbmParams, gbm_path, run_arbitrage
@@ -49,6 +50,8 @@ def sample_price_range(profile: ReplicationProfile):
 
 def run_verification(profile: ReplicationProfile, seed: int = 7, samples: int = 200):
     """Run the cross-module invariant bundle; returns a list of CheckResult."""
+    if samples < 1:
+        raise InvalidParameterError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
     lo, hi = sample_price_range(profile)
     # Prices are drawn log-uniformly on [lo, hi], with both logs taken once.
@@ -122,17 +125,20 @@ def run_verification(profile: ReplicationProfile, seed: int = 7, samples: int = 
         p = exp(uniform(log_lo, log_hi))
         p_ext = exp(uniform(log_lo, log_hi))
         pool = pool_init(profile, p)
-        _, step = arbitrage_to_price(pool, p_ext)
+        pool, step = arbitrage_to_price(pool, p_ext)  # pool now holds (f, g) at p_ext
         worst_profit = max(worst_profit, -step.profit)
         q = exp(uniform(log_lo, log_hi))
         held = payoff.value(q) + p_ext * profile.g(q)
-        optimal = payoff.value(p_ext) + p_ext * profile.g(p_ext)
+        optimal = pool.r1 + p_ext * pool.r2
         worst_opt = max(worst_opt, optimal - held)
     record("arbitrage profit nonnegative", worst_profit, 1e-10)
     record("arbitrage allocation optimal", worst_opt, 1e-10)
 
     # Earnings decomposition on a sampled path.
-    params = GbmParams(p_start=math.sqrt(lo * hi), sigma=0.4, horizon=1.0,
+    # The geometric middle of [lo, hi], without letting lo * hi leave the floats.
+    mid = lo * hi
+    mid = math.sqrt(mid) if 0.0 < mid < math.inf else math.sqrt(lo) * math.sqrt(hi)
+    params = GbmParams(p_start=mid, sigma=0.4, horizon=1.0,
                        steps=max(50, samples), seed=seed)
     report = run_arbitrage(profile, gbm_path(params))
     resid = abs(report.total_w - (report.payoff_term + report.path_term))

@@ -15,6 +15,7 @@ import argparse
 import functools
 import math
 import sys
+from dataclasses import replace
 
 from .cfmm import TradingFunction, trading_function_eval, trading_function_infimum
 from .checks import run_verification, sample_price_range
@@ -24,7 +25,6 @@ from .payoffs import (
     PayoffSpec,
     PriceInterval,
     family,
-    make_catalog_payoff,
     natural_interval,
     parse_payoff_document,
     parse_payoff_file,
@@ -71,13 +71,10 @@ def load_payoff(cfg: argparse.Namespace) -> PayoffSpec:
                     f"{cfg.payoff_source} is not UTF-8 text: {exc.reason}") from None
         spec = parse_payoff_file(text)
         if cfg.alpha is not None or cfg.beta is not None:
-            interval = PriceInterval(
+            # A payoff's segments do not depend on its interval.
+            spec = replace(spec, interval=PriceInterval(
                 cfg.alpha if cfg.alpha is not None else spec.interval.alpha,
-                cfg.beta if cfg.beta is not None else spec.interval.beta)
-            if spec.catalog is not None:
-                spec = make_catalog_payoff(spec.catalog, interval)
-            else:
-                spec = PayoffSpec(spec.segments, spec.jumps, interval)
+                cfg.beta if cfg.beta is not None else spec.interval.beta))
     if spec.interval.alpha == spec.interval.beta:
         raise PayoffParseError(
             f"replication interval [{spec.interval.alpha}, {spec.interval.beta}] "
@@ -107,7 +104,7 @@ def _price_grid(profile: ReplicationProfile, n: int):
     if profile.interval.bounded:
         hi = beta
     else:
-        hi = max(max(bps, default=1.0), alpha, 1.0) * 100.0
+        hi = min(max(max(bps, default=1.0), alpha, 1.0) * 100.0, sys.float_info.max)
     lo = alpha if alpha > 0.0 else (min(bps) if bps else hi / 100.0)
     if not lo < hi:
         lo = hi / 100.0

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .errors import NumericalError
-from .payoffs import ConstantForm, LogForm, PayoffSpec, PriceInterval
+from .payoffs import ConstantForm, LogForm, PayoffSpec
 from .quadrature import DEFAULT_OPTIONS, QuadratureOptions, adaptive_simpson, integrate_from_zero
 from .replication import ReplicationProfile
 
@@ -53,7 +53,6 @@ def _tail_integrand(spec: PayoffSpec):
 
 def quadrature_replication_cost(
     spec: PayoffSpec,
-    interval: PriceInterval,
     p: float,
     opts: QuadratureOptions = DEFAULT_OPTIONS,
 ) -> float:
@@ -64,6 +63,7 @@ def quadrature_replication_cost(
     On an unbounded interval the spec's cost must not diverge (NumericProfile
     checks).  Raises NumericalError when a cell's quadrature does not converge.
     """
+    interval = spec.interval
     beta = interval.beta
     if math.isinf(p):
         return 0.0
@@ -132,7 +132,7 @@ class NumericProfile(ReplicationProfile):
         """Nothing to build: the closed forms stay the class's None."""
 
     def g(self, p: float) -> float:
-        return quadrature_replication_cost(self.payoff, self.interval, p, self.opts)
+        return quadrature_replication_cost(self.payoff, p, self.opts)
 
     def _solve_inverse(self, r2: float) -> float:
         """Rightmost price with g >= r2, for 0 < r2 <= g(alpha), by bisection.

@@ -26,7 +26,6 @@ from typing import Callable, NamedTuple, Optional, Union
 from .errors import (
     DomainError,
     BreakpointDerivativeError,
-    InfiniteReplicationCostError,
     InvalidParameterError,
     MonotonicityError,
     NumericalError,
@@ -800,19 +799,10 @@ def natural_interval(params: CatalogParams) -> PriceInterval:
     return PriceInterval(0.0, getattr(params, "p1", math.inf))
 
 
-def make_catalog_payoff(
-    params: CatalogParams,
-    interval: Optional[PriceInterval] = None,
-    *,
-    allow_infinite_cost: bool = False,
-) -> PayoffSpec:
-    """Build a catalog payoff on the given (or natural) interval.
-
-    Raises InfiniteReplicationCostError for configurations whose risky-asset
-    requirement diverges (a linear or superlinear tail on an unbounded
-    interval), unless allow_infinite_cost is set, which is useful only for
-    growth classification.
-    """
+def make_catalog_payoff(params: CatalogParams,
+                        interval: Optional[PriceInterval] = None) -> PayoffSpec:
+    """Build a catalog payoff on the given (or natural) interval.  A payoff
+    whose replication cost diverges builds; ReplicationProfile rejects it."""
     if interval is None:
         interval = natural_interval(params)
     try:
@@ -820,12 +810,7 @@ def make_catalog_payoff(
     except OverflowError:
         raise NumericalError(
             f"{params}: the payoff overflows the float range") from None
-    spec = PayoffSpec(segments=segments, jumps=jumps, interval=interval, catalog=params)
-    if spec.cost_diverges() and not allow_infinite_cost:
-        raise InfiniteReplicationCostError(
-            "payoff grows at least linearly up to an unbounded price: the required "
-            "risky reserve diverges; cap the payoff (finite p1) or bound the interval")
-    return spec
+    return PayoffSpec(segments=segments, jumps=jumps, interval=interval, catalog=params)
 
 
 def catalog_psi(spec: PayoffSpec) -> Optional[Callable[[float, float], float]]:

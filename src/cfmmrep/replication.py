@@ -53,8 +53,8 @@ class ReplicationProfile:
         self._cells = {}  # (a, b) -> (opts, QuadratureResult), see portfolio_value_integral
         if payoff.cost_diverges():
             raise InfiniteReplicationCostError(
-                "payoff grows at least linearly on an unbounded interval; "
-                "sublinear growth is required for a finite replication cost")
+                "payoff grows at least linearly up to an unbounded price: the required "
+                "risky reserve diverges; cap the payoff (finite p1) or bound the interval")
         self._build_routes()
         self.g_alpha = self.g(self.interval.alpha)
         self.v_alpha = self.portfolio_value(self.interval.alpha)

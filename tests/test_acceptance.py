@@ -238,8 +238,7 @@ def test_criterion_8_growth_classification():
         out = growth_classification(spec)
         assert out.classification is GrowthClass.FINITE, spec.catalog
 
-    linear = make_catalog_payoff(CappedPower(1.0, math.inf, 1.0),
-                                 allow_infinite_cost=True)
+    linear = make_catalog_payoff(CappedPower(1.0, math.inf, 1.0))
     out = growth_classification(linear)
     assert out.classification is GrowthClass.INFINITE
     increments = [b[1] - a[1] for a, b in zip(out.evidence, out.evidence[1:])]

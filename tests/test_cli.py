@@ -97,6 +97,34 @@ class TestReplicate:
         assert code == 1
         assert "linearly" in err
 
+    def test_beta_override_bounds_a_divergent_file_payoff(self, capsys, tmp_path):
+        # The file payoff diverges on its natural interval; --beta bounds it
+        # before anything is replicated, as it does for catalog:NAME.
+        doc = tmp_path / "pow.json"
+        doc.write_text('{"catalog":"capped_power","p0":1,"p1":"inf","a":2}')
+        code, out, _ = run_cli(capsys, "replicate", "--payoff", str(doc), "--beta", "2")
+        assert code == 0
+        assert run_cli(capsys, "replicate", "--payoff", "catalog:capped_power",
+                       "--param", "p0=1", "--param", "p1=inf", "--param", "a=2",
+                       "--beta", "2") == (0, out, "")
+
+    @pytest.mark.parametrize("command", ["replicate", "trading-function", "simulate",
+                                         "verify"])
+    @pytest.mark.parametrize("source", ["catalog", "file"])
+    def test_every_command_rejects_a_divergent_payoff(self, capsys, tmp_path, command,
+                                                      source):
+        if source == "catalog":
+            payoff = ["catalog:capped_power", "--param", "p0=1", "--param", "p1=inf",
+                      "--param", "a=2"]
+        else:
+            doc = tmp_path / "pow.json"
+            doc.write_text('{"catalog":"capped_power","p0":1,"p1":"inf","a":2}')
+            payoff = [str(doc)]
+        code, out, err = run_cli(capsys, command, "--payoff", *payoff)
+        assert code == 1
+        assert out == ""
+        assert "linearly" in err and "diverges" in err
+
     def test_seventeen_digit_round_trip(self, capsys, tmp_path):
         out_path = tmp_path / "table.csv"
         code, _, _ = run_cli(
@@ -130,6 +158,19 @@ class TestTradingFunction:
             "--check-infimum")
         assert code == 0
         assert out.splitlines()[0] == "r2,g_inv,psi_at_zero_r1,psi_inf"
+
+    def test_check_infimum_mismatch_exits_1(self, capsys, monkeypatch):
+        # An oracle 1.0 above every psi stands in for a broken trading function.
+        real = cfmmrep.cli.trading_function_infimum
+        monkeypatch.setattr(cfmmrep.cli, "trading_function_infimum",
+                            lambda *args: real(*args) + 1.0)
+        code, out, err = run_cli(
+            capsys, "trading-function", "--payoff", "catalog:capped_call",
+            "--param", "p0=1", "--param", "p1=2", "--grid", "3", "--check-infimum")
+        assert code == 1
+        assert len(out.splitlines()) == 4  # the table is still written
+        mismatches = [line for line in err.splitlines() if line.startswith("mismatch at r2=")]
+        assert len(mismatches) == 3
 
     def test_unbounded_range_warning(self, capsys):
         code, out, err = run_cli(

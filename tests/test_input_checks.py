@@ -4,6 +4,7 @@ the closed forms: each case names the input and the error it must raise."""
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ from cfmmrep import (
     serialize_payoff,
     trading_function_eval,
 )
+from cfmmrep.checks import run_verification
 from cfmmrep.cli import main
 from cfmmrep.payoffs import (ConstantForm, LinearForm, LogForm, NormalCdfForm, PowerForm, Segment,
                              family)
@@ -279,6 +281,28 @@ class TestLogPayoffPastTheFloatRange:
                    for x in line.split(",") if x)
 
 
+class TestMadeUpPricesStayFinite:
+    """The prices verify and replicate choose themselves stay inside the floats."""
+
+    @pytest.mark.parametrize("p0", ["1e-300", "1e200"])
+    def test_verify_starts_its_path_inside_the_range(self, capsys, p0):
+        # The earnings path starts at the geometric middle of the sampled
+        # range, whose ends multiply to 0.0 or inf here.
+        code, out, err = run_cli(capsys, "verify", "--payoff", "catalog:logarithmic",
+                                 "--param", f"p0={p0}")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "12/12 checks passed"
+
+    def test_replicate_grid_ends_at_the_largest_float(self, capsys):
+        code, out, err = run_cli(capsys, "replicate", "--payoff", "catalog:logarithmic",
+                                 "--param", "p0=1e307", "--grid", "3")
+        assert (code, err) == (0, "")
+        rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+        assert rows[0][0] == pytest.approx(1e307, rel=1e-12)
+        assert rows[-1][0] == pytest.approx(sys.float_info.max, rel=1e-12)
+        assert all(math.isfinite(x) for row in rows for x in row)
+
+
 class TestPiecewiseInput:
     @pytest.mark.parametrize("points, jumps, interval, message", [
         ([], (), None, "at least one point"),
@@ -329,6 +353,13 @@ class TestLibraryInput:
     def test_step_count_past_the_float_range(self):
         with pytest.raises(InvalidParameterError, match="largest float"):
             GbmParams(1.0, 0.5, 1.0, 10**400, 1)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_verification_needs_a_sample(self, samples):
+        # With no samples, half the checks would pass having evaluated nothing.
+        profile = ReplicationProfile(make_catalog_payoff(Logarithmic(1.0)))
+        with pytest.raises(InvalidParameterError, match="samples must be at least 1"):
+            run_verification(profile, samples=samples)
 
     def test_integral_from_zero_to_zero(self):
         r = integrate_from_zero(lambda u: 1.0, 0.0)

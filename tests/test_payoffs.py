@@ -26,6 +26,7 @@ from cfmmrep import (
     PayoffParseError,
     PayoffSpec,
     PriceInterval,
+    ReplicationProfile,
     eval_payoff,
     eval_payoff_derivative,
     make_catalog_payoff,
@@ -187,16 +188,15 @@ class TestValidation:
 
     def test_infinite_cost_configurations(self):
         with pytest.raises(InfiniteReplicationCostError):
-            make_catalog_payoff(CappedPower(1.0, math.inf, 1.0))
+            ReplicationProfile(make_catalog_payoff(CappedPower(1.0, math.inf, 1.0)))
         with pytest.raises(InfiniteReplicationCostError):
-            make_catalog_payoff(CappedPower(1.0, math.inf, 2.0))
+            ReplicationProfile(make_catalog_payoff(CappedPower(1.0, math.inf, 2.0)))
         # Bounding the interval makes the same payoff replicable.
         spec = make_catalog_payoff(CappedPower(1.0, math.inf, 1.0),
                                    PriceInterval(0.0, 100.0))
         assert eval_payoff(spec, 50.0) == pytest.approx(49.0)
-        # And the escape hatch keeps the payoff constructible for analysis.
-        spec = make_catalog_payoff(CappedPower(1.0, math.inf, 1.0),
-                                   allow_infinite_cost=True)
+        # The unbounded payoff itself builds, for analysis.
+        spec = make_catalog_payoff(CappedPower(1.0, math.inf, 1.0))
         assert spec.tail_growth_exponent() == 1.0
 
     def test_interval_validation(self):
@@ -291,7 +291,7 @@ class TestParsing:
     def test_infinite_cost_rejected(self):
         doc = '{"catalog":"capped_power","a":2.0,"p0":1.0,"p1":"inf"}'
         with pytest.raises(InfiniteReplicationCostError):
-            parse_payoff_file(doc)
+            ReplicationProfile(parse_payoff_file(doc))
 
     def test_syntax_error_carries_line(self):
         with pytest.raises(PayoffParseError) as err:
@@ -451,15 +451,14 @@ def psi_specs():
     """Each case on its natural interval and on [a, b] cuts, a in {0, 0.5},
     b across and beyond the family's breakpoints."""
     for params in PSI_CASES:
-        whole = make_catalog_payoff(params, PriceInterval(), allow_infinite_cost=True)
+        whole = make_catalog_payoff(params, PriceInterval())
         marks = set(whole.breakpoints) | {1.0, getattr(params, "p1", 1.0)}
         betas = {m * s for m in marks if math.isfinite(m) for s in (0.5, 1.0, 1.5, 3.0)}
-        yield make_catalog_payoff(params, allow_infinite_cost=True)
+        yield make_catalog_payoff(params)
         for a in (0.0, 0.5):
             for b in sorted(betas | {100.0, math.inf}):
                 if b > a:
-                    yield make_catalog_payoff(params, PriceInterval(a, b),
-                                              allow_infinite_cost=True)
+                    yield make_catalog_payoff(params, PriceInterval(a, b))
 
 
 def test_catalog_psi_holds_where_the_uncut_cost_rises_and_stops():

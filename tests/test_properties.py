@@ -99,7 +99,7 @@ def test_exact_g_matches_quadrature(piecewise_profiles):
         for _ in range(5):
             p = rng.uniform(lo, hi)
             exact = prof.g(p)
-            quad = quadrature_replication_cost(prof.payoff, prof.interval, p, TIGHT)
+            quad = quadrature_replication_cost(prof.payoff, p, TIGHT)
             assert quad == pytest.approx(exact, rel=1e-9, abs=1e-12)
 
 

@@ -66,6 +66,23 @@ def test_non_finite_node_raises(bad):
         adaptive_simpson(lambda x: bad if x == 0.5 else 1.0, 0.0, 1.0)
 
 
+def test_nan_error_estimate_stops_at_once():
+    # The ends sum past the float max, so the first split's midpoint is inf
+    # and its error estimate NaN, which no depth can improve: the cell comes
+    # back unconverged after five integrand calls, not 2**17 + 1 at depth 16.
+    calls = []
+
+    def one(x):
+        calls.append(x)
+        return 1.0
+
+    r = adaptive_simpson(one, 1e308, 1.7e308, QuadratureOptions(max_depth=16))
+    assert len(calls) == 5
+    assert not r.converged and math.isnan(r.error)
+    with pytest.raises(NumericalError, match="did not converge"):
+        r.checked("the wide cell")
+
+
 def test_softening_order():
     assert softened_power_order(0.0) == 1
     assert softened_power_order(0.5) == 4

@@ -113,8 +113,7 @@ class TestReplicationCost:
             replication_cost(prof, E + 0.5)
 
     def test_divergent_construction_rejected(self):
-        spec = make_catalog_payoff(CappedPower(1.0, math.inf, 1.0),
-                                   allow_infinite_cost=True)
+        spec = make_catalog_payoff(CappedPower(1.0, math.inf, 1.0))
         with pytest.raises(InfiniteReplicationCostError):
             ReplicationProfile(spec)
 
@@ -392,9 +391,20 @@ class TestGrowthClassification:
         assert out.classification is GrowthClass.FINITE
         assert out.asymptotic_exponent == 0.5
 
+    @pytest.mark.parametrize("p0, cutoffs", [
+        (30.0, (1e3, 1e4, 1e5, 1e6)),     # 1e2 is below 4 * p0: one cutoff added
+        (1e5, (4e6, 4e7, 4e8, 4e9)),      # every fixed cutoff is: four added
+    ])
+    def test_cutoffs_extend_past_a_high_breakpoint(self, p0, cutoffs):
+        spec = make_catalog_payoff(CashOrNothing(p0))
+        out = growth_classification(spec)
+        assert out.classification is GrowthClass.FINITE
+        assert tuple(c for c, _ in out.evidence) == pytest.approx(cutoffs, rel=1e-12)
+        # The probe sits at the jump, where g is 1/p0 whatever the cutoff.
+        assert all(g == pytest.approx(1.0 / p0) for _, g in out.evidence)
+
     def test_linear_tail_infinite(self):
-        spec = make_catalog_payoff(CappedPower(1.0, math.inf, 1.0),
-                                   allow_infinite_cost=True)
+        spec = make_catalog_payoff(CappedPower(1.0, math.inf, 1.0))
         out = growth_classification(spec)
         assert out.classification is GrowthClass.INFINITE
         assert out.asymptotic_exponent == 1.0
@@ -618,7 +628,7 @@ class TestQuadratureConvergence:
             NumericProfile(spec, opts=shallow)
         assert info.value.error > 0.0
         with pytest.raises(NumericalError, match="g at price 1.5 did not converge"):
-            quadrature_replication_cost(spec, spec.interval, 1.5, shallow)
+            quadrature_replication_cost(spec, 1.5, shallow)
         numeric = NumericProfile(spec)
         with pytest.raises(NumericalError,
                            match="integral of g up to price 1.5 did not converge") as info:
