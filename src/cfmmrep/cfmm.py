@@ -81,30 +81,25 @@ def _check_reserves(tf: TradingFunction, r1: float, r2: float):
     if not r2 <= tf.profile.g_alpha:
         raise InvalidReservesError(
             f"risky reserve {r2} outside the valid range [0.0, {tf.profile.g_alpha}]")
-
-
-def _unbounded_at_zero(tf: TradingFunction) -> bool:
     # With no risky reserve the minimizing price runs to beta; the level is
     # -inf exactly when the portfolio value is unbounded there.
-    return (not tf.profile.interval.bounded
-            and math.isinf(tf.profile.payoff.limit_at_infinity()))
+    if (r2 == 0.0 and not tf.profile.interval.bounded
+            and math.isinf(tf.profile.payoff.limit_at_infinity())):
+        raise UnboundedTradingFunctionError(
+            "trading function is -inf at zero risky reserve: "
+            "the portfolio value is unbounded on this interval")
 
 
 def trading_function_eval(tf: TradingFunction, r1: float, r2: float) -> float:
     """psi(r1, r2) through g_inverse and the portfolio value."""
     _check_reserves(tf, r1, r2)
-    if r2 == 0.0 and _unbounded_at_zero(tf):
-        raise UnboundedTradingFunctionError(
-            "trading function is -inf at zero risky reserve: "
-            "the portfolio value is unbounded on this interval")
     if tf.profile.psi_closed_form is not None:
         return tf.profile.psi_closed_form(r1, r2)
     p_star = tf.profile.g_inverse_value(r2)
-    if math.isinf(p_star):
-        # r2 = 0 here, so p* r2 = 0 by the 0 * inf convention and V takes
-        # its limiting value.
-        return r1 - tf.profile.payoff.limit_at_infinity()
-    value = 0.0 if p_star == 0.0 else p_star * r2
+    if p_star == math.inf and r2 > 0.0:  # the true p* is finite: inf is overflow
+        raise NumericalError(f"price at risky reserve {r2!r} overflows the float range")
+    # At r2 = 0, p* r2 = 0 by the 0 * inf convention and V(inf) is V's limit.
+    value = 0.0 if p_star == 0.0 or r2 == 0.0 else p_star * r2
     return r1 + value - tf.profile.portfolio_value(p_star)
 
 
@@ -136,9 +131,6 @@ def trading_function_infimum(
     _check_reserves(tf, r1, r2)
     profile = tf.profile
     alpha, beta = profile.interval.alpha, profile.interval.beta
-    if r2 == 0.0 and _unbounded_at_zero(tf):
-        raise UnboundedTradingFunctionError(
-            "infimum is -inf: zero risky reserve with unbounded portfolio value")
 
     if profile.interval.bounded:
         top = beta

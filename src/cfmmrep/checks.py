@@ -37,6 +37,14 @@ class CheckResult:
         return f"{status}  {self.name}: worst residual {self.worst:.3e} (tol {self.tolerance:.1e})"
 
 
+PSI_TOLERANCE = 1e-6  # verify's and trading-function --check-infimum's bound on psi_residual
+
+
+def psi_residual(psi: float, oracle: float) -> float:
+    """psi's distance from its infimum oracle, relative to max(1, |psi|, |oracle|)."""
+    return abs(psi - oracle) / max(1.0, abs(psi), abs(oracle))
+
+
 def sample_price_range(profile: ReplicationProfile):
     """A finite, positive [lo, hi] slice of the interval worth sampling."""
     alpha, beta = profile.interval.alpha, profile.interval.beta
@@ -114,9 +122,8 @@ def run_verification(profile: ReplicationProfile, seed: int = 7, samples: int = 
         r1 = payoff.value(p) + rng.uniform(0.0, 1.0)
         direct = trading_function_eval(tf, r1, r2)
         oracle = trading_function_infimum(tf, r1, r2, 256)
-        worst_psi = max(worst_psi,
-                        abs(direct - oracle) / max(1.0, abs(direct), abs(oracle)))
-    record("trading function matches infimum oracle", worst_psi, 1e-6)
+        worst_psi = max(worst_psi, psi_residual(direct, oracle))
+    record("trading function matches infimum oracle", worst_psi, PSI_TOLERANCE)
 
     # Arbitrage profit nonnegative, and the chosen allocation optimal.
     worst_profit = 0.0

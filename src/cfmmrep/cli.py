@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 
 from .cfmm import TradingFunction, trading_function_eval, trading_function_infimum
-from .checks import run_verification, sample_price_range
+from .checks import PSI_TOLERANCE, psi_residual, run_verification, sample_price_range
 from .errors import CfmmRepError, PayoffParseError
 from .payoffs import (
     FAMILIES,
@@ -55,10 +55,6 @@ def load_payoff(cfg: argparse.Namespace) -> PayoffSpec:
                 raise PayoffParseError(f"--param {key} is not a catalog parameter")
             doc[key] = _parse_bound(value)
         doc["catalog"] = cfg.payoff_source[len("catalog:"):]
-        if cfg.alpha is not None:
-            doc["alpha"] = cfg.alpha
-        if cfg.beta is not None:
-            doc["beta"] = cfg.beta
         spec = parse_payoff_document(doc)
     else:
         if cfg.params:
@@ -70,11 +66,11 @@ def load_payoff(cfg: argparse.Namespace) -> PayoffSpec:
                 raise PayoffParseError(
                     f"{cfg.payoff_source} is not UTF-8 text: {exc.reason}") from None
         spec = parse_payoff_file(text)
-        if cfg.alpha is not None or cfg.beta is not None:
-            # A payoff's segments do not depend on its interval.
-            spec = replace(spec, interval=PriceInterval(
-                cfg.alpha if cfg.alpha is not None else spec.interval.alpha,
-                cfg.beta if cfg.beta is not None else spec.interval.beta))
+    if cfg.alpha is not None or cfg.beta is not None:
+        # A payoff's segments do not depend on its interval.
+        spec = replace(spec, interval=PriceInterval(
+            cfg.alpha if cfg.alpha is not None else spec.interval.alpha,
+            cfg.beta if cfg.beta is not None else spec.interval.beta))
     if spec.interval.alpha == spec.interval.beta:
         raise PayoffParseError(
             f"replication interval [{spec.interval.alpha}, {spec.interval.beta}] "
@@ -114,11 +110,9 @@ def _price_grid(profile: ReplicationProfile, n: int):
 
 def cmd_replicate(cfg: argparse.Namespace) -> int:
     profile = ReplicationProfile(load_payoff(cfg))
-    lines = ["p,f,g,V"]
-    for p in _price_grid(profile, cfg.grid):
-        f = profile.payoff.value(p)
-        g = profile.g(p)
-        lines.append(f"{_fmt(p)},{_fmt(f)},{_fmt(g)},{_fmt(f + p * g)}")
+    prices = _price_grid(profile, cfg.grid)
+    lines = ["p,f,g,V"] + [f"{_fmt(p)},{_fmt(f)},{_fmt(g)},{_fmt(f + p * g)}"
+                           for p, f, g in zip(prices, *profile.portfolios(prices))]
     _write(cfg, lines)
     return 0
 
@@ -146,7 +140,7 @@ def cmd_trading_function(cfg: argparse.Namespace) -> int:
         if cfg.check_infimum:
             psi_inf = trading_function_infimum(tf, 0.0, r2, 512)
             row += f",{_fmt(psi_inf)}"
-            if abs(psi - psi_inf) > 1e-6 * max(1.0, abs(psi), abs(psi_inf)):
+            if psi_residual(psi, psi_inf) > PSI_TOLERANCE:
                 mismatch = True
                 print(f"mismatch at r2={_fmt(r2)}: psi={psi!r} inf={psi_inf!r}",
                       file=sys.stderr)

@@ -99,10 +99,11 @@ def adaptive_simpson(
         # the cell's own mass; the latter keeps the relative error controlled
         # even where the integral is many orders below the absolute floor.
         cell_tol = max(tol, rel_tol * abs(s2))
-        # A NaN estimate (a cell whose ends sum past the float max) never
-        # passes, so it stops here unconverged rather than at max_depth.
-        if abs(delta) <= cell_tol or depth >= max_depth or not isfinite(delta):
-            return s2 + delta, abs(delta), abs(delta) <= cell_tol
+        # A non-finite estimate (a cell whose sum overflows) never passes, not even
+        # inf against an inf tolerance: it stops here unconverged, not at max_depth.
+        converged = abs(delta) <= cell_tol and isfinite(delta)
+        if converged or depth >= max_depth or not isfinite(delta):
+            return s2 + delta, abs(delta), converged
         lv, le, lc = recurse(lo, mid, flo, flm, fmid, s_left, 0.5 * tol, depth + 1)
         rv, re, rc = recurse(mid, hi, fmid, frm, fhi, s_right, 0.5 * tol, depth + 1)
         return lv + rv, le + re, lc and rc

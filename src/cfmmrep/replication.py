@@ -28,7 +28,7 @@ from typing import Optional
 
 from .errors import DomainError, InfiniteReplicationCostError, InvalidParameterError, NumericalError
 from .payoffs import PayoffSpec, PriceInterval, catalog_psi, piecewise_exact_forms
-from .quadrature import DEFAULT_OPTIONS, QuadratureOptions, adaptive_simpson, integrate_from_zero
+from .quadrature import adaptive_simpson, integrate_from_zero
 
 _GROWTH_CUTOFFS = (1e2, 1e3, 1e4, 1e5)
 
@@ -50,7 +50,7 @@ class ReplicationProfile:
     def __init__(self, payoff: PayoffSpec):
         self.payoff = payoff
         self.interval = payoff.interval
-        self._cells = {}  # (a, b) -> (opts, QuadratureResult), see portfolio_value_integral
+        self._cells = {}  # (a, b) -> QuadratureResult, see portfolio_value_integral
         if payoff.cost_diverges():
             raise InfiniteReplicationCostError(
                 "payoff grows at least linearly up to an unbounded price: the required "
@@ -154,15 +154,11 @@ def portfolio_value(profile: ReplicationProfile, p: float) -> float:
     return profile.portfolio_value(p)
 
 
-def portfolio_value_integral(
-    profile: ReplicationProfile,
-    p: float,
-    opts: QuadratureOptions = DEFAULT_OPTIONS,
-) -> float:
+def portfolio_value_integral(profile: ReplicationProfile, p: float) -> float:
     """V(p) through the integral identity V(alpha) + integral of g.
 
-    Cross-check path for portfolio_value; the two must agree to quadrature
-    tolerance, opts.  Raises NumericalError when a cell does not converge.
+    Cross-check path for portfolio_value; the two must agree to the default
+    quadrature tolerance.  Raises NumericalError when a cell does not converge.
     Each whole cell below p keeps its result on the profile: one per segment.
     """
     profile.interval.check(p)
@@ -174,10 +170,10 @@ def portfolio_value_integral(
     what = f"integral of g up to price {p}"
 
     def cell(a: float, b: float, integrate) -> float:
-        hit = profile._cells.get((a, b)) if b < p else (opts, integrate())
-        if hit is None or hit[0] != opts:
-            hit = profile._cells[a, b] = opts, integrate()
-        return hit[1].checked(what)  # a cell that fell short raises on every use
+        hit = profile._cells.get((a, b)) if b < p else integrate()
+        if hit is None:
+            hit = profile._cells[a, b] = integrate()
+        return hit.checked(what)  # a cell that fell short raises on every use
 
     lo = alpha
     if alpha == 0.0:
@@ -190,13 +186,13 @@ def portfolio_value_integral(
             # above 1, g is finite at 0.
             s = 1.0 - origin if origin < 1.0 else 0.5 if origin == 1.0 else 0.0
             total += cell(0.0, first, lambda: integrate_from_zero(
-                profile.g, first, singular_exponent=s, opts=opts))
+                profile.g, first, singular_exponent=s))
             lo = first
 
     cells = [lo] + [b for b in profile.payoff.breakpoints if lo < b < p] + [p]
     for a, b in zip(cells, cells[1:]):
         if b > a:
-            total += cell(a, b, lambda: adaptive_simpson(profile.g, a, b, opts))
+            total += cell(a, b, lambda: adaptive_simpson(profile.g, a, b))
     return total
 
 

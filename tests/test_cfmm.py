@@ -31,6 +31,7 @@ from cfmmrep import (
     trading_function_infimum,
     validate_trade,
 )
+from cfmmrep.payoffs import PayoffSpec, PowerForm, Segment
 
 E = math.e
 
@@ -85,10 +86,21 @@ class TestTradingFunctionEval:
         # Unbounded payoff: the infimum at r2 = 0 runs to -infinity.
         for params in (Logarithmic(1.0), ConstantProportion(0.5, 1.0)):
             tf = TradingFunction(ReplicationProfile(make_catalog_payoff(params)))
-            with pytest.raises(UnboundedTradingFunctionError):
+            with pytest.raises(UnboundedTradingFunctionError) as via_psi:
                 trading_function_eval(tf, 1.0, 0.0)
-            with pytest.raises(UnboundedTradingFunctionError):
+            with pytest.raises(UnboundedTradingFunctionError) as via_oracle:
                 trading_function_infimum(tf, 1.0, 0.0)
+            assert str(via_psi.value) == str(via_oracle.value)
+
+    def test_overflowed_price_raises(self):
+        # psi = 1 - 1/r2 for f = sqrt(p) on [0, inf), where p* = 1/r2**2.
+        spec = PayoffSpec(segments=(Segment(0.0, math.inf, PowerForm(1.0, 0.5, 0.0)),),
+                          jumps=(), interval=PriceInterval(0.0, math.inf))
+        tf = TradingFunction(ReplicationProfile(spec))
+        assert trading_function_eval(tf, 1.0, 1e-150) == -1e150
+        for r2 in (1e-155, 1e-300):  # p* = 1e310 and 1e600 overflow, not psi
+            with pytest.raises(NumericalError, match=f"risky reserve {r2!r} overflows"):
+                trading_function_eval(tf, 1.0, r2)
 
     def test_bounded_payoff_fine_at_zero_reserve(self):
         # Bounded payoffs have a finite limit, so r2 = 0 is a regular point.

@@ -108,6 +108,19 @@ class TestReplicate:
                        "--param", "p0=1", "--param", "p1=inf", "--param", "a=2",
                        "--beta", "2") == (0, out, "")
 
+    @pytest.mark.parametrize("command", [["replicate", "--grid", "9"],
+                                         ["trading-function", "--check-infimum", "--grid", "9"],
+                                         ["verify"]])
+    def test_interval_override_is_the_same_for_catalog_and_file(self, capsys, tmp_path,
+                                                                 command):
+        doc = tmp_path / "call.json"
+        doc.write_text('{"catalog":"capped_call","p0":1,"p1":4}')
+        bounds = ["--alpha", "1.5", "--beta", "3"]
+        from_file = run_cli(capsys, *command, "--payoff", str(doc), *bounds)
+        assert from_file[0] == 0
+        assert run_cli(capsys, *command, "--payoff", "catalog:capped_call", "--param", "p0=1",
+                       "--param", "p1=4", *bounds) == from_file
+
     @pytest.mark.parametrize("command", ["replicate", "trading-function", "simulate",
                                          "verify"])
     @pytest.mark.parametrize("source", ["catalog", "file"])
@@ -261,6 +274,10 @@ class TestNumericalErrors:
         (("simulate", "--payoff", "catalog:constant_proportion", "--param", "w=0.5",
           "--param", "C=1e300", "--beta", "1e300", "--p-start", "1e-20", "--paths", "3",
           "--steps", "20"),
+         "replication cost at price 1e-20 overflows the float range"),
+        # replicate's rows come from portfolios, which rejects an overflowed g.
+        (("replicate", "--payoff", "catalog:constant_proportion", "--param", "w=0.5",
+          "--param", "C=1e300", "--alpha", "1e-20", "--grid", "3"),
          "replication cost at price 1e-20 overflows the float range"),
     ])
     def test_overflow_is_named(self, capsys, argv, cause):

@@ -83,6 +83,15 @@ def test_nan_error_estimate_stops_at_once():
         r.checked("the wide cell")
 
 
+def test_infinite_sum_is_not_converged():
+    # Both quarter points overflow the Simpson sum to inf; its inf error
+    # estimate must not pass its inf tolerance.
+    r = adaptive_simpson(lambda x: 1e308 if x in (1.0, 3.0) else 0.0, 0.0, 4.0)
+    assert not r.converged
+    with pytest.raises(NumericalError, match="did not converge"):
+        r.checked("the overflowing cell")
+
+
 def test_softening_order():
     assert softened_power_order(0.0) == 1
     assert softened_power_order(0.5) == 4

@@ -38,9 +38,11 @@ from cfmmrep import (
     trading_function_infimum,
 )
 import cfmmrep
+from cfmmrep import replication
 from cfmmrep.normal import norm_cdf
 from cfmmrep.oracle import quadrature_replication_cost
 from cfmmrep.payoffs import ConstantForm, PayoffSpec, PowerForm, Segment
+from cfmmrep.quadrature import adaptive_simpson
 
 E = math.e
 
@@ -621,7 +623,7 @@ class TestLinearRiseFromZero:
 
 
 class TestQuadratureConvergence:
-    def test_nonconverged_quadrature_raises(self):
+    def test_nonconverged_quadrature_raises(self, monkeypatch):
         spec = make_catalog_payoff(BlackScholesBinary(1.0, 0.2, 1.0))
         shallow = QuadratureOptions(max_depth=1)
         with pytest.raises(NumericalError, match="did not converge") as info:
@@ -630,9 +632,11 @@ class TestQuadratureConvergence:
         with pytest.raises(NumericalError, match="g at price 1.5 did not converge"):
             quadrature_replication_cost(spec, 1.5, shallow)
         numeric = NumericProfile(spec)
+        monkeypatch.setattr(replication, "adaptive_simpson",
+                            lambda f, a, b: adaptive_simpson(f, a, b, shallow))
         with pytest.raises(NumericalError,
                            match="integral of g up to price 1.5 did not converge") as info:
-            portfolio_value_integral(numeric, 1.5, shallow)
+            portfolio_value_integral(numeric, 1.5)
         assert info.value.error > 0.0
 
     @pytest.mark.parametrize("a", [2.001, 2.1, 2.5, 3.0, 7.0])
