@@ -15,7 +15,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import replace
 
 from .cfmm import TradingFunction, trading_function_eval, trading_function_infimum
 from .checks import PSI_TOLERANCE, psi_residual, run_verification, sample_price_range
@@ -23,7 +22,6 @@ from .errors import CfmmRepError, PayoffParseError
 from .payoffs import (
     FAMILIES,
     PayoffSpec,
-    PriceInterval,
     family,
     natural_interval,
     parse_payoff_document,
@@ -66,11 +64,7 @@ def load_payoff(cfg: argparse.Namespace) -> PayoffSpec:
                 raise PayoffParseError(
                     f"{cfg.payoff_source} is not UTF-8 text: {exc.reason}") from None
         spec = parse_payoff_file(text)
-    if cfg.alpha is not None or cfg.beta is not None:
-        # A payoff's segments do not depend on its interval.
-        spec = replace(spec, interval=PriceInterval(
-            cfg.alpha if cfg.alpha is not None else spec.interval.alpha,
-            cfg.beta if cfg.beta is not None else spec.interval.beta))
+    spec = spec.with_bounds(cfg.alpha, cfg.beta)
     if spec.interval.alpha == spec.interval.beta:
         raise PayoffParseError(
             f"replication interval [{spec.interval.alpha}, {spec.interval.beta}] "

@@ -27,7 +27,7 @@ class MonotonicityError(InvalidParameterError):
 
 
 class DomainError(CfmmRepError, ValueError):
-    """A price lies outside the payoff's replication interval."""
+    """A price falls outside the payoff's replication interval."""
 
 
 class BreakpointDerivativeError(DomainError):

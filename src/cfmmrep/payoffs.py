@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import (
@@ -478,7 +478,7 @@ class PayoffSpec:
             raise MonotonicityError(f"payoff value {start} at price 0 is negative")
         listed = dict.fromkeys(bounds, 0.0)
         for q, size in self.jumps:
-            if size < 0.0:
+            if not size >= 0.0:  # NaN fails too
                 raise InvalidParameterError(f"jump size at {q} must be >= 0")
             if q not in listed:
                 raise InvalidParameterError(f"jump location {q} is not a breakpoint")
@@ -487,6 +487,16 @@ class PayoffSpec:
             a, b = below.form.value(q), above.form.value(q)
             if abs(b - a - size) > 1e-12 * max(1.0, abs(a), abs(b)):
                 raise InvalidParameterError(f"f steps by {b - a!r} at {q}; jumps list {size!r}")
+
+    def with_bounds(self, alpha: Optional[float] = None,
+                    beta: Optional[float] = None) -> PayoffSpec:
+        """The same payoff on a new interval, keeping each bound not given:
+        an interval selects where f is replicated and never changes f."""
+        if alpha is None and beta is None:
+            return self
+        return replace(self, interval=PriceInterval(
+            self.interval.alpha if alpha is None else alpha,
+            self.interval.beta if beta is None else beta))
 
     def _segment_at(self, p: float) -> Segment:
         # bisect_left sends a boundary point to the lower segment, which is
@@ -846,7 +856,8 @@ def make_piecewise_payoff(points, jumps=(), interval=None) -> PayoffSpec:
     Between consecutive points the payoff interpolates linearly; it is
     constant below the first and above the last.  A jump at a point price
     lifts the function immediately above that price by the jump size.  The
-    default interval is the table's price range.
+    default interval is the table's price range ([p, inf) for one point p).
+    A jump outside [alpha, beta) keeps its step in f and adds nothing to g.
     """
     pts = [(float(p), float(v)) for p, v in points]
     if not pts:
@@ -860,11 +871,9 @@ def make_piecewise_payoff(points, jumps=(), interval=None) -> PayoffSpec:
     jump_map = {}
     for q, size in jumps:
         q, size = float(q), float(size)
-        if size < 0.0:
+        if not size >= 0.0:  # NaN fails too
             raise InvalidParameterError(f"jump size at {q} must be >= 0")
-        if all(q != p for p, _ in pts):
-            raise InvalidParameterError(f"jump location {q} must be one of the table prices")
-        if size > 0.0:
+        if size > 0.0 or all(q != p for p, _ in pts):  # PayoffSpec rejects q off the table
             jump_map[q] = jump_map.get(q, 0.0) + size
 
     segs = []
@@ -879,10 +888,6 @@ def make_piecewise_payoff(points, jumps=(), interval=None) -> PayoffSpec:
     if interval is None:
         lo, hi = pts[0][0], pts[-1][0]
         interval = PriceInterval(lo, hi if hi > lo else math.inf)
-    for q in jump_map:
-        if not (interval.alpha <= q < interval.beta):
-            raise InvalidParameterError(
-                f"jump at {q} lies outside [alpha, beta) = [{interval.alpha}, {interval.beta})")
     jump_list = tuple(sorted(jump_map.items()))
     return PayoffSpec(segments=tuple(segs), jumps=jump_list, interval=interval)
 
@@ -931,24 +936,16 @@ def catalog_params_from_mapping(name: str, raw: dict) -> CatalogParams:
 
 
 def parse_payoff_document(doc: dict) -> PayoffSpec:
-    """Build a payoff from an already-decoded JSON document."""
+    """Build a payoff from an already-decoded JSON document: the payoff on
+    its own default interval, then the document's bounds through with_bounds."""
     if not isinstance(doc, dict):
         raise PayoffParseError("payoff document must be a JSON object")
-    has_alpha = "alpha" in doc
-    has_beta = "beta" in doc
-    alpha = _parse_number(doc["alpha"], "alpha") if has_alpha else None
-    beta = _parse_number(doc["beta"], "beta") if has_beta else None
+    bounds = {key: _parse_number(doc[key], key) for key in ("alpha", "beta") if key in doc}
 
     if "catalog" in doc:
-        name = doc["catalog"]
         raw = {k: v for k, v in doc.items() if k not in ("catalog", "alpha", "beta")}
-        params = catalog_params_from_mapping(name, raw)
-        base = natural_interval(params)
-        interval = PriceInterval(alpha if has_alpha else base.alpha,
-                                 beta if has_beta else base.beta)
-        return make_catalog_payoff(params, interval)
-
-    if "piecewise" in doc:
+        spec = make_catalog_payoff(catalog_params_from_mapping(doc["catalog"], raw))
+    elif "piecewise" in doc:
         body = doc["piecewise"]
         if not isinstance(body, dict) or "points" not in body:
             raise PayoffParseError('"piecewise" must be an object with a "points" list')
@@ -956,18 +953,15 @@ def parse_payoff_document(doc: dict) -> PayoffSpec:
         if extra:
             raise PayoffParseError(f"unexpected top-level keys: {sorted(extra)}")
         points = [(_parse_number(p, "point price"), _parse_number(v, "point value"))
-                  for p, v in _pairs(body.get("points", []), "points")]
+                  for p, v in _pairs(body["points"], "points")]
         jumps = [(_parse_number(q, "jump location"), _parse_number(s, "jump size"))
                  for q, s in _pairs(body.get("jumps", []), "jumps")]
-        interval = None
-        if has_alpha or has_beta:
-            if not points:
-                raise PayoffParseError("piecewise payoff needs at least one point")
-            interval = PriceInterval(alpha if has_alpha else points[0][0],
-                                     beta if has_beta else points[-1][0])
-        return make_piecewise_payoff(points, jumps, interval)
-
-    raise PayoffParseError('payoff document needs a "catalog" or "piecewise" key')
+        if not points:
+            raise PayoffParseError("piecewise payoff needs at least one point")
+        spec = make_piecewise_payoff(points, jumps)
+    else:
+        raise PayoffParseError('payoff document needs a "catalog" or "piecewise" key')
+    return spec.with_bounds(**bounds)
 
 
 def parse_payoff_file(text: str) -> PayoffSpec:

@@ -23,11 +23,11 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, InfiniteReplicationCostError, InvalidParameterError, NumericalError
-from .payoffs import PayoffSpec, PriceInterval, catalog_psi, piecewise_exact_forms
+from .payoffs import PayoffSpec, catalog_psi, piecewise_exact_forms
 from .quadrature import adaptive_simpson, integrate_from_zero
 
 _GROWTH_CUTOFFS = (1e2, 1e3, 1e4, 1e5)
@@ -239,6 +239,6 @@ def growth_classification(spec: PayoffSpec) -> GrowthAnalysis:
     while len(cutoffs) < len(_GROWTH_CUTOFFS):
         cutoffs.append((cutoffs[-1] if cutoffs else base * 4.0) * 10.0)
     evidence = tuple(
-        (c, piecewise_exact_forms(replace(spec, interval=PriceInterval(0.0, c))).g(base))
+        (c, piecewise_exact_forms(spec.with_bounds(0.0, c)).g(base))
         for c in cutoffs)
     return GrowthAnalysis(cls, evidence, spec.tail_growth_exponent())

@@ -121,6 +121,34 @@ class TestReplicate:
         assert run_cli(capsys, *command, "--payoff", "catalog:capped_call", "--param", "p0=1",
                        "--param", "p1=4", *bounds) == from_file
 
+    TOP = '{"piecewise": {"points": [[1, 0], [2, 1]], "jumps": [[2, 0.5]]}%s}'
+
+    @pytest.mark.parametrize("bounds, g_at_1", [([], math.log(2.0)),
+                                                (["--beta", "inf"], math.log(2.0) + 0.25)])
+    def test_a_jump_at_the_tables_top_replicates(self, capsys, tmp_path, bounds, g_at_1):
+        # The jump at 2 adds nothing to g on the default [1, 2] and 0.5 / 2
+        # on [1, inf).  Both runs used to exit 1.
+        doc = tmp_path / "top.json"
+        doc.write_text(self.TOP % "")
+        code, out, err = run_cli(capsys, "replicate", "--payoff", str(doc), "--grid", "5",
+                                 *bounds)
+        assert (code, err) == (0, "")
+        p, f, g, v = map(float, out.splitlines()[1].split(","))
+        assert (p, f) == (1.0, 0.0) and g == pytest.approx(g_at_1, rel=1e-15)
+
+    def test_a_files_beta_is_the_flags_beta(self, capsys, tmp_path):
+        # The file's bound used to exit 1 where the flag over "beta": "inf" exited 0.
+        runs = []
+        for name, body, flags in (("file.json", ', "beta": 2', []),
+                                  ("flag.json", "", ["--beta", "2"]),
+                                  ("inf.json", ', "beta": "inf"', ["--beta", "2"])):
+            doc = tmp_path / name
+            doc.write_text(self.TOP % body)
+            runs.append(run_cli(capsys, "replicate", "--payoff", str(doc), "--grid", "7",
+                                *flags))
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1] == runs[2]
+
     @pytest.mark.parametrize("command", ["replicate", "trading-function", "simulate",
                                          "verify"])
     @pytest.mark.parametrize("source", ["catalog", "file"])

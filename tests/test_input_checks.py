@@ -17,6 +17,7 @@ from cfmmrep import (
     InvalidParameterError,
     Logarithmic,
     MonotonicityError,
+    NumericProfile,
     NumericalError,
     PayoffParseError,
     PayoffSpec,
@@ -166,6 +167,11 @@ class TestPayoffSpecInput:
         with pytest.raises(InvalidParameterError, match="must be >= 0"):
             PayoffSpec(segs, ((1.0, -1.0),), PriceInterval())
 
+    def test_nan_jump(self):
+        # This spec used to build, and g(0.5) was nan.
+        with pytest.raises(InvalidParameterError, match=r"jump size at 1\.0 must be >= 0"):
+            PayoffSpec(self.STEP, ((1.0, math.nan),), PriceInterval())
+
     def test_jump_off_a_breakpoint(self):
         segs = (Segment(0.0, 1.0, ConstantForm(0.0)), Segment(1.0, math.inf, ConstantForm(1.0)))
         with pytest.raises(InvalidParameterError, match="not a breakpoint"):
@@ -310,11 +316,28 @@ class TestPiecewiseInput:
         ([(-1, 0), (1, 1)], (), None, "must be >= 0"),
         ([(1, -1), (2, 1)], (), None, "is negative"),
         ([(1, 0), (2, 1)], [(1, -0.5)], None, "jump size"),
-        ([(1, 0), (2, 1), (3, 2)], [(1, 0.5)], PriceInterval(2.0, 3.0), "outside"),
+        # A NaN size used to drop the jump: spec.jumps was ().
+        ([(1, 0), (2, 1)], [(2, math.nan)], None, r"jump size at 2\.0 must be >= 0"),
     ])
     def test_rejected(self, points, jumps, interval, message):
         with pytest.raises(InvalidParameterError, match=message):
             make_piecewise_payoff(points, jumps, interval)
+
+    def test_a_jump_below_alpha_builds(self):
+        # The interval selects where f is replicated; the jump at 1 keeps its
+        # step in f and adds nothing to g on [2, 3].  This used to raise.
+        spec = make_piecewise_payoff([(1, 0), (2, 1), (3, 2)], [(1, 0.5)],
+                                     PriceInterval(2.0, 3.0))
+        assert spec.jumps == ((1.0, 0.5),) and spec.value(1.5) == 0.75
+        exact, oracle = ReplicationProfile(spec), NumericProfile(spec)
+        for p in (2.0, 2.2, 2.5, 2.9, 3.0):
+            assert exact.g(p) == pytest.approx(oracle.g(p), rel=1e-9, abs=1e-15)
+            assert exact.portfolio_value(p) == pytest.approx(oracle.portfolio_value(p),
+                                                             rel=1e-9)
+        for r2 in (0.05, 0.2, exact.g_alpha):
+            assert exact.g_inverse_value(r2) == pytest.approx(oracle.g_inverse_value(r2),
+                                                              rel=1e-9)
+        assert all(r.passed for r in run_verification(exact))
 
 
 class TestParseInput:
@@ -328,6 +351,33 @@ class TestParseInput:
     ])
     def test_rejected(self, doc, message):
         with pytest.raises(PayoffParseError, match=message):
+            parse_payoff_file(doc)
+
+    def test_a_table_with_no_points_is_a_usage_error(self, capsys, tmp_path):
+        # Without bounds this used to exit 1, with them 2.
+        for bounds in ("", ', "alpha": 1', ', "beta": 2'):
+            doc = tmp_path / "empty.json"
+            doc.write_text('{"piecewise": {"points": []}%s}' % bounds)
+            assert run_cli(capsys, "replicate", "--payoff", str(doc)) == (
+                2, "", "error: piecewise payoff needs at least one point\n")
+
+    def test_nan_jump_size(self, capsys, tmp_path):
+        # Python's json reads NaN; the jump used to be dropped, and the run exited 0.
+        doc = tmp_path / "nan.json"
+        doc.write_text('{"piecewise": {"points": [[1, 0], [2, 1]], "jumps": [[1, NaN]]}}')
+        code, out, err = run_cli(capsys, "replicate", "--payoff", str(doc))
+        assert (code, out) == (1, "")
+        assert err == "error: jump size at 1.0 must be >= 0\n"
+
+    @pytest.mark.parametrize("doc, error, message", [
+        ('{"catalog": "capped_power", "p0": 0, "p1": 1e300, "a": 1e300, "alpha": NaN}',
+         NumericalError, "overflows the float range"),
+        ('{"piecewise": {"points": [[1, 0], [1, 1]]}, "alpha": -1}',
+         InvalidParameterError, "strictly increasing"),
+    ])
+    def test_the_payoffs_error_comes_before_the_intervals(self, doc, error, message):
+        # The payoff is built first, then its interval; both used to name the interval.
+        with pytest.raises(error, match=message):
             parse_payoff_file(doc)
 
 

@@ -127,6 +127,12 @@ class TestDerivative:
         spec = make_catalog_payoff(Logarithmic(1.0))
         assert eval_payoff_derivative(spec, 2.0) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("form, slope", [
+        (PowerForm(1.0, 0.5), math.inf), (PowerForm(1.0, 2.0), 0.0),
+        (NormalCdfForm(1.0, 0.2, 1.0), 0.0)])
+    def test_form_slope_at_zero(self, form, slope):
+        assert form.slope(0.0) == slope
+
     def test_breakpoint_rejected(self):
         spec = make_catalog_payoff(CappedCall(1.0, E))
         with pytest.raises(BreakpointDerivativeError):
@@ -261,10 +267,64 @@ class TestPiecewise:
     def test_default_interval_is_table_range(self):
         spec = make_piecewise_payoff([(1.0, 0.0), (3.0, 2.0)])
         assert spec.interval == PriceInterval(1.0, 3.0)
+        assert make_piecewise_payoff([(2.0, 1.0)]).interval == PriceInterval(2.0, math.inf)
 
     def test_jump_must_be_a_table_price(self):
         with pytest.raises(InvalidParameterError):
             make_piecewise_payoff([(1.0, 0.0), (2.0, 1.0)], jumps=[(1.5, 0.1)])
+        with pytest.raises(InvalidParameterError, match="jump location 1.5"):
+            make_piecewise_payoff([(1.0, 0.0), (2.0, 1.0)], jumps=[(1.5, 0.0)])
+
+    @pytest.mark.parametrize("interval", [None, PriceInterval(1.5, 1.8), PriceInterval(0.0, 1.0)])
+    def test_a_jump_outside_the_interval_keeps_its_step(self, interval):
+        # A jump at the table's last price, at or above beta on [1, 2] (the
+        # default), [1.5, 1.8] and [0, 1]: this used to raise.
+        spec = make_piecewise_payoff([(1.0, 0.0), (2.0, 1.0)], [(2.0, 0.5)], interval)
+        assert spec.jumps == ((2.0, 0.5),)
+        assert (spec.value(2.0), spec.value(3.0)) == (1.0, 1.5)
+
+
+class TestWithBounds:
+    @pytest.fixture
+    def spec(self):
+        return make_piecewise_payoff([(1.0, 0.0), (2.0, 1.0)], [(2.0, 0.5)])
+
+    def test_no_bound_is_the_same_spec(self, spec):
+        assert spec.with_bounds() is spec
+        assert spec.with_bounds(None, None) is spec
+
+    @pytest.mark.parametrize("alpha, beta, interval", [
+        (0.5, None, PriceInterval(0.5, 2.0)), (None, math.inf, PriceInterval(1.0, math.inf)),
+        (0.0, 1.5, PriceInterval(0.0, 1.5))])
+    def test_keeps_each_bound_not_given_and_the_payoff(self, spec, alpha, beta, interval):
+        cut = spec.with_bounds(alpha, beta)
+        assert cut.interval == interval
+        assert (cut.segments, cut.jumps, cut.catalog) == (spec.segments, spec.jumps, None)
+        assert spec.interval == PriceInterval(1.0, 2.0)
+
+    @pytest.mark.parametrize("alpha, beta", [(3.0, None), (None, 0.5), (math.nan, None),
+                                             (None, math.nan), (-1.0, None)])
+    def test_an_invalid_interval_is_rejected(self, spec, alpha, beta):
+        with pytest.raises(InvalidParameterError):
+            spec.with_bounds(alpha, beta)
+
+    @pytest.mark.parametrize("doc", [
+        '{"catalog":"capped_call","p0":1,"p1":4}',
+        '{"catalog":"logarithmic","p0":0.5}',
+        '{"piecewise":{"points":[[1,0],[2,1]],"jumps":[[2,0.5]]}}',
+        '{"piecewise":{"points":[[0.5,0.1],[2,2],[4,3]],"jumps":[[2,0.25]]}}',
+        '{"piecewise":{"points":[[2,1]]}}',
+    ])
+    @pytest.mark.parametrize("bounds", [{"alpha": 1.5}, {"beta": 2}, {"beta": "inf"},
+                                        {"alpha": 1.5, "beta": 3}])
+    def test_document_bounds_are_with_bounds(self, doc, bounds):
+        # A document's bounds go over the payoff on its own default interval:
+        # the one-point table with only alpha keeps beta = inf, where it used
+        # to get its one price.
+        bounded = parse_payoff_file(json.dumps({**json.loads(doc), **bounds}))
+        expected = parse_payoff_file(doc).with_bounds(
+            *(math.inf if bounds.get(k) == "inf" else bounds.get(k) for k in ("alpha", "beta")))
+        assert bounded == expected
 
 
 class TestParsing:
@@ -330,6 +390,7 @@ class TestRoundTrip:
         '{"catalog":"constant_proportion","w":0.5,"C":1.0}',
         '{"piecewise":{"points":[[1,0],[2,0.5],[4,1.5]],"jumps":[[2,0.25]]},"beta":"inf"}',
         '{"piecewise":{"points":[[0.5,0.1],[2,2]]}}',
+        '{"piecewise":{"points":[[1,0],[2,1]],"jumps":[[2,0.5]]}}',
     ])
     def test_parse_serialize_parse(self, doc):
         first = parse_payoff_file(doc)

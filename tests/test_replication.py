@@ -41,7 +41,7 @@ import cfmmrep
 from cfmmrep import replication
 from cfmmrep.normal import norm_cdf
 from cfmmrep.oracle import quadrature_replication_cost
-from cfmmrep.payoffs import ConstantForm, PayoffSpec, PowerForm, Segment
+from cfmmrep.payoffs import ConstantForm, LinearForm, PayoffSpec, PowerForm, Segment
 from cfmmrep.quadrature import adaptive_simpson
 
 E = math.e
@@ -93,6 +93,7 @@ class TestReplicationCost:
                 q = oracle.g(p)
                 assert q == pytest.approx(c, rel=1e-8, abs=1e-12), (
                     f"{prof.payoff.catalog} at p={p}")
+            assert oracle.g(math.inf) == prof.g(math.inf) == 0.0
 
     def test_scipy_cross_check_smooth_families(self):
         # Independent integrator on the raw integrand for the smooth families.
@@ -179,6 +180,15 @@ class TestPortfolio:
         with pytest.raises(DomainError):
             portfolio_value(prof, price)
         assert prof.portfolio_value(math.inf) == math.inf
+
+    @pytest.mark.parametrize("slope, limit", [(0.0, 1.0), (0.5, math.inf)])
+    def test_value_at_infinity_of_a_linear_tail(self, slope, limit):
+        spec = PayoffSpec((Segment(0.0, 1.0, ConstantForm(0.0)),
+                           Segment(1.0, 2.0, LinearForm(1.0, 0.0, 1.0)),
+                           Segment(2.0, math.inf, LinearForm(2.0, 1.0, slope))),
+                          (), PriceInterval(0.0, math.inf if slope == 0.0 else 4.0))
+        profile = ReplicationProfile(spec)
+        assert spec.limit_at_infinity() == profile.portfolio_value(math.inf) == limit
 
     def test_value_where_risky_vanishes(self):
         prof = ReplicationProfile(make_catalog_payoff(CappedCall(1.0, E)))
