@@ -20,7 +20,7 @@ from .cfmm import (
     trading_function_infimum,
 )
 from .errors import InvalidParameterError
-from .payoffs import ConstantProportion, constant_product_level, make_catalog_payoff
+from .payoffs import ConstantProportion, constant_product_level
 from .replication import ReplicationProfile, portfolio_value_integral
 from .simulate import GbmParams, gbm_path, run_arbitrage
 
@@ -159,7 +159,7 @@ def run_verification(profile: ReplicationProfile, seed: int = 7, samples: int = 
     if isinstance(payoff.catalog, ConstantProportion) and payoff.catalog.c > 0.0:
         w = payoff.catalog.w
         level = constant_product_level(payoff.catalog)
-        uncut = ReplicationProfile(make_catalog_payoff(payoff.catalog))
+        uncut = ReplicationProfile(payoff.with_bounds(beta=math.inf))
         shift = uncut.g(profile.interval.beta)
         worst_cp = 0.0
         pool = pool_init(profile, exp(uniform(log_lo, log_hi)))

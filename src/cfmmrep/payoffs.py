@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import (
@@ -265,13 +265,15 @@ class NormalCdfForm:
     def d(self, p: float) -> float:
         if p <= 0.0:
             return -math.inf
-        return (math.log(p / self.strike) - 0.5 * self._vol * self._vol) / self._vol
+        k, vol = self.strike, self._vol  # where p / k underflows to 0, log(p) - log(k)
+        return ((math.log(p / k) if p / k else math.log(p) - math.log(k)) - 0.5 * vol * vol) / vol
 
     def value(self, p: float) -> float:  # norm_cdf(self.d(p)) inline; N(-inf) is 0
         if p <= 0.0:
             return 0.0
-        vol = self._vol
-        return 0.5 * math.erfc(-((math.log(p / self.strike) - 0.5 * vol * vol) / vol) / _SQRT2)
+        vol, k = self._vol, self.strike
+        log_ratio = math.log(p / k) if p / k else math.log(p) - math.log(k)
+        return 0.5 * math.erfc(-((log_ratio - 0.5 * vol * vol) / vol) / _SQRT2)
 
     def values(self, prices) -> list:
         d = self.d
@@ -290,19 +292,20 @@ class NormalCdfForm:
         # deep tail.  The cost from p to top is the drop of this over strike.
         if not 0.0 < p < math.inf:
             return 1.0 if p <= 0.0 else 0.0
-        vol = self._vol
-        return norm_cdf(-((math.log(p / self.strike) - 0.5 * vol * vol) / vol + vol))
+        return norm_cdf(-(self.d(p) + self._vol))
 
     def piece(self, lo: float, top: float, whole: Optional[float] = None):
         k, vol, log, tail = self.strike, self._vol, math.log, self._survival(top)
         whole = (self._survival(lo) - tail) / k if whole is None else whole
-        half_v2, erfc, root2 = 0.5 * vol * vol, math.erfc, _SQRT2
+        half_v2, erfc, root2, log_k = 0.5 * vol * vol, math.erfc, _SQRT2, log(k)
         # Below, _survival(p) written out for lo < p < top, norm_cdf(-x) as
         # 0.5 * erfc(x / root2): the same operations, as -(-x) is x.
-        return (lambda p: whole if p <= lo else (0.5 * erfc(
-                    ((log(p / k) - half_v2) / vol + vol) / root2) - tail) / k if p < top else 0.0,
-                lambda prices: [(0.5 * erfc(((log(p / k) - half_v2) / vol + vol) / root2) - tail)
-                                / k for p in prices])
+        return (lambda p: whole if p <= lo else (0.5 * erfc((
+                    ((log(p / k) if p / k else log(p) - log_k) - half_v2) / vol + vol) / root2)
+                    - tail) / k if p < top else 0.0,
+                lambda prices: [(0.5 * erfc((((log(p / k) if p / k else log(p) - log_k)
+                                              - half_v2) / vol + vol) / root2) - tail) / k
+                                for p in prices])
 
     def cost_inverse(self, y: float, hi: float) -> float:
         vol = self._vol
@@ -449,7 +452,7 @@ class PayoffSpec:
     segments: tuple
     jumps: tuple
     interval: PriceInterval
-    catalog: Optional[CatalogParams] = None
+    catalog: Optional[CatalogParams] = field(default=None, init=False)  # set by make_catalog_payoff
     # Interior segment boundaries (kinks and jump locations), ascending,
     # and each segment's bound form.value; derived from segments.
     breakpoints: tuple = field(init=False, repr=False, compare=False)
@@ -490,13 +493,15 @@ class PayoffSpec:
 
     def with_bounds(self, alpha: Optional[float] = None,
                     beta: Optional[float] = None) -> PayoffSpec:
-        """The same payoff on a new interval, keeping each bound not given:
-        an interval selects where f is replicated and never changes f."""
+        """The same payoff on a new interval, keeping each bound not given.
+        An interval never changes f: the copy keeps every checked field as is."""
         if alpha is None and beta is None:
             return self
-        return replace(self, interval=PriceInterval(
+        spec = object.__new__(PayoffSpec)
+        spec.__dict__.update(self.__dict__, interval=PriceInterval(
             self.interval.alpha if alpha is None else alpha,
             self.interval.beta if beta is None else beta))
+        return spec
 
     def _segment_at(self, p: float) -> Segment:
         # bisect_left sends a boundary point to the lower segment, which is
@@ -809,18 +814,17 @@ def natural_interval(params: CatalogParams) -> PriceInterval:
     return PriceInterval(0.0, getattr(params, "p1", math.inf))
 
 
-def make_catalog_payoff(params: CatalogParams,
-                        interval: Optional[PriceInterval] = None) -> PayoffSpec:
-    """Build a catalog payoff on the given (or natural) interval.  A payoff
-    whose replication cost diverges builds; ReplicationProfile rejects it."""
-    if interval is None:
-        interval = natural_interval(params)
+def make_catalog_payoff(params: CatalogParams) -> PayoffSpec:
+    """The catalog payoff on its natural interval, the one spec naming its family.
+    A payoff whose replication cost diverges builds; ReplicationProfile rejects it."""
     try:
         segments, jumps = family(params).segments(params)
     except OverflowError:
         raise NumericalError(
             f"{params}: the payoff overflows the float range") from None
-    return PayoffSpec(segments=segments, jumps=jumps, interval=interval, catalog=params)
+    spec = PayoffSpec(segments=segments, jumps=jumps, interval=natural_interval(params))
+    object.__setattr__(spec, "catalog", params)
+    return spec
 
 
 def catalog_psi(spec: PayoffSpec) -> Optional[Callable[[float, float], float]]:
@@ -850,13 +854,13 @@ def constant_product_level(params: ConstantProportion) -> float:
 # Piecewise-linear payoffs
 # ---------------------------------------------------------------------------
 
-def make_piecewise_payoff(points, jumps=(), interval=None) -> PayoffSpec:
+def make_piecewise_payoff(points, jumps=()) -> PayoffSpec:
     """Monotone piecewise-linear payoff from (price, value) points.
 
     Between consecutive points the payoff interpolates linearly; it is
     constant below the first and above the last.  A jump at a point price
     lifts the function immediately above that price by the jump size.  The
-    default interval is the table's price range ([p, inf) for one point p).
+    interval is the table's price range ([p, inf) for one point p).
     A jump outside [alpha, beta) keeps its step in f and adds nothing to g.
     """
     pts = [(float(p), float(v)) for p, v in points]
@@ -885,11 +889,9 @@ def make_piecewise_payoff(points, jumps=(), interval=None) -> PayoffSpec:
     top = pts[-1][1] + jump_map.get(pts[-1][0], 0.0)
     segs.append(Segment(pts[-1][0], math.inf, ConstantForm(top)))
 
-    if interval is None:
-        lo, hi = pts[0][0], pts[-1][0]
-        interval = PriceInterval(lo, hi if hi > lo else math.inf)
-    jump_list = tuple(sorted(jump_map.items()))
-    return PayoffSpec(segments=tuple(segs), jumps=jump_list, interval=interval)
+    lo, hi = pts[0][0], pts[-1][0]
+    return PayoffSpec(segments=tuple(segs), jumps=tuple(sorted(jump_map.items())),
+                      interval=PriceInterval(lo, hi if hi > lo else math.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -143,9 +143,9 @@ def replication_cost(profile: ReplicationProfile, p: float) -> float:
 
 
 def portfolio_at(profile: ReplicationProfile, p: float):
-    """(numeraire, risky) holdings at price p."""
-    profile.interval.check(p)
-    return profile.payoff.value(p), profile.g(p)
+    """(numeraire, risky) holdings at price p, as profile.portfolios((p,)) mints them."""
+    (r1,), (r2,) = profile.portfolios((p,))
+    return r1, r2
 
 
 def portfolio_value(profile: ReplicationProfile, p: float) -> float:

@@ -52,7 +52,7 @@ TABLE = ([(0.15, 0.09), (0.62, 0.23), (0.69, 0.72), (0.9, 1.02), (1.07, 1.05),
           (2.8, 1.25), (7.5, 1.4), (9.0, 1.86)], [(0.62, 0.21), (1.07, 0.08)])
 
 # The capped call cut below its cap, as the truncated audit runs it.
-FLAT = (CappedCall(1.0, 4.0), PriceInterval(0.0, 2.0))
+FLAT = make_catalog_payoff(CappedCall(1.0, 4.0)).with_bounds(0.0, 2.0)
 
 
 def _profiles():
@@ -61,13 +61,14 @@ def _profiles():
     for params in FAMILIES:
         for interval in (None, CUT):
             def make(params=params, interval=interval):
-                return ReplicationProfile(make_catalog_payoff(params, interval))
+                spec = make_catalog_payoff(params)
+                return ReplicationProfile(spec if interval is None
+                                          else spec.with_bounds(interval.alpha, interval.beta))
             cases.append((f"{params!r} on {interval}", make, sample_price_range(make())))
     table = make_piecewise_payoff(*TABLE)
     cases.append(("table", lambda: ReplicationProfile(table), (0.15, 9.0)))
     cases.append(("numeric table", lambda: NumericProfile(table), (0.15, 9.0)))
-    flat = make_catalog_payoff(*FLAT)
-    cases.append(("flat capped call", lambda: ReplicationProfile(flat), (0.02, 1.0)))
+    cases.append(("flat capped call", lambda: ReplicationProfile(FLAT), (0.02, 1.0)))
     return cases
 
 
@@ -337,7 +338,9 @@ def _mint_prices(profile, rng):
 def test_mints_hold_the_list_methods_bits_and_errors():
     # pool_init and arbitrage_to_price mint (f(p), g(p)) as portfolios((p,))
     # does, bit for bit, and raise what it raises, with its message.
-    cases = [(f"{p!r} on {i}", make_catalog_payoff(p, i)) for p in FAMILIES for i in (None, CUT)]
+    cases = [(f"{p!r} on {i}", make_catalog_payoff(p) if i is None
+              else make_catalog_payoff(p).with_bounds(i.alpha, i.beta))
+             for p in FAMILIES for i in (None, CUT)]
     cases.append(("table", make_piecewise_payoff(*TABLE)))
     minted = raised = 0
     for label, payoff in cases:
@@ -364,8 +367,8 @@ def test_mints_raise_the_cost_errors():
         pool_init(proportion, 0.0)
     with pytest.raises(InfiniteReplicationCostError):
         arbitrage_to_price(pool_init(proportion, 1.0), 0.0)
-    huge = ReplicationProfile(make_catalog_payoff(ConstantProportion(0.5, 1e300),
-                                                  PriceInterval(0.0, 1e300)))
+    huge = ReplicationProfile(make_catalog_payoff(ConstantProportion(0.5, 1e300))
+                              .with_bounds(0.0, 1e300))
     with pytest.raises(NumericalError, match="overflows the float range"):
         pool_init(huge, 1e-20)
     with pytest.raises(NumericalError, match="overflows the float range"):

@@ -16,7 +16,6 @@ import pytest
 from cfmmrep import (
     Logarithmic,
     NumericProfile,
-    PriceInterval,
     ReplicationProfile,
     TradingFunction,
     make_catalog_payoff,
@@ -102,8 +101,7 @@ def test_infimum_g_count_is_pinned(g_calls, beta, first, again):
     # A fresh TradingFunction pays for its grid once: V at 512 prices, plus
     # 50 golden-section steps, plus (unbounded) two steps doubling the top.
     points, jumps = TABLE
-    profile = ReplicationProfile(make_piecewise_payoff(points, jumps,
-                                                       PriceInterval(0.5, beta)))
+    profile = ReplicationProfile(make_piecewise_payoff(points, jumps).with_bounds(0.5, beta))
     tf = TradingFunction(profile)
     r1, r2 = profile.payoff.value(1.5) + 0.25, profile.g(1.5)
     g_calls.clear()

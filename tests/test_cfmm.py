@@ -216,8 +216,8 @@ class TestInfimumMemo:
         # Grid ends are alpha (or lo) and beta (or top) exactly, not their
         # exp(log(x)) round trips, which can miss by an ulp either way.
         table = make_piecewise_payoff([(0.5, 0.1), (1.0, 0.3), (2.0, 0.5), (4.0, 1.5),
-                                       (40.0, 3.0)], jumps=[(1.0, 0.2)] if alpha < 1.0 else [],
-                                      interval=PriceInterval(alpha, beta))
+                                       (40.0, 3.0)], jumps=[(1.0, 0.2)] if alpha < 1.0 else []
+                                      ).with_bounds(alpha, beta)
         prof = ReplicationProfile(table)
         tf = TradingFunction(prof)
         for p in (alpha or 0.6, 3.0, 12.0):

@@ -39,6 +39,17 @@ class TestReplicate:
         for p, f, g, v in rows:
             assert v == pytest.approx(f + p * g, rel=1e-12)
 
+    def test_normal_cdf_where_p_over_k_underflows(self, capsys):
+        # f(1e-30) = 0 and g(1e-30) = (1 - 0) / K; this used to exit 1 with
+        # "error: math domain error".
+        code, out, err = run_cli(
+            capsys, "replicate", "--payoff", "catalog:black_scholes_binary",
+            "--param", "K=1e300", "--param", "sigma=0.4", "--param", "tau=1",
+            "--alpha", "1e-30", "--grid", "3")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 3 and [row[1:3] for row in rows] == [["0", "1e-300"]] * 3
+
     def test_cash_or_nothing_g_column(self, capsys):
         code, out, _ = run_cli(
             capsys, "replicate", "--payoff", "catalog:cash_or_nothing",
@@ -199,6 +210,16 @@ class TestTradingFunction:
             "--check-infimum")
         assert code == 0
         assert out.splitlines()[0] == "r2,g_inv,psi_at_zero_r1,psi_inf"
+
+    def test_check_infimum_where_p_over_k_underflows(self, capsys):
+        # At alpha = 1e-30, p / K is 0 in floats; this used to exit 1 with
+        # "error: math domain error".
+        code, out, err = run_cli(
+            capsys, "trading-function", "--payoff", "catalog:black_scholes_binary",
+            "--param", "K=1e300", "--param", "sigma=0.4", "--param", "tau=1",
+            "--alpha", "1e-30", "--check-infimum", "--grid", "3")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "1e-300,1.0000000000000001e-30,0,0"
 
     def test_check_infimum_mismatch_exits_1(self, capsys, monkeypatch):
         # An oracle 1.0 above every psi stands in for a broken trading function.

@@ -17,7 +17,6 @@ import math
 import random
 import struct
 import textwrap
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -158,7 +157,7 @@ def test_cut_catalog_matches_oracle(case, cut, start, seed):
     params, lo, hi = CUT_FAMILIES[case]
     beta = lo * (hi / lo) ** cut
     alpha = 0.0 if start < 0.3 else beta * start
-    spec = make_catalog_payoff(params, PriceInterval(alpha, beta))
+    spec = make_catalog_payoff(params).with_bounds(alpha, beta)
     _assert_matches_oracle(spec, seed)
 
 
@@ -441,8 +440,7 @@ def _random_table(rng):
     elif rng.random() < 0.3:
         beta = math.inf
     jumps = [(q, size) for q, size in jumps if alpha <= q < beta]
-    return make_piecewise_payoff(list(zip(prices, values)), jumps,
-                                 PriceInterval(alpha, beta))
+    return make_piecewise_payoff(list(zip(prices, values)), jumps).with_bounds(alpha, beta)
 
 
 def test_table_g_has_the_loops_bits():
@@ -507,7 +505,7 @@ def _bench_table_cuts(rng, spec):
     cut_alpha = rng.uniform(alpha, bps[1])
     intervals = [(alpha, beta), (0.0, INF), (cut_alpha, beta), (alpha, inside),
                  (cut_alpha, inside), (alpha, q1), (alpha, q2)]
-    return [replace(spec, interval=PriceInterval(lo, hi)) for lo, hi in intervals]
+    return [spec.with_bounds(lo, hi) for lo, hi in intervals]
 
 
 def test_table_portfolios_have_gs_bits():

@@ -321,13 +321,13 @@ class TestPiecewiseInput:
     ])
     def test_rejected(self, points, jumps, interval, message):
         with pytest.raises(InvalidParameterError, match=message):
-            make_piecewise_payoff(points, jumps, interval)
+            spec = make_piecewise_payoff(points, jumps)
+            spec = spec if interval is None else spec.with_bounds(interval.alpha, interval.beta)
 
     def test_a_jump_below_alpha_builds(self):
         # The interval selects where f is replicated; the jump at 1 keeps its
         # step in f and adds nothing to g on [2, 3].  This used to raise.
-        spec = make_piecewise_payoff([(1, 0), (2, 1), (3, 2)], [(1, 0.5)],
-                                     PriceInterval(2.0, 3.0))
+        spec = make_piecewise_payoff([(1, 0), (2, 1), (3, 2)], [(1, 0.5)]).with_bounds(2.0, 3.0)
         assert spec.jumps == ((1.0, 0.5),) and spec.value(1.5) == 0.75
         exact, oracle = ReplicationProfile(spec), NumericProfile(spec)
         for p in (2.0, 2.2, 2.5, 2.9, 3.0):

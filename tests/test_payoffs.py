@@ -27,6 +27,7 @@ from cfmmrep import (
     PayoffSpec,
     PriceInterval,
     ReplicationProfile,
+    TradingFunction,
     eval_payoff,
     eval_payoff_derivative,
     make_catalog_payoff,
@@ -34,6 +35,7 @@ from cfmmrep import (
     parse_payoff_file,
     payoff_breakpoints,
     serialize_payoff,
+    trading_function_eval,
 )
 from cfmmrep.payoffs import (
     ConstantForm,
@@ -104,7 +106,7 @@ def test_breakpoints_derived_once_and_outside_equality():
     assert spec.breakpoints == (1.0, 4.0)
     assert "breakpoints" not in repr(spec)
     assert spec == make_catalog_payoff(CappedCall(1.0, 4.0))
-    cut = dataclasses.replace(spec, interval=PriceInterval(0.0, 2.0))
+    cut = spec.with_bounds(0.0, 2.0)
     assert cut.breakpoints == (1.0, 4.0) and cut != spec
 
 
@@ -198,8 +200,7 @@ class TestValidation:
         with pytest.raises(InfiniteReplicationCostError):
             ReplicationProfile(make_catalog_payoff(CappedPower(1.0, math.inf, 2.0)))
         # Bounding the interval makes the same payoff replicable.
-        spec = make_catalog_payoff(CappedPower(1.0, math.inf, 1.0),
-                                   PriceInterval(0.0, 100.0))
+        spec = make_catalog_payoff(CappedPower(1.0, math.inf, 1.0)).with_bounds(0.0, 100.0)
         assert eval_payoff(spec, 50.0) == pytest.approx(49.0)
         # The unbounded payoff itself builds, for analysis.
         spec = make_catalog_payoff(CappedPower(1.0, math.inf, 1.0))
@@ -249,8 +250,7 @@ class TestValidation:
 class TestPiecewise:
     def test_linear_interpolation_and_jumps(self):
         spec = make_piecewise_payoff([(1.0, 0.0), (2.0, 0.5), (4.0, 1.5)],
-                                     jumps=[(2.0, 0.25)],
-                                     interval=PriceInterval(1.0, math.inf))
+                                     jumps=[(2.0, 0.25)]).with_bounds(1.0, math.inf)
         assert spec.value(1.5) == pytest.approx(0.25)
         assert spec.value(2.0) == pytest.approx(0.5)   # lower value at the jump
         assert spec.value(2.0 + 1e-12) == pytest.approx(0.75)
@@ -279,7 +279,8 @@ class TestPiecewise:
     def test_a_jump_outside_the_interval_keeps_its_step(self, interval):
         # A jump at the table's last price, at or above beta on [1, 2] (the
         # default), [1.5, 1.8] and [0, 1]: this used to raise.
-        spec = make_piecewise_payoff([(1.0, 0.0), (2.0, 1.0)], [(2.0, 0.5)], interval)
+        spec = make_piecewise_payoff([(1.0, 0.0), (2.0, 1.0)], [(2.0, 0.5)])
+        spec = spec if interval is None else spec.with_bounds(interval.alpha, interval.beta)
         assert spec.jumps == ((2.0, 0.5),)
         assert (spec.value(2.0), spec.value(3.0)) == (1.0, 1.5)
 
@@ -301,6 +302,21 @@ class TestWithBounds:
         assert cut.interval == interval
         assert (cut.segments, cut.jumps, cut.catalog) == (spec.segments, spec.jumps, None)
         assert spec.interval == PriceInterval(1.0, 2.0)
+
+    def test_makes_no_post_init_call(self, spec, monkeypatch):
+        calls = []
+        check = PayoffSpec.__post_init__
+        monkeypatch.setattr(PayoffSpec, "__post_init__",
+                            lambda s: calls.append(s) or check(s))
+        spec.with_bounds(0.5, 3.0)
+        assert calls == []
+
+    def test_keeps_the_checked_fields(self):
+        spec = make_catalog_payoff(CappedCall(1.0, 4.0))
+        cut = spec.with_bounds(0.0, 2.0)
+        for name in ("segments", "jumps", "breakpoints", "_values", "catalog"):
+            assert getattr(cut, name) is getattr(spec, name), name
+        assert cut.interval == PriceInterval(0.0, 2.0)
 
     @pytest.mark.parametrize("alpha, beta", [(3.0, None), (None, 0.5), (math.nan, None),
                                              (None, math.nan), (-1.0, None)])
@@ -325,6 +341,32 @@ class TestWithBounds:
         expected = parse_payoff_file(doc).with_bounds(
             *(math.inf if bounds.get(k) == "inf" else bounds.get(k) for k in ("alpha", "beta")))
         assert bounded == expected
+
+
+class TestOneWriter:
+    """Only make_catalog_payoff names a family and only with_bounds moves
+    an interval: the builders take neither, and replace drops the family."""
+
+    def test_no_builder_takes_an_interval_or_a_family(self):
+        spec = make_catalog_payoff(CappedCall(1.0, 4.0))
+        with pytest.raises(TypeError):
+            PayoffSpec(spec.segments, spec.jumps, spec.interval, catalog=spec.catalog)
+        with pytest.raises(TypeError):
+            make_catalog_payoff(CappedCall(1.0, 4.0), interval=PriceInterval(0.0, 2.0))
+        with pytest.raises(TypeError):
+            make_piecewise_payoff([(1.0, 0.0), (2.0, 1.0)], interval=PriceInterval(0.0, 2.0))
+
+    def test_replace_drops_the_family(self):
+        # Kept, the capped call's own psi ran on the table's reserves: -1.22 at 1.5.
+        table = make_piecewise_payoff([(0.5, 0.1), (1.0, 0.3), (2.0, 0.5), (4.0, 1.5)],
+                                      [(1.0, 0.2), (2.0, 0.25)])
+        spec = dataclasses.replace(make_catalog_payoff(CappedCall(1.0, 4.0)),
+                                   segments=table.segments, jumps=table.jumps)
+        assert spec.catalog is None and catalog_psi(spec) is None
+        profile = ReplicationProfile(spec)
+        tf = TradingFunction(profile)
+        for p in (0.7, 1.5, 3.0):
+            assert abs(trading_function_eval(tf, spec.value(p), profile.g(p))) <= 1e-12, p
 
 
 class TestParsing:
@@ -512,14 +554,14 @@ def psi_specs():
     """Each case on its natural interval and on [a, b] cuts, a in {0, 0.5},
     b across and beyond the family's breakpoints."""
     for params in PSI_CASES:
-        whole = make_catalog_payoff(params, PriceInterval())
+        whole = make_catalog_payoff(params).with_bounds(0.0, math.inf)
         marks = set(whole.breakpoints) | {1.0, getattr(params, "p1", 1.0)}
         betas = {m * s for m in marks if math.isfinite(m) for s in (0.5, 1.0, 1.5, 3.0)}
         yield make_catalog_payoff(params)
         for a in (0.0, 0.5):
             for b in sorted(betas | {100.0, math.inf}):
                 if b > a:
-                    yield make_catalog_payoff(params, PriceInterval(a, b))
+                    yield make_catalog_payoff(params).with_bounds(a, b)
 
 
 def test_catalog_psi_holds_where_the_uncut_cost_rises_and_stops():
@@ -527,7 +569,7 @@ def test_catalog_psi_holds_where_the_uncut_cost_rises_and_stops():
     # price 0 (nothing rises) or still positive at beta (the cut stops short).
     count = 0
     for spec in psi_specs():
-        uncut = piecewise_exact_forms(dataclasses.replace(spec, interval=PriceInterval())).g
+        uncut = piecewise_exact_forms(spec.with_bounds(0.0, math.inf)).g
         expected_none = uncut(0.0) == 0.0 or uncut(spec.interval.beta) != 0.0
         assert (catalog_psi(spec) is None) == expected_none, (spec.catalog, spec.interval)
         count += 1

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfmmrep import (
-    PriceInterval,
     PricePath,
     ReplicationProfile,
     TradingFunction,
@@ -53,8 +52,8 @@ def random_piecewise_payoff(rng: random.Random):
                 v += jumps[-1][1]
             v += rng.uniform(0.0, 2.0)
     unbounded = rng.random() < 0.5
-    interval = PriceInterval(prices[0], math.inf) if unbounded else None
-    return make_piecewise_payoff(list(zip(prices, values)), jumps, interval)
+    spec = make_piecewise_payoff(list(zip(prices, values)), jumps)
+    return spec.with_bounds(prices[0], math.inf) if unbounded else spec
 
 
 def sample_range(profile):

@@ -157,11 +157,34 @@ class TestPortfolio:
         with pytest.raises(DomainError, match="outside replication interval"):
             capped.portfolios([1.5, E + 0.5])
 
+    def test_portfolio_at_is_the_minted_pair(self):
+        # An infinite g at price 0 is a cost, as portfolios((0.0,)) says;
+        # portfolio_at used to return (0.0, inf) there.
+        prof = ReplicationProfile(make_catalog_payoff(ConstantProportion(0.5, 1.0)))
+        with pytest.raises(InfiniteReplicationCostError, match="infinite at price 0.0"):
+            portfolio_at(prof, 0.0)
+        for p in (math.nan, -1.0):
+            with pytest.raises(DomainError, match="outside replication interval"):
+                portfolio_at(prof, p)
+        for p in (1e-300, 0.25, 4.0, 1e300):
+            r1, r2 = prof.portfolios((p,))
+            assert portfolio_at(prof, p) == (r1[0], r2[0])
+
+    def test_normal_cdf_where_p_over_k_underflows(self):
+        # p / K is 0 in floats: log(p / K) used to raise a math domain error.
+        prof = ReplicationProfile(
+            make_catalog_payoff(BlackScholesBinary(1e300, 0.4, 1.0)).with_bounds(1e-30))
+        assert prof.payoff.value(1e-30) == 0.0
+        assert replication_cost(prof, 1e-30) == (1.0 - 0.0) / 1e300
+        assert portfolio_value(prof, 1e-30) == 0.0 + 1e-30 * 1e-300
+        assert portfolio_at(prof, 1e-30) == (0.0, 1e-300)
+        assert prof.portfolios([1e-30, 2e-30]) == ([0.0, 0.0], [1e-300, 1e-300])
+
     def test_overflowing_g_is_a_numerical_error(self):
         # g(1e-20) = C / sqrt(1e-20) = 1e310 for C = 1e300: finite, but past
         # the float range.  Only g(0) is a truly infinite replication cost.
         prof = ReplicationProfile(make_catalog_payoff(
-            ConstantProportion(0.5, 1e300), PriceInterval(0.0, 1e300)))
+            ConstantProportion(0.5, 1e300)).with_bounds(0.0, 1e300))
         with pytest.raises(NumericalError,
                            match="at price 1e-20 overflows the float range") as info:
             prof.portfolios([1.0, 1e-20])
@@ -426,8 +449,7 @@ class TestGrowthClassification:
             assert d == pytest.approx(math.log(10.0), rel=0.05)
 
     def test_piecewise_probes_converge(self):
-        spec = make_piecewise_payoff([(1.0, 0.0), (2.0, 1.0)],
-                                     interval=PriceInterval(1.0, math.inf))
+        spec = make_piecewise_payoff([(1.0, 0.0), (2.0, 1.0)]).with_bounds(1.0, math.inf)
         out = growth_classification(spec)
         assert out.classification is GrowthClass.FINITE
         cutoffs = [c for c, _ in out.evidence]
@@ -542,7 +564,7 @@ class TestIntervalHandling:
     def test_narrowed_beta_changes_g(self):
         # Cutting the interval below the cap ends g at beta; the profile
         # keeps its exact route, and psi is the generic r1 + p* r2 - V(p*).
-        spec = make_catalog_payoff(CappedCall(1.0, 4.0), PriceInterval(0.0, 2.0))
+        spec = make_catalog_payoff(CappedCall(1.0, 4.0)).with_bounds(0.0, 2.0)
         prof = ReplicationProfile(spec)
         assert prof.g_closed_form is not None
         assert prof.g_inverse_closed_form is not None
@@ -550,19 +572,19 @@ class TestIntervalHandling:
         assert prof.g(1.5) == pytest.approx(math.log(2.0 / 1.5), rel=1e-9)
 
     def test_widened_beta_keeps_closed_forms(self):
-        spec = make_catalog_payoff(CappedCall(1.0, 2.0), PriceInterval(0.0, math.inf))
+        spec = make_catalog_payoff(CappedCall(1.0, 2.0)).with_bounds(0.0, math.inf)
         prof = ReplicationProfile(spec)
         assert prof.g_closed_form is not None
         assert prof.g(3.0) == 0.0
 
     def test_alpha_override(self):
-        spec = make_catalog_payoff(CappedCall(1.0, E), PriceInterval(1.0, E))
+        spec = make_catalog_payoff(CappedCall(1.0, E)).with_bounds(1.0, E)
         prof = ReplicationProfile(spec)
         assert prof.g_alpha == pytest.approx(1.0)
         assert prof.v_alpha == pytest.approx(1.0)
 
     def test_interval_is_the_payoffs(self):
-        spec = make_catalog_payoff(CappedCall(1.0, 4.0), PriceInterval(0.0, 2.0))
+        spec = make_catalog_payoff(CappedCall(1.0, 4.0)).with_bounds(0.0, 2.0)
         assert ReplicationProfile(spec).interval == spec.interval
         # The payoff is the only parameter, so a stale positional interval fails loudly.
         with pytest.raises(TypeError):
@@ -624,8 +646,7 @@ class TestLinearRiseFromZero:
 
     def test_cut_above_zero(self):
         # From alpha = 0.5 the zero-start segment's term from 0 is never needed.
-        prof = ReplicationProfile(make_piecewise_payoff(self.RAMP,
-                                                        interval=PriceInterval(0.5, 2.0)))
+        prof = ReplicationProfile(make_piecewise_payoff(self.RAMP).with_bounds(0.5, 2.0))
         assert prof.g_alpha == pytest.approx(math.log(2.0) + 0.5 * math.log(2.0))
         assert prof.g_inverse_value(prof.g_alpha) == pytest.approx(0.5)
         assert portfolio_value_integral(prof, 1.5) == pytest.approx(

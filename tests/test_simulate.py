@@ -18,7 +18,6 @@ from cfmmrep import (
     InvalidParameterError,
     Logarithmic,
     NumericalError,
-    PriceInterval,
     PricePath,
     ReplicationProfile,
     arbitrage_to_price,
@@ -327,7 +326,7 @@ class TestRunArbitrage:
     def test_flat_region_is_free(self):
         # Above the cap the portfolio is static: a monotone walk earns nothing.
         prof = ReplicationProfile(
-            make_catalog_payoff(CappedCall(1.0, 2.0), interval=None))
+            make_catalog_payoff(CappedCall(1.0, 2.0)))
         path = PricePath((0.0, 1.0, 2.0, 3.0), (2.5, 3.0, 4.0, 8.0))
         report = run_arbitrage(prof, path)
         assert report.total_w == pytest.approx(0.0, abs=1e-15)
@@ -501,7 +500,7 @@ class TestNumericalOverflow:
             gbm_path(GbmParams(5e-324, 10.0, 1.0, 200, 7))
 
     def test_earnings_variance_overflow(self):
-        spec = make_catalog_payoff(ConstantProportion(0.5, 1e300), PriceInterval(0.0, 1e300))
+        spec = make_catalog_payoff(ConstantProportion(0.5, 1e300)).with_bounds(0.0, 1e300)
         prof = ReplicationProfile(spec)
         with pytest.raises(NumericalError, match="variance"):
             monte_carlo_earnings(prof, GbmParams(1.0, 0.5, 1.0, 20, 7), 3)
@@ -510,7 +509,7 @@ class TestNumericalOverflow:
 
     def test_path_earnings_overflow(self):
         # Up at 1e25 the path legs g(P) * dP pass 1e308 with both signs.
-        spec = make_catalog_payoff(ConstantProportion(0.5, 1e300), PriceInterval(0.0, 1e300))
+        spec = make_catalog_payoff(ConstantProportion(0.5, 1e300)).with_bounds(0.0, 1e300)
         prof = ReplicationProfile(spec)
         with pytest.raises(NumericalError, match="from 1e[+]25 leave the float range"):
             run_arbitrage(prof, gbm_path(GbmParams(1e25, 0.5, 1.0, 20, 7)))
