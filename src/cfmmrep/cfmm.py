@@ -25,6 +25,7 @@ Both use only f and g; a minted pool's level is zero, derived on demand.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -111,14 +112,14 @@ def trading_function_infimum(
 ) -> float:
     """inf over prices of r1 + p*r2 - V(p), evaluated directly.
 
-    Log-spaced grid over the interval (truncated where r2 - g(p) turns
-    positive when beta is unbounded), then golden-section refinement on the
-    bracketing cell.  Used as the independent oracle for
-    trading_function_eval.  The grid, V on it and each block of _BLOCK
-    points' lowest price and highest V are memoised on tf, keyed by the
-    grid's ends and size.  V is f from the segments plus p*g(p), with g from
-    profile.g at every grid point, in portfolio_value's operation order,
-    never from a closed form.
+    Log-spaced grid over the interval (cut where r2 - g(p) turns positive
+    when beta is unbounded; when alpha is 0, its floor walks down while
+    g(floor) < r2), then golden-section refinement on the bracketing cell.
+    Used as the independent oracle for trading_function_eval.  The grid, V
+    on it and each block of _BLOCK points' lowest price and highest V are
+    memoised on tf, keyed by the grid's ends and size.  V is f from the
+    segments plus p*g(p), with g from profile.g at every grid point, in
+    portfolio_value's operation order, never from a closed form.
 
     Its first minimum comes from a pruned scan: rounding is monotone and
     r2 >= 0, so no point of a block is below r1 + pmin*r2 - vmax.  The block
@@ -140,9 +141,9 @@ def trading_function_infimum(
         top = max(alpha, max(profile.payoff.breakpoints, default=0.0), 1.0)
         if r2 > 0.0:
             while profile.g(top) >= r2:
-                if top >= 1e300:
+                if top > sys.float_info.max / 4:
                     raise NumericalError(
-                        f"infimum bracket passed 1e300 with g still >= risky reserve {r2!r}")
+                        f"infimum bracket reached {top!r} with g still >= risky reserve {r2!r}")
                 top *= 2.0
             top *= 2.0
         else:
@@ -150,6 +151,8 @@ def trading_function_infimum(
 
     lo = alpha if alpha > 0.0 else min(
         top * 1e-9, min(profile.payoff.breakpoints, default=top) * 1e-3)
+    while alpha == 0.0 and r2 > 0.0 and lo > sys.float_info.min and profile.g(lo) < r2:
+        lo = max(lo * 1e-3, sys.float_info.min)
     f_values, bps, g = profile.payoff._values, profile.payoff.breakpoints, profile.g
     grid = tf._grids.get((lo, top, grid_points))
     if grid is None:

@@ -68,6 +68,8 @@ class ReplicationProfile:
     # -- evaluators ---------------------------------------------------------
 
     def g(self, p: float) -> float:
+        if not p >= 0.0:  # NaN fails too
+            raise DomainError(f"price must be >= 0, got {p}")
         return self.g_closed_form(p)
 
     def portfolio_value(self, p: float) -> float:

@@ -147,11 +147,16 @@ class TestInfimumOracle:
                     f"{prof.payoff.catalog} at p={p}")
 
     def test_bracket_past_1e300_raises(self):
-        # psi(0, 1e-301) is about -693.08; a grid cut at 1e300 gave -692.49.
+        # The bracket doubles up to a quarter of the largest float.  At
+        # r2 = 1e-301 it closes past 1e300, where a grid cut at 1e300 gave
+        # -692.49, and the oracle equals psi; at r2 = 1e-308 it cannot close.
         tf = TradingFunction(ReplicationProfile(make_catalog_payoff(Logarithmic(1.0))))
-        assert trading_function_eval(tf, 0.0, 1e-301) == pytest.approx(-693.08, abs=0.01)
-        with pytest.raises(NumericalError, match="risky reserve 1e-301"):
-            trading_function_infimum(tf, 0.0, 1e-301)
+        psi = trading_function_eval(tf, 0.0, 1e-301)
+        assert trading_function_infimum(tf, 0.0, 1e-301) == psi == -693.0781129912077
+        assert trading_function_eval(tf, 0.0, 1e-308) == pytest.approx(-709.20, abs=0.01)
+        with pytest.raises(NumericalError,
+                           match=r"reached 4\.49423283715579e\+307 .* risky reserve 1e-308"):
+            trading_function_infimum(tf, 0.0, 1e-308)
 
     def test_grid_points_validated(self):
         tf = TradingFunction(ReplicationProfile(make_catalog_payoff(CashOrNothing(2.0))))
@@ -182,7 +187,9 @@ class TestInfimumMemo:
             trading_function_infimum(tf, r1, r2, 512)
         cold = len(evaluated)
         (grid, _, _), = tf._grids.values()
-        assert evaluated[:len(grid)] == grid
+        # alpha is 0: the floor walk's one g(lo) comes first, then the grid.
+        assert evaluated[0] == grid[1]
+        assert evaluated[1:len(grid) + 1] == grid
         evaluated.clear()
         for r1, r2 in calls:
             trading_function_infimum(tf, r1, r2, 512)

@@ -221,6 +221,39 @@ class TestTradingFunction:
         assert (code, err) == (0, "")
         assert out.splitlines()[-1] == "1e-300,1.0000000000000001e-30,0,0"
 
+    @pytest.mark.parametrize("sigma,tau", [("1e-8", "1e-6"), ("1e-8", "1"), ("0.4", "1e-6"),
+                                           ("0.4", "1"), ("50", "1e-6")])
+    def test_check_infimum_below_the_default_floor(self, capsys, sigma, tau):
+        # At K = 1e-300 the minimising price of small r2 lies far below the
+        # oracle's first grid floor; before the floor walked down, the oracle
+        # answered 0 there ("mismatch at r2=2.04e+298") and the run exited 1.
+        code, out, err = run_cli(
+            capsys, "trading-function", "--payoff", "catalog:black_scholes_binary",
+            "--param", "K=1e-300", "--param", f"sigma={sigma}", "--param", f"tau={tau}",
+            "--check-infimum", "--grid", "8")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 9
+
+    @pytest.mark.parametrize("command,payoff", [
+        ("trading-function", "catalog:logarithmic --param p0=1e300"),
+        ("verify", "catalog:logarithmic --param p0=1e300"),
+        ("trading-function", "catalog:cash_or_nothing --param p0=1e300"),
+        ("verify", "catalog:cash_or_nothing --param p0=1e300"),
+        ("trading-function", "catalog:black_scholes_binary --param K=1e300 --param sigma=0.4"
+                             " --param tau=1 --alpha 1e-30"),
+    ], ids=lambda value: value.split()[0])
+    def test_infimum_bracket_past_1e300(self, capsys, command, payoff):
+        # The oracle's top bracket used to stop at 1e300 with "infimum bracket
+        # passed 1e300"; it now doubles on to a quarter of the largest float.
+        argv = [command, "--payoff", *payoff.split()]
+        if command == "trading-function":
+            argv += ["--check-infimum", "--grid", "8"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert "error" not in err and "mismatch" not in err
+        if command == "verify":
+            assert out.splitlines()[-1] == "12/12 checks passed"
+
     def test_check_infimum_mismatch_exits_1(self, capsys, monkeypatch):
         # An oracle 1.0 above every psi stands in for a broken trading function.
         real = cfmmrep.cli.trading_function_infimum

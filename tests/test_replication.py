@@ -204,6 +204,16 @@ class TestPortfolio:
             portfolio_value(prof, price)
         assert prof.portfolio_value(math.inf) == math.inf
 
+    @pytest.mark.parametrize("price", [-math.inf, -1.0, math.nan])
+    def test_g_rejects_prices_below_zero(self, price):
+        # g read a negative price as alpha (1.0 on the log payoff) and NaN as
+        # past the last piece (0.0 there, 0.325 on the table).
+        table = make_piecewise_payoff([(0.5, 0.1), (1.0, 0.3), (2.0, 0.5), (4.0, 1.5)],
+                                      jumps=[(1.0, 0.2), (2.0, 0.25)])
+        for spec in (make_catalog_payoff(Logarithmic(1.0)), table):
+            with pytest.raises(DomainError, match=f"^price must be >= 0, got {price}$"):
+                ReplicationProfile(spec).g(price)
+
     @pytest.mark.parametrize("slope, limit", [(0.0, 1.0), (0.5, math.inf)])
     def test_value_at_infinity_of_a_linear_tail(self, slope, limit):
         spec = PayoffSpec((Segment(0.0, 1.0, ConstantForm(0.0)),
