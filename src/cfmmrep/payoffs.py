@@ -31,7 +31,7 @@ from .errors import (
     NumericalError,
     PayoffParseError,
 )
-from .normal import _SQRT2, norm_cdf, norm_inv, norm_pdf
+from .normal import _P_LOW, _SQRT2, norm_cdf, norm_inv, norm_pdf
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +308,10 @@ class NormalCdfForm:
                                 for p in prices])
 
     def cost_inverse(self, y: float, hi: float) -> float:
-        vol = self._vol
-        u = max(1.0 - (self.strike * y + self._survival(hi)), 0.0)
-        return self.strike * math.exp(vol * norm_inv(u) - 0.5 * vol * vol)
+        vol, s = self._vol, self.strike * y + self._survival(hi)  # the survival mass at the price
+        # In norm_inv's lower tail 1 - s would cancel: take -norm_inv(s) there.
+        x = -norm_inv(s) if s < _P_LOW else norm_inv(max(1.0 - s, 0.0))
+        return self.strike * math.exp(vol * x - 0.5 * vol * vol)
 
     def growth_exponent(self) -> float:
         return 0.0

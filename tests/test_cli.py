@@ -221,6 +221,19 @@ class TestTradingFunction:
         assert (code, err) == (0, "")
         assert out.splitlines()[-1] == "1e-300,1.0000000000000001e-30,0,0"
 
+    def test_normal_cdf_g_inv_in_the_price_tail(self, capsys):
+        # Above price 30 the binary's survival mass is below 1e-17, where
+        # 1 - s is 1: g_inv used to print inf on every row.
+        code, out, err = run_cli(
+            capsys, "trading-function", "--payoff", "catalog:black_scholes_binary",
+            "--param", "K=1", "--param", "sigma=0.4", "--param", "tau=1",
+            "--alpha", "30", "--grid", "5")
+        assert code == 0
+        rows = [list(map(float, line.split(","))) for line in out.splitlines()[1:]]
+        assert len(rows) == 5
+        assert all(math.isfinite(g_inv) for r2, g_inv, _ in rows if r2 > 0.0)
+        assert rows[-1][1] == pytest.approx(30.0, rel=1e-12)
+
     @pytest.mark.parametrize("sigma,tau", [("1e-8", "1e-6"), ("1e-8", "1"), ("0.4", "1e-6"),
                                            ("0.4", "1"), ("50", "1e-6")])
     def test_check_infimum_below_the_default_floor(self, capsys, sigma, tau):

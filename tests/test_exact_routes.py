@@ -302,7 +302,7 @@ COST_FORM_SPECS = [
 ]
 
 # sha256 of every g and g_inverse value below, little-endian doubles.
-COST_FORM_BITS = "95b081f92cfe65a3d9e283b8ba9deac2eae5e1d32cc2e8a23123bebd77a22355"
+COST_FORM_BITS = "ab30411b9a5706cc1e9d2c6d7c7eaa0da2bf12d384979487b1a436629f725c40"
 
 
 def test_cost_forms_keep_their_bits():
@@ -553,8 +553,12 @@ def _family_forms(params):
     if isinstance(params, BlackScholesBinary):
         form = NormalCdfForm(params.strike, params.sigma, params.tau)
         k, d, vol = params.strike, form.d, form._vol
-        return ((lambda p: norm_cdf(-(d(p) + vol)) / k),
-                (lambda x: k * math.exp(vol * norm_inv(1.0 - k * x) - 0.5 * vol * vol)))
+
+        def g_inverse(x):  # in the lower tail 1 - k x cancels: -norm_inv(k x) there
+            z = -norm_inv(k * x) if k * x < 0.02425 else norm_inv(1.0 - k * x)
+            return k * math.exp(vol * z - 0.5 * vol * vol)
+
+        return (lambda p: norm_cdf(-(d(p) + vol)) / k), g_inverse
     if isinstance(params, Logarithmic):
         p0 = params.p0
         return (lambda p: 1.0 / p0 if p < p0 else 1.0 / p), (lambda x: 1.0 / x)
@@ -587,6 +591,15 @@ def _family_forms(params):
             return math.inf
 
     return (lambda p: math.inf if p == 0.0 else coef * p ** (w - 1.0)), g_inverse
+
+
+def test_normal_cdf_inverse_keeps_its_digits_in_the_price_tail():
+    # Where the survival mass s = K y + survival(top) is tiny, 1 - s cancels:
+    # g_inverse(g(p)) was 10.000000011 at p = 10, 19.994 at 20, 24.63 at 25
+    # and inf at 40.
+    profile = ReplicationProfile(make_catalog_payoff(BlackScholesBinary(1.0, 0.4, 1.0)))
+    for p in (10.0, 20.0, 25.0, 40.0):
+        assert profile.g_inverse_value(profile.g(p)) == pytest.approx(p, rel=1e-12), p
 
 
 def _log_uniform(rng, lo, hi):
