@@ -94,8 +94,6 @@ def _check_reserves(tf: TradingFunction, r1: float, r2: float):
 def trading_function_eval(tf: TradingFunction, r1: float, r2: float) -> float:
     """psi(r1, r2) through g_inverse and the portfolio value."""
     _check_reserves(tf, r1, r2)
-    if tf.profile.psi_closed_form is not None:
-        return tf.profile.psi_closed_form(r1, r2)
     p_star = tf.profile.g_inverse_value(r2)
     if p_star == math.inf and r2 > 0.0:  # the true p* is finite: inf is overflow
         raise NumericalError(f"price at risky reserve {r2!r} overflows the float range")

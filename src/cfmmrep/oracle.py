@@ -117,12 +117,12 @@ class NumericProfile(ReplicationProfile):
     """A replication profile on quadrature g and bisection g_inverse.
 
     The independent oracle for ReplicationProfile's exact route, with opts
-    as its quadrature options.  It builds no exact route: with no g, g_inverse
-    or psi closed form, TradingFunction evaluates psi as r1 + p* r2 - V(p*).
-    V, the portfolios and the reserve checks are ReplicationProfile's own.
+    as its quadrature options.  It builds no exact route: psi is
+    r1 + p* r2 - V(p*) on its g and g_inverse.  V, the portfolios and the
+    reserve checks are ReplicationProfile's own.
     """
 
-    _g_values = g_closed_form = g_inverse_closed_form = psi_closed_form = None
+    _g_values = g_closed_form = g_inverse_closed_form = None
 
     def __init__(self, payoff: PayoffSpec, *, opts: QuadratureOptions = DEFAULT_OPTIONS):
         self.opts = opts

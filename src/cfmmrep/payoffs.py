@@ -10,9 +10,9 @@ mass is carried separately and stays visible to the integration code.
 Every payoff's g and g_inverse are exact: each segment form knows its
 replication cost over a piece of its segment and that cost's inverse, and
 piecewise_exact_forms sums them with the jumps.  Six catalog families are
-each defined once, by their Family record in FAMILIES, which also holds the
-family's explicit trading function.  Everything else is expressed as a
-monotone piecewise-linear table or built by hand from segments.
+each defined once, by their Family record in FAMILIES.  Everything else is
+expressed as a monotone piecewise-linear table or built by hand from
+segments.
 """
 
 from __future__ import annotations
@@ -693,36 +693,6 @@ def _capped_segments(p0: float, p1: float, form: SegmentForm):
 
 
 # ---------------------------------------------------------------------------
-# The catalog's trading functions
-# ---------------------------------------------------------------------------
-
-def _step_psi(p0: float):
-    return lambda r1, r2: r1 + p0 * r2 - 1.0
-
-
-def _capped_call_psi(p0: float, p1: float):
-    return lambda r1, r2: r1 + p0 - p1 * math.exp(-r2)
-
-
-def _capped_power_psi(p0: float, p1: float, a: float):
-    if a == 1.0:
-        return _capped_call_psi(p0, p1)
-    p1_pow = p1 ** (a - 1.0)  # 0 from p1 = inf for a < 1; max() clamps noise for a > 1
-    return lambda r1, r2: r1 + p0**a - max(p1_pow + (1.0 - a) / a * r2, 0.0) ** (a / (a - 1.0))
-
-
-def _constant_proportion_psi(w: float, c: float):
-    # A tiny reserve's price lies past the float range, where the powers fail.
-    def psi(r1, r2):
-        try:
-            return r1 - c * ((1.0 - w) * r2 / (w * c)) ** (-w / (1.0 - w))
-        except (ZeroDivisionError, OverflowError):
-            raise NumericalError(f"psi at risky reserve {r2!r} overflows") from None
-
-    return psi
-
-
-# ---------------------------------------------------------------------------
 # The catalog registry
 # ---------------------------------------------------------------------------
 
@@ -733,9 +703,8 @@ class Family:
     keys lists (key, field) pairs accepted in payoff documents and --param;
     the first key naming a field is the canonical one serialization writes.
     help is (parameters, validity, closed forms) as `cfmmrep catalog` prints
-    it.  segments builds the payoff from the params; its g and g_inverse
-    come from the segment forms' costs, like any payoff's.  psi builds the
-    paper's explicit trading function (see catalog_psi for where it holds).
+    it.  segments builds the payoff from the params; its g, g_inverse and
+    trading function come from the segment forms' costs, like any payoff's.
     earnings, when given, is the expected arbitrage earnings E[W] along a
     driftless GBM path as a function of (sigma, horizon).
     """
@@ -745,7 +714,6 @@ class Family:
     keys: tuple
     help: tuple
     segments: Callable
-    psi: Callable
     earnings: Optional[Callable[[float, float], float]] = None
 
 
@@ -754,14 +722,12 @@ FAMILIES = (
         CashOrNothing, "cash_or_nothing", (("p0", "p0"),),
         ("p0", "pays 1 above p0, 0 at or below; needs p0 > 0",
          "g, g_inverse, trading function (linear market maker)"),
-        segments=lambda c: _step_segments(c.p0, 0.0, 1.0),
-        psi=lambda c: _step_psi(c.p0)),
+        segments=lambda c: _step_segments(c.p0, 0.0, 1.0)),
     Family(
         CappedCall, "capped_call", (("p0", "p0"), ("p1", "p1")),
         ("p0, p1", "pays p - p0 between p0 and p1, capped; needs 0 < p0 <= p1 < inf",
          "g, g_inverse, trading function"),
-        segments=lambda c: _capped_segments(c.p0, c.p1, LinearForm(c.p0, 0.0, 1.0)),
-        psi=lambda c: _capped_call_psi(c.p0, c.p1)),
+        segments=lambda c: _capped_segments(c.p0, c.p1, LinearForm(c.p0, 0.0, 1.0))),
     Family(
         BlackScholesBinary, "black_scholes_binary",
         (("K", "strike"), ("strike", "strike"), ("sigma", "sigma"), ("tau", "tau")),
@@ -771,15 +737,11 @@ FAMILIES = (
         segments=lambda b: (
             _whole(ConstantForm(1.0)) if b.strike == 0.0
             else _step_segments(b.strike, 0.0, 1.0) if b.is_step()
-            else _whole(NormalCdfForm(b.strike, b.sigma, b.tau))),
-        psi=lambda b: _step_psi(b.strike) if b.is_step() else (
-            lambda r1, r2: r1 - norm_cdf(norm_inv(1.0 - b.strike * r2)
-                                         - b.sigma * math.sqrt(b.tau)))),
+            else _whole(NormalCdfForm(b.strike, b.sigma, b.tau)))),
     Family(
         Logarithmic, "logarithmic", (("p0", "p0"),),
         ("p0", "pays log(p/p0) above p0; needs p0 > 0", "g, g_inverse, trading function"),
         segments=lambda lg: _capped_segments(lg.p0, math.inf, LogForm(lg.p0)),
-        psi=lambda lg: lambda r1, r2: r1 + math.log(lg.p0 * r2),
         earnings=lambda sigma, horizon: 0.5 * sigma * sigma * horizon),
     Family(
         CappedPower, "capped_power", (("p0", "p0"), ("p1", "p1"), ("a", "a")),
@@ -787,15 +749,13 @@ FAMILIES = (
          "pays p**a - p0**a between p0 and p1, capped; needs 0 <= p0 <= p1, a > 0; "
          "p1 must be finite when a >= 1 or the replication cost diverges",
          "g, g_inverse, trading function"),
-        segments=lambda c: _capped_segments(c.p0, c.p1, PowerForm(1.0, c.a, -c.p0**c.a)),
-        psi=lambda c: _capped_power_psi(c.p0, c.p1, c.a)),
+        segments=lambda c: _capped_segments(c.p0, c.p1, PowerForm(1.0, c.a, -c.p0**c.a))),
     Family(
         ConstantProportion, "constant_proportion", (("w", "w"), ("C", "c"), ("c", "c")),
         ("w, C", "holds fixed value shares: f(p) = C * p**w; needs 0 < w < 1, C >= 0",
          "g, g_inverse, trading function (constant product/mean form)"),
         segments=lambda cp: _whole(ConstantForm(0.0) if cp.c == 0.0
-                                   else PowerForm(cp.c, cp.w, 0.0)),
-        psi=lambda cp: _constant_proportion_psi(cp.w, cp.c)),
+                                   else PowerForm(cp.c, cp.w, 0.0))),
 )
 
 _BY_PARAMS = {fam.params: fam for fam in FAMILIES}
@@ -826,24 +786,6 @@ def make_catalog_payoff(params: CatalogParams) -> PayoffSpec:
     spec = PayoffSpec(segments=segments, jumps=jumps, interval=natural_interval(params))
     object.__setattr__(spec, "catalog", params)
     return spec
-
-
-def catalog_psi(spec: PayoffSpec) -> Optional[Callable[[float, float], float]]:
-    """The catalog family's own psi(r1, r2) for the spec, or None.
-
-    It holds where the payoff rises (a rising segment or a jump) and the
-    interval reaches the price at which it stops: no rising segment ends
-    above beta and no jump sits at or above it.  Elsewhere, and for a payoff
-    from no family, psi is the generic r1 + p* r2 - V(p*).
-    """
-    if spec.catalog is None:
-        return None
-    beta = spec.interval.beta
-    tops = [s.hi for s in spec.segments if s.form.direction() > 0.0]
-    if (not (tops or spec.jumps) or any(top > beta for top in tops)
-            or any(q >= beta for q, _ in spec.jumps)):
-        return None
-    return family(spec.catalog).psi(spec.catalog)
 
 
 def constant_product_level(params: ConstantProportion) -> float:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, InfiniteReplicationCostError, InvalidParameterError, NumericalError
-from .payoffs import PayoffSpec, catalog_psi, piecewise_exact_forms
+from .payoffs import PayoffSpec, piecewise_exact_forms
 from .quadrature import adaptive_simpson, integrate_from_zero
 
 _GROWTH_CUTOFFS = (1e2, 1e3, 1e4, 1e5)
@@ -41,11 +41,15 @@ class ReplicationProfile:
     """g / V / g_inverse evaluators for a payoff on its own interval.
 
     g and g_inverse take the exact route of every payoff (see
-    piecewise_exact_forms); psi is a catalog family's own trading function
-    where it holds (see catalog_psi), else r1 + p* r2 - V(p*).  The numeric
-    oracle, oracle.NumericProfile, replaces _build_routes, g and _solve_inverse.
-    Safe to share across threads; past construction only its integral-cell memo changes.
+    piecewise_exact_forms), and psi is r1 + p* r2 - V(p*) through them (see
+    cfmm.trading_function_eval).  The numeric oracle, oracle.NumericProfile,
+    replaces _build_routes, g and _solve_inverse.  Safe to share across
+    threads; past construction only its integral-cell memo changes.
     """
+
+    # psi has one route; the benchmark's tracer (bench/spans.py) still reads
+    # this name to label psi calls, so it stays, always None.
+    psi_closed_form = None
 
     def __init__(self, payoff: PayoffSpec):
         self.payoff = payoff
@@ -63,7 +67,6 @@ class ReplicationProfile:
         # _g_values is (lo, top, list kernel) of g, else None (see ExactForms).
         self.g_closed_form, self.g_inverse_closed_form, self._g_values = (
             piecewise_exact_forms(self.payoff))
-        self.psi_closed_form = catalog_psi(self.payoff)
 
     # -- evaluators ---------------------------------------------------------
 

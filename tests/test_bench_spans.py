@@ -50,8 +50,9 @@ def test_route_functions_read_live_attributes(spans):
     assert [spans._route_g(p, 1.5) for p in profiles] == ["closed", "exact", "quadrature"]
     assert ([spans._route_g_inverse(p, 0.1) for p in profiles]
             == ["closed", "closed", "bisection"])
+    # psi has one route, the construction r1 + p* r2 - V(p*), for every payoff.
     assert ([spans._route_psi(TradingFunction(p), 0.0, 0.1) for p in profiles]
-            == ["closed", "numeric", "numeric"])
+            == ["numeric", "numeric", "numeric"])
 
 
 # The tracer counts g evaluations by patching ReplicationProfile.g; a speedup

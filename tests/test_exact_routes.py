@@ -6,7 +6,9 @@ six catalog families on their natural intervals and on cut ones, for
 piecewise tables with jumps, and for hand-built specs of each segment form;
 against a NumericProfile they agree to 1e-9.  The route
 keeps the bits of the per-family formulas it replaced and of the table
-loop, both kept here as references.
+loop, both kept here as references.  Every family's psi is the paper's
+construction r1 + p* r2 - V(p*), and its own trading function, kept here
+too, is the reference that construction is held to.
 """
 
 import ast
@@ -34,6 +36,7 @@ from cfmmrep import (
     PriceInterval,
     ReplicationProfile,
     TradingFunction,
+    constant_product_level,
     make_catalog_payoff,
     trading_function_eval,
 )
@@ -207,8 +210,6 @@ def test_hand_built_forms_match_oracle(case, where):
     beta = cut if where.startswith("cut") else top
     alpha = 0.4 if where.endswith("alpha") else 0.0
     spec = _hand_built(case, PriceInterval(alpha, beta))
-    with numeric_route_forbidden():
-        assert ReplicationProfile(spec).psi_closed_form is None  # no family: generic psi
     _assert_matches_oracle(spec, seed=len(case[0]) + len(where))
 
 
@@ -536,7 +537,7 @@ def test_table_portfolios_have_gs_bits():
 
 
 # ---------------------------------------------------------------------------
-# The catalog g and g_inverse: the bits of the per-family formulas
+# The catalog g, g_inverse and psi: the per-family formulas
 # ---------------------------------------------------------------------------
 
 def _family_forms(params):
@@ -591,6 +592,94 @@ def _family_forms(params):
             return math.inf
 
     return (lambda p: math.inf if p == 0.0 else coef * p ** (w - 1.0)), g_inverse
+
+
+def family_psi(params):
+    """The reference: each family's own trading function psi(r1, r2), as the
+    package evaluated it before psi had one route.  It holds where the payoff
+    rises and the interval reaches the price where it stops (see
+    test_payoffs.py's psi_specs)."""
+    if isinstance(params, CashOrNothing) or isinstance(params, BlackScholesBinary) and params.is_step():
+        k = params.p0 if isinstance(params, CashOrNothing) else params.strike
+        return lambda r1, r2: r1 + k * r2 - 1.0
+    if isinstance(params, CappedCall) or isinstance(params, CappedPower) and params.a == 1.0:
+        p0, p1 = params.p0, params.p1
+        return lambda r1, r2: r1 + p0 - p1 * math.exp(-r2)
+    if isinstance(params, BlackScholesBinary):  # 1 - k r2 cancels as k r2 falls
+        k, vol = params.strike, params.sigma * math.sqrt(params.tau)
+        return lambda r1, r2: r1 - norm_cdf(norm_inv(1.0 - k * r2) - vol)
+    if isinstance(params, Logarithmic):
+        return lambda r1, r2: r1 + math.log(params.p0 * r2)
+    if isinstance(params, CappedPower):
+        p0, a = params.p0, params.a
+        p1_pow = params.p1 ** (a - 1.0)  # 0 from p1 = inf for a < 1
+        return lambda r1, r2: r1 + p0**a - max(p1_pow + (1.0 - a) / a * r2, 0.0) ** (a / (a - 1.0))
+    w, c = params.w, params.c
+    return lambda r1, r2: r1 - c * ((1.0 - w) * r2 / (w * c)) ** (-w / (1.0 - w))
+
+
+def construction(profile, r1, r2):
+    """The paper's psi for r2 > 0: r1 + p* r2 - V(p*) at p* = g_inverse(r2)."""
+    p = profile.g_inverse_value(r2)
+    return r1 + (0.0 if p == 0.0 else p * r2) - profile.portfolio_value(p)
+
+
+def assert_psi_is_the_construction(profile, formula, r1, r2) -> float:
+    """psi's bits are the construction's, within 1e-13 of the family's formula
+    on the scale max(1, |r1|, p* r2); returns that scaled difference."""
+    psi = trading_function_eval(TradingFunction(profile), r1, r2)
+    assert psi == construction(profile, r1, r2), (profile.payoff, r1, r2)
+    scale = max(1.0, abs(r1), profile.g_inverse_value(r2) * r2)
+    diff = abs(psi - formula(r1, r2)) / scale
+    assert diff <= 1e-13, (profile.payoff, r1, r2, psi, formula(r1, r2))
+    return diff
+
+
+def test_every_family_psi_is_the_construction():
+    rng = random.Random(505)
+    worst, draws = {}, 0
+    for _ in range(40):
+        for params in _seeded_families(rng):
+            profile = ReplicationProfile(make_catalog_payoff(params))
+            formula = family_psi(params)
+            bps = profile.payoff.breakpoints
+            beta = profile.interval.beta
+            hi = beta if math.isfinite(beta) else max(bps + (1.0,)) * 100.0
+            prices = [_log_uniform(rng, 1e-3, hi) for _ in range(30)]
+            top = profile.g_alpha if math.isfinite(profile.g_alpha) else 50.0
+            reserves = [profile.g(p) for p in prices] + [rng.uniform(0.0, top) for _ in range(30)]
+            for r2 in reserves:
+                if 0.0 < r2 <= profile.g_alpha:
+                    r1 = rng.uniform(0.0, 3.0)
+                    diff = assert_psi_is_the_construction(profile, formula, r1, r2)
+                    name = type(params).__name__
+                    worst[name] = max(worst.get(name, 0.0), diff)
+                    draws += 1
+    print(f"{draws} draws; worst scaled psi - formula:",
+          {name: f"{diff:.2g}" for name, diff in sorted(worst.items())})
+    assert draws > 15_000 and len(worst) == 6
+
+
+@pytest.mark.parametrize("c", [1.0, 0.3, 7.0])
+def test_constant_proportion_half_is_the_constant_product(c):
+    # The paper's worked example: at w = 1/2 the zero level set of psi is
+    # r1 r2 = k**2, k the constant-product level, and psi is r1 - k**2 / r2.
+    params = ConstantProportion(0.5, c)
+    profile = ReplicationProfile(make_catalog_payoff(params))
+    k = constant_product_level(params)
+    for r2 in (1e-3, 0.1, 0.5, 1.0, 3.0, 40.0):
+        assert_psi_is_the_construction(profile, family_psi(params), 1.0, r2)
+        r1 = -trading_function_eval(TradingFunction(profile), 0.0, r2)  # psi(r1, r2) = 0
+        assert r1 * r2 == pytest.approx(k * k, rel=1e-13), r2
+
+
+def test_binary_psi_in_the_price_tail():
+    # At sigma = 50 every g is about 1e-137, so 1 - K r2 is 1: psi at
+    # (f(p) + 0.3, g(p)) was -0.7 where the infimum is 0.3.
+    profile = ReplicationProfile(make_catalog_payoff(BlackScholesBinary(1.0, 50.0, 1.0)))
+    tf = TradingFunction(profile)
+    for p in (1e-3, 0.136, 1.0, 5.0, 100.0):
+        assert trading_function_eval(tf, profile.payoff.value(p) + 0.3, profile.g(p)) == 0.3, p
 
 
 def test_normal_cdf_inverse_keeps_its_digits_in_the_price_tail():

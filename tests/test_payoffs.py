@@ -45,9 +45,9 @@ from cfmmrep.payoffs import (
     PowerForm,
     Segment,
     SegmentForm,
-    catalog_psi,
     piecewise_exact_forms,
 )
+from test_exact_routes import assert_psi_is_the_construction, family_psi
 
 E = math.e
 
@@ -357,12 +357,13 @@ class TestOneWriter:
             make_piecewise_payoff([(1.0, 0.0), (2.0, 1.0)], interval=PriceInterval(0.0, 2.0))
 
     def test_replace_drops_the_family(self):
-        # Kept, the capped call's own psi ran on the table's reserves: -1.22 at 1.5.
+        # Kept, the family would serialize the table as the capped call.
         table = make_piecewise_payoff([(0.5, 0.1), (1.0, 0.3), (2.0, 0.5), (4.0, 1.5)],
                                       [(1.0, 0.2), (2.0, 0.25)])
         spec = dataclasses.replace(make_catalog_payoff(CappedCall(1.0, 4.0)),
                                    segments=table.segments, jumps=table.jumps)
-        assert spec.catalog is None and catalog_psi(spec) is None
+        assert spec.catalog is None
+        assert json.loads(serialize_payoff(spec)).keys() == {"piecewise", "alpha", "beta"}
         profile = ReplicationProfile(spec)
         tf = TradingFunction(profile)
         for p in (0.7, 1.5, 3.0):
@@ -564,13 +565,23 @@ def psi_specs():
                     yield make_catalog_payoff(params).with_bounds(a, b)
 
 
-def test_catalog_psi_holds_where_the_uncut_cost_rises_and_stops():
-    # The reference rule: the family's psi holds unless the uncut g is 0 at
-    # price 0 (nothing rises) or still positive at beta (the cut stops short).
-    count = 0
+def test_psi_is_the_family_formula_where_the_uncut_cost_rises_and_stops():
+    # The family's own psi holds unless the uncut g is 0 at price 0 (nothing
+    # rises) or still positive at beta (the cut stops short).  There psi, the
+    # construction r1 + p* r2 - V(p*), matches it.
+    count, held = 0, 0
     for spec in psi_specs():
-        uncut = piecewise_exact_forms(spec.with_bounds(0.0, math.inf)).g
-        expected_none = uncut(0.0) == 0.0 or uncut(spec.interval.beta) != 0.0
-        assert (catalog_psi(spec) is None) == expected_none, (spec.catalog, spec.interval)
         count += 1
-    assert count > 200
+        uncut = piecewise_exact_forms(spec.with_bounds(0.0, math.inf)).g
+        if uncut(0.0) == 0.0 or uncut(spec.interval.beta) != 0.0 or spec.cost_diverges():
+            continue
+        held += 1
+        profile = ReplicationProfile(spec)
+        lo, hi = max(spec.interval.alpha, 1e-2), min(spec.interval.beta, 100.0)
+        reserves = [profile.g(lo * (hi / lo) ** (k / 8)) for k in range(9)]
+        if math.isfinite(profile.g_alpha):
+            reserves += [profile.g_alpha * t for t in (1e-6, 0.5, 1.0)]
+        for k, r2 in enumerate(reserves):
+            if r2 > 0.0:
+                assert_psi_is_the_construction(profile, family_psi(spec.catalog), 0.1 * k, r2)
+    assert count > 200 and held > 90

@@ -573,12 +573,11 @@ class TestConcurrentEvaluation:
 class TestIntervalHandling:
     def test_narrowed_beta_changes_g(self):
         # Cutting the interval below the cap ends g at beta; the profile
-        # keeps its exact route, and psi is the generic r1 + p* r2 - V(p*).
+        # keeps its exact route.
         spec = make_catalog_payoff(CappedCall(1.0, 4.0)).with_bounds(0.0, 2.0)
         prof = ReplicationProfile(spec)
         assert prof.g_closed_form is not None
         assert prof.g_inverse_closed_form is not None
-        assert prof.psi_closed_form is None
         assert prof.g(1.5) == pytest.approx(math.log(2.0 / 1.5), rel=1e-9)
 
     def test_widened_beta_keeps_closed_forms(self):
