@@ -131,9 +131,18 @@ class LinearForm:
 
     def piece(self, lo: float, top: float, whole: Optional[float] = None):
         m, log = self.m, math.log
-        whole = m * log(top / lo) if whole is None else whole
-        return (lambda p: whole if p <= lo else m * log(top / p) if p < top else 0.0,
-                lambda prices: [m * log(top / p) for p in prices])
+        if lo > 0.0 and top / lo < math.inf:  # so is every top / p on the piece
+            whole = m * log(top / lo) if whole is None else whole
+            return (lambda p: whole if p <= lo else m * log(top / p) if p < top else 0.0,
+                    lambda prices: [m * log(top / p) for p in prices])
+
+        def cost(p: float) -> float:  # where top / p overflows, log(top) - log(p)
+            r = top / p
+            return m * (log(r) if r < math.inf else log(top) - log(p))
+
+        whole = cost(lo) if whole is None else whole
+        return (lambda p: whole if p <= lo else cost(p) if p < top else 0.0,
+                lambda prices: [cost(p) for p in prices])
 
     def cost_inverse(self, y: float, hi: float) -> float:
         return hi * math.exp(y / -self.m)

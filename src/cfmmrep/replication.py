@@ -73,7 +73,10 @@ class ReplicationProfile:
     def g(self, p: float) -> float:
         if not p >= 0.0:  # NaN fails too
             raise DomainError(f"price must be >= 0, got {p}")
-        return self.g_closed_form(p)
+        try:
+            return self.g_closed_form(p)
+        except OverflowError:  # a power cost's p**e past the float range
+            raise infinite_cost_error(p) from None
 
     def portfolio_value(self, p: float) -> float:
         """V(p) = f(p) + p * g(p); its limit at p = +inf.  f rejects a
@@ -110,8 +113,11 @@ class ReplicationProfile:
         r1 = (payoff.segments[k].form.values(prices) if k == bisect_left(bps, hi)
               else [values[bisect_left(bps, p)](p) for p in prices])
         piece = self._g_values
-        r2 = (piece[2](prices) if piece is not None and piece[0] < lo and hi < piece[1]
-              else [g(p) for p in prices])
+        try:
+            r2 = (piece[2](prices) if piece is not None and piece[0] < lo and hi < piece[1]
+                  else [g(p) for p in prices])
+        except OverflowError:  # from the list kernel: g names the price
+            r2 = [g(p) for p in prices]
         if math.inf in r2:
             raise infinite_cost_error(prices[r2.index(math.inf)])
         return r1, r2

@@ -50,6 +50,16 @@ class TestReplicate:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert len(rows) == 3 and [row[1:3] for row in rows] == [["0", "1e-300"]] * 3
 
+    def test_linear_cost_where_top_over_p_overflows(self, capsys):
+        # At p0 = 1e-300, p1 / p0 passes the float range: this used to exit 1
+        # with "replication cost at price 1.0000000000000237e-300 overflows".
+        code, out, err = run_cli(
+            capsys, "replicate", "--payoff", "catalog:capped_call",
+            "--param", "p0=1e-300", "--param", "p1=1e300", "--grid", "3")
+        assert (code, err) == (0, "")
+        rows = [list(map(float, line.split(","))) for line in out.splitlines()[1:]]
+        assert len(rows) == 3 and all(math.isfinite(x) for row in rows for x in row)
+
     def test_cash_or_nothing_g_column(self, capsys):
         code, out, _ = run_cli(
             capsys, "replicate", "--payoff", "catalog:cash_or_nothing",
@@ -374,6 +384,11 @@ class TestNumericalErrors:
         (("replicate", "--payoff", "catalog:constant_proportion", "--param", "w=0.5",
           "--param", "C=1e300", "--alpha", "1e-20", "--grid", "3"),
          "replication cost at price 1e-20 overflows the float range"),
+        # The integral check reaches a price where g's p**e passes the float
+        # range; this used to print "(34, 'Numerical result out of range')".
+        (("verify", "--payoff", "catalog:constant_proportion", "--param", "w=1e-6",
+          "--param", "C=1"),
+         "replication cost at price 9.758e-320 overflows the float range"),
     ])
     def test_overflow_is_named(self, capsys, argv, cause):
         code, out, err = run_cli(capsys, *argv)

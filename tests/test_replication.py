@@ -194,6 +194,22 @@ class TestPortfolio:
         with pytest.raises(InfiniteReplicationCostError, match="infinite at price 0.0"):
             prof.portfolios([1.0, 0.0])
 
+    def test_linear_cost_where_top_over_p_overflows(self):
+        # top / p = 1e500 is inf in floats where log(top) - log(p) is not:
+        # g(1e-200) and g(alpha) used to be inf.
+        prof = ReplicationProfile(make_catalog_payoff(CappedCall(1e-300, 1e300)))
+        assert prof.g(1e-200) == 1151.2925464970228
+        assert prof.g_alpha == math.log(1e300) - math.log(1e-300)
+        assert prof.portfolios([1e-200, 1.0])[1] == [prof.g(1e-200), prof.g(1.0)]
+
+    def test_power_cost_past_the_float_range_names_the_price(self):
+        # p**e = (1e-310)**(1e-6 - 1) passes the float range: g and the list
+        # kernel raised a bare OverflowError.
+        prof = ReplicationProfile(make_catalog_payoff(ConstantProportion(1e-6, 1.0)))
+        for call in (lambda: prof.g(1e-310), lambda: prof.portfolios((1e-310, 1.0))):
+            with pytest.raises(NumericalError, match="at price 1e-310 overflows the float range"):
+                call()
+
     @pytest.mark.parametrize("price", [-math.inf, -1.0, math.nan])
     def test_value_rejects_prices_below_zero(self, price):
         # Only +inf is the limit V(inf); -inf used to take that branch too.
@@ -652,6 +668,12 @@ class TestLinearRiseFromZero:
         for prof, p in cases:
             assert portfolio_value_integral(prof, p) == pytest.approx(
                 portfolio_value(prof, p), rel=1e-9, abs=1e-10), (prof.payoff, p)
+
+    def test_cost_where_one_over_p_overflows(self):
+        # 1 / 1e-310 is inf in floats; log(1) - log(1e-310) is not.
+        table, _, call, _ = self.profiles()
+        assert table.g(1e-310) == -math.log(1e-310) + 0.5 * math.log(2.0)
+        assert call.g(1e-310) == math.log(4.0) - math.log(1e-310)
 
     def test_cut_above_zero(self):
         # From alpha = 0.5 the zero-start segment's term from 0 is never needed.
