@@ -131,7 +131,7 @@ class LinearForm:
 
     def piece(self, lo: float, top: float, whole: Optional[float] = None):
         m, log = self.m, math.log
-        if lo > 0.0 and top / lo < math.inf:  # so is every top / p on the piece
+        if lo > 0.0 and top / lo < math.inf:  # then top / p is finite for every p > lo
             whole = m * log(top / lo) if whole is None else whole
             return (lambda p: whole if p <= lo else m * log(top / p) if p < top else 0.0,
                     lambda prices: [m * log(top / p) for p in prices])
@@ -317,8 +317,8 @@ class NormalCdfForm:
                                 for p in prices])
 
     def cost_inverse(self, y: float, hi: float) -> float:
-        vol, s = self._vol, self.strike * y + self._survival(hi)  # the survival mass at the price
-        # In norm_inv's lower tail 1 - s would cancel: take -norm_inv(s) there.
+        vol, s = self._vol, self.strike * y + self._survival(hi)  # s: the survival mass
+        # In norm_inv's lower tail 1 - s cancels: take -norm_inv(s) there.
         x = -norm_inv(s) if s < _P_LOW else norm_inv(max(1.0 - s, 0.0))
         return self.strike * math.exp(vol * x - 0.5 * vol * vol)
 
