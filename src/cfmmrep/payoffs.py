@@ -31,7 +31,7 @@ from .errors import (
     NumericalError,
     PayoffParseError,
 )
-from .normal import _P_LOW, _SQRT2, norm_cdf, norm_inv, norm_pdf
+from .normal import _SQRT2, norm_cdf, norm_inv, norm_pdf
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,8 @@ class LinearForm:
                 lambda prices: [cost(p) for p in prices])
 
     def cost_inverse(self, y: float, hi: float) -> float:
-        return hi * math.exp(y / -self.m)
+        shrink = math.exp(y / -self.m)  # below the normal doubles hi * shrink loses digits
+        return hi * shrink if shrink >= 2.0**-1022 else math.exp(math.log(hi) - y / self.m)
 
     def growth_exponent(self) -> float:
         return 1.0 if self.m > 0.0 else 0.0
@@ -192,7 +193,7 @@ class PowerForm:
     def cost_inverse(self, y: float, hi: float) -> float:
         a = self.exponent
         if a == 1.0:
-            return hi * math.exp(y / -self.scale)
+            return LinearForm(0.0, 0.0, self.scale).cost_inverse(y, hi)
         base = hi ** (a - 1.0) + (1.0 - a) / (self.scale * a) * y
         try:  # below a tiny cost the price lies past the float range
             return max(base, 0.0) ** (1.0 / (a - 1.0))
@@ -318,8 +319,9 @@ class NormalCdfForm:
 
     def cost_inverse(self, y: float, hi: float) -> float:
         vol, s = self._vol, self.strike * y + self._survival(hi)  # s: the survival mass
-        # In norm_inv's lower tail 1 - s cancels: take -norm_inv(s) there.
-        x = -norm_inv(s) if s < _P_LOW else norm_inv(max(1.0 - s, 0.0))
+        # Below 1/2 the quantile of s keeps every digit that 1 - s would cancel;
+        # from 1/2 up, 1 - s is exact.
+        x = -norm_inv(s) if s < 0.5 else norm_inv(max(1.0 - s, 0.0))
         return self.strike * math.exp(vol * x - 0.5 * vol * vol)
 
     def growth_exponent(self) -> float:

@@ -71,7 +71,8 @@ class SplitMix64:
         return self._lanes(n, False)
 
     def _uniforms(self, n: int) -> list:
-        # ((z >> 11) + 0.5) * 2**-53 in (0, 1): float(2k + 1) rounds as 2 * (k + 0.5).
+        # ((z >> 11) + 0.5) * 2**-53 in (0, 1]: float(2k + 1) rounds as 2 * (k + 0.5),
+        # and the top k = 2**53 - 1 gives (2**54 - 1) * 2**-54, which rounds to 1.0.
         return [m * 2.0 ** -54 for m in self._lanes(n, True)]
 
     def next_uint64(self) -> int:

@@ -303,7 +303,7 @@ COST_FORM_SPECS = [
 ]
 
 # sha256 of every g and g_inverse value below, little-endian doubles.
-COST_FORM_BITS = "ab30411b9a5706cc1e9d2c6d7c7eaa0da2bf12d384979487b1a436629f725c40"
+COST_FORM_BITS = "0ed97dfa9816f8e62c2039b5bf573b7f6670da8f7d2f9b3b54b10a759421283b"
 
 
 def test_cost_forms_keep_their_bits():
@@ -555,8 +555,8 @@ def _family_forms(params):
         form = NormalCdfForm(params.strike, params.sigma, params.tau)
         k, d, vol = params.strike, form.d, form._vol
 
-        def g_inverse(x):  # in the lower tail 1 - k x cancels: -norm_inv(k x) there
-            z = -norm_inv(k * x) if k * x < 0.02425 else norm_inv(1.0 - k * x)
+        def g_inverse(x):  # below 1/2, 1 - k x cancels: -norm_inv(k x) there
+            z = -norm_inv(k * x) if k * x < 0.5 else norm_inv(1.0 - k * x)
             return k * math.exp(vol * z - 0.5 * vol * vol)
 
         return (lambda p: norm_cdf(-(d(p) + vol)) / k), g_inverse

@@ -67,8 +67,8 @@ def _cases():
     for name, payoff in payoffs.items():
         for cmd, argv in _commands(payoff).items():
             cases[f"{cmd}-{name}"] = argv
-    # The large runs: 20 x 500 paths draw about 500 normals from the inverse
-    # CDF's tail branches, and 200-row tables run the infimum oracle on two
+    # The large runs: 20 x 500 paths draw about 1,500 normals from the inverse
+    # CDF's tail form, and 200-row tables run the infimum oracle on two
     # unbounded intervals, where its grid top moves with r2, and on the
     # bounded table, where every row shares one grid.
     walks = {"logarithmic": _payoff_args("logarithmic", ["p0=1e-6"]),

@@ -1,12 +1,14 @@
-"""Normal CDF/quantile accuracy against a numeric-integration oracle."""
+"""Normal CDF/quantile accuracy against a numeric-integration oracle and scipy."""
 
 import math
 import re
 
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtri
 
-from cfmmrep.normal import _P_LOW, norm_cdf, norm_inv, norm_pdf
+from cfmmrep.normal import norm_cdf, norm_inv, norm_pdf
+from cfmmrep.rng import SplitMix64
 
 
 def cdf_by_integration(x: float) -> float:
@@ -77,8 +79,7 @@ def test_symmetry():
 
 
 def test_extreme_tails_do_not_overflow():
-    # Down to the smallest positive double the quantile stays finite and
-    # ordered; the refinement is skipped where exp(x^2/2) would overflow.
+    # Down to the smallest positive double the quantile stays finite and ordered.
     previous = 0.0
     for p in (1e-100, 1e-300, 5e-324):
         x = norm_inv(p)
@@ -86,29 +87,49 @@ def test_extreme_tails_do_not_overflow():
         previous = x
 
 
-# norm_inv's bits at its branch edges, the ends of [0, 1] and deep in the
-# tails, as (p, norm_inv(p)) by float.hex: _P_LOW and 1 - _P_LOW with the
-# doubles on either side, 0 and 1 with the doubles inside, and the smallest
-# subnormal, 1e-300 and 1 - 2**-53.
+def test_inverse_within_ulps_of_scipy():
+    # Within 8 ulps of max(|x|, 1) of scipy's ndtri: on seeded uniforms, down
+    # the lower tail to 2**-1000, and up the upper tail, where p = 1 - 2**-k
+    # holds the fewest digits of its distance from 1.
+    rng = SplitMix64(2024)
+    ps = [rng.uniform() for _ in range(3000)]
+    ps += [2.0 ** -k for k in range(1, 1001)] + [1.0 - 2.0 ** -k for k in range(1, 54)]
+    for p in ps:
+        want = float(ndtri(p))
+        assert abs(norm_inv(p) - want) <= 8 * math.ulp(max(abs(want), 1.0)), p
+
+
+# norm_inv's bits at the ends of [0, 1], deep in the tails and at the branch
+# edges of Wichura's AS 241, as (p, norm_inv(p)) by float.hex: 0 and 1 with
+# the doubles inside, the smallest subnormal and 1e-300; the central form
+# holds |p - 1/2| <= 0.425, shown at 0.075 and 0.925 with the doubles on
+# either side; the far-tail form starts below sqrt(-log(p)) = 5, shown by the
+# last double it takes, the first one it does not, and exp(-25).
 NORM_INV_BITS = [
     ("0x0.0p+0", "-inf"),
-    ("0x0.0000000000001p-1022", "-0x1.33bd3f31179e2p+5"),
-    ("0x1.fffffffffffffp-1", "0x1.06b48525582dap+3"),
+    ("0x0.0000000000001p-1022", "-0x1.33bd3f27fcd02p+5"),
+    ("0x1.fffffffffffffp-1", "0x1.06b48528cea51p+3"),
     ("0x1.0000000000000p+0", "inf"),
-    ("0x1.8d4fdf3b645a1p-6", "-0x1.f913f9b7aa943p+0"),
-    ("0x1.8d4fdf3b645a2p-6", "-0x1.f913f9b7aa943p+0"),
-    ("0x1.8d4fdf3b645a3p-6", "-0x1.f913f9b7aa942p+0"),
-    ("0x1.f395810624dd2p-1", "0x1.f913f9b7aa93ep+0"),
-    ("0x1.f395810624dd3p-1", "0x1.f913f9b7aa943p+0"),
-    ("0x1.f395810624dd4p-1", "0x1.f913f9b7aa949p+0"),
     ("0x1.56e1fc2f8f359p-997", "-0x1.286074064c26ep+5"),
+    ("0x1.3333333333332p-4", "-0x1.7085226d3e522p+0"),
+    ("0x1.3333333333333p-4", "-0x1.7085226d3e523p+0"),
+    ("0x1.3333333333334p-4", "-0x1.7085226d3e523p+0"),
+    ("0x1.d999999999999p-1", "0x1.7085226d3e521p+0"),
+    ("0x1.d99999999999ap-1", "0x1.7085226d3e524p+0"),
+    ("0x1.d99999999999bp-1", "0x1.7085226d3e528p+0"),
+    ("0x1.e8a37a45fc300p-37", "-0x1.aa1b1c13ee528p+2"),
+    ("0x1.e8a37a45fc301p-37", "-0x1.aa1b1c13ee525p+2"),
+    ("0x1.e8a37a45fc32ep-37", "-0x1.aa1b1c13ee525p+2"),
 ]
 
 
 def test_inverse_keeps_its_bits_at_edges():
-    assert float.fromhex(NORM_INV_BITS[4][0]) == math.nextafter(_P_LOW, 0.0)
-    assert float.fromhex(NORM_INV_BITS[8][0]) == 1.0 - _P_LOW
-    assert float.fromhex(NORM_INV_BITS[10][0]) == 1e-300
+    p = [float.fromhex(p) for p, _ in NORM_INV_BITS]
+    assert p[4] == 1e-300 and p[6] == 0.075 and p[9] == 0.925 and p[13] == math.exp(-25)
+    assert abs(p[5] - 0.5) > 0.425 >= abs(p[6] - 0.5)
+    assert abs(p[8] - 0.5) <= 0.425 < abs(p[9] - 0.5)
+    assert math.sqrt(-math.log(p[11])) > 5.0 >= math.sqrt(-math.log(p[12]))
+    assert p[12] == math.nextafter(p[11], 1.0)
     for p, x in NORM_INV_BITS:
         assert norm_inv(float.fromhex(p)).hex() == x, p
 

@@ -190,7 +190,8 @@ def test_hypothesis_piecewise_invariants(data):
     lo, hi = sample_range(prof)
     u = data.draw(st.floats(0.0, 1.0))
     v = data.draw(st.floats(0.0, 1.0))
-    p, q = sorted((lo + u * (hi - lo), lo + v * (hi - lo)))
+    # lo + 1.0 * (hi - lo) can round past hi, which lies on the interval's edge.
+    p, q = sorted(min(lo + w * (hi - lo), hi) for w in (u, v))
     assert prof.payoff.value(p) <= prof.payoff.value(q) + 1e-12
     assert prof.g(q) <= prof.g(p) + 1e-12
     assert portfolio_value(prof, p) <= portfolio_value(prof, q) + 1e-10

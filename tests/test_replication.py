@@ -202,6 +202,15 @@ class TestPortfolio:
         assert prof.g_alpha == math.log(1e300) - math.log(1e-300)
         assert prof.portfolios([1e-200, 1.0])[1] == [prof.g(1e-200), prof.g(1.0)]
 
+    @pytest.mark.parametrize("params", [CappedCall(1e-300, 1e300), CappedPower(1e-300, 1e300, 1.0)])
+    @pytest.mark.parametrize("price", [1e-200, 1e-13])
+    def test_linear_inverse_cost_where_the_shrink_underflows(self, params, price):
+        # hi * exp(-y / m) is 1e300 * 0 at g(1e-200) = 1151.29, which returned
+        # the low end 1e-300, and 1e300 times a subnormal at g(1e-13) = 720.7,
+        # off by 1.3e-11: exp(log(hi) - y / m) keeps the digits there.
+        prof = ReplicationProfile(make_catalog_payoff(params))
+        assert abs(prof.g_inverse_value(prof.g(price)) - price) <= 1e-12 * price
+
     def test_power_cost_past_the_float_range_names_the_price(self):
         # p**e = (1e-310)**(1e-6 - 1) passes the float range: g and the list
         # kernel raised a bare OverflowError.

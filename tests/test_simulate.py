@@ -5,6 +5,7 @@ import math
 import random
 import weakref
 from dataclasses import replace
+from statistics import NormalDist
 
 import pytest
 
@@ -125,45 +126,23 @@ class TestGbm:
             u = rng.uniform()
             assert 0.0 < u < 1.0
 
+    def test_top_uniform_is_one_and_its_path_fails_typed(self):
+        # Lane value 2**53 - 1 gives (2**54 - 1) * 2**-54, which rounds to 1.0:
+        # its normal is inf, and the path's first step leaves the float range.
+        seed = 3558559446808474027
+        assert SplitMix64(seed).uniform() == 1.0
+        assert SplitMix64(seed).normals(1) == [math.inf]
+        with pytest.raises(NumericalError, match="left the float range at step 1 of 1"):
+            gbm_path(GbmParams(1.0, 0.5, 1.0, 1, seed))
+
 
 # Reference normal draw, one variate at a time and written independently of
-# the package: one SplitMix64 step, one uniform, and the inverse CDF's
-# rational guess (coefficient tables, one branch per tail) refined by one
-# Halley step through the CDF.  Batched draws must reproduce it bit for bit.
-_REF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_REF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_REF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_REF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-_REF_P_LOW = 0.02425
+# the package: one SplitMix64 step, one uniform, and the standard library's
+# inverse normal CDF.  Batched draws must reproduce it bit for bit.
+reference_norm_inv = NormalDist().inv_cdf
+_REF_CENTRE = 0.075  # AS 241's central form holds 0.075 <= p <= 0.925
 _MASK64 = (1 << 64) - 1
 _BLOCK = 1024  # states the generator mixes at once
-
-
-def reference_norm_inv(p):
-    c, d = _REF_C, _REF_D
-    if p < _REF_P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-             / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    elif p > 1.0 - _REF_P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-              / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    else:
-        a, b = _REF_A, _REF_B
-        q = p - 0.5
-        r = q * q
-        x = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-             / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
-    if 0.5 * x * x > 700.0:
-        return x
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
 
 
 def reference_uint64s(seed, n):
@@ -187,17 +166,17 @@ def reference_uniforms(seed, n):
 
 NORMALS_SHA256 = [
     (0, 1, "f0f8cf18ab4b9fbece48192d4b940a735769dc2030b64d043ece0e8b3828debf"),
-    (0, 1000, "a7b35df7544c3fe7abe4929582643abde9ccc243c34f89d6de5abb492e27c721"),
-    (0, 1025, "24b148267466d07f87360514095b6e95107957d0afe317753b54b4f856b5ccce"),
-    (0, 2500, "fad1890928b36c0592a3f2b4107d129381bfe7f1197fd039b8fc7a9d6b1b0e23"),
-    (7, 1, "9ea46ca1c526c58dd2f50db485c05143faca03a74c8373c23472494b94042d81"),
-    (7, 1000, "c94107f0ba6604d971550761a327bac285adb9559b9233a1c95b5c572b8d0b6c"),
-    (7, 1025, "cf66ac2c7fd0d1a2288c40c605be9e72738e32af710e79140b898730e50d7a55"),
-    (7, 2500, "c56dfa6809c9afed0624bd46f3ee6331a8a57d123561b9c73c20c0da9579a958"),
+    (0, 1000, "55219464fa30f809a978988b2339a75fa8435812d37d03b77960287add8c99e3"),
+    (0, 1025, "a76de7accbef5ae6aa819f11de7c828db29840824809308f3767c55fcc490d7e"),
+    (0, 2500, "9e2f170cbdb26fc3b45364175f24bad1928f16a17ebf7b30da870ab4a9ede711"),
+    (7, 1, "564f32a81006a429ecddbf2be2e4c3b8df6c4c36c3ae9758350408bc4d62ed52"),
+    (7, 1000, "ad4414d15afb90a0377d5dc3e9c81100bc4bf928d0ece30cd40b1279c93b1e59"),
+    (7, 1025, "e23fc536687bc5e452e5f35a61ff7aa4f5db2790dae0aaafb105b15df0c1a98c"),
+    (7, 2500, "c0f6dc561423ee13ac5efb35a241252e67988d62befac59cbd608d8607062bfc"),
     (-3, 1, "582edaa277c7177a614fbcf5975a2de9f23fc55ae5ccd461337c6800ef585ed8"),
-    (-3, 1000, "68ad595504777c454d5d00251331e696e07934a5ed1d3eb8b6ed619c49c27059"),
-    (-3, 1025, "4ffacc12052fe79faa84c002038ec270330973cbaa43642b15a422d8b0b46964"),
-    (-3, 2500, "85931cff09579499817df2370cce6c6a5053724bb02a11564f7bb085ac915ece"),
+    (-3, 1000, "883e715f517c8217be4cab474a0589f363b517de7de6767094799b2bee5fad9b"),
+    (-3, 1025, "fb57b3e1fc3199cfeaefcc4468c22464b54a3352a156440b59b253b80c99a15e"),
+    (-3, 2500, "a886912532865200f4d80bef2b8fbea32d97820cb83dc9db2821ad4130b6849b"),
 ]
 
 
@@ -208,9 +187,9 @@ class TestBatchedDraws:
     def test_normals_match_scalar_reference(self, seed):
         n = 12_000
         uniforms = reference_uniforms(seed, n)
-        # Both branches of the tail guess are exercised, about 290 times each.
-        assert sum(u < _REF_P_LOW for u in uniforms) > 100
-        assert sum(u > 1.0 - _REF_P_LOW for u in uniforms) > 100
+        # Both tails of the quantile are exercised, about 900 times each.
+        assert sum(u < _REF_CENTRE for u in uniforms) > 100
+        assert sum(u > 1.0 - _REF_CENTRE for u in uniforms) > 100
         assert SplitMix64(seed).normals(n) == [reference_norm_inv(u) for u in uniforms]
 
     @pytest.mark.parametrize("seed,n,digest", NORMALS_SHA256)
@@ -285,8 +264,8 @@ class TestBatchedDraws:
         assert len(batches) == 1 and scalars == batches[0][:1]
 
     def test_norm_inv_matches_reference_at_branch_edges(self):
-        edges = [_REF_P_LOW, math.nextafter(_REF_P_LOW, 0.0),
-                 1.0 - _REF_P_LOW, math.nextafter(1.0 - _REF_P_LOW, 1.0),
+        edges = [_REF_CENTRE, math.nextafter(_REF_CENTRE, 0.0),
+                 0.925, math.nextafter(0.925, 0.0), math.exp(-25.0),
                  0.5, 2.0 ** -53, 1.0 - 2.0 ** -53, 1e-300, 5e-324]
         for p in edges:
             assert norm_inv(p) == reference_norm_inv(p), p
