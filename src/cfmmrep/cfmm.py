@@ -7,13 +7,13 @@ The trading function over reserves (r1 numeraire, r2 risky) is
 the closed form of  inf over p in [alpha, beta] of (r1 + p r2 - V(p)).
 Its zero level set is exactly the liquidity-provider curve
 {(f(p), g(p))}, psi is nondecreasing in both reserves, and concave.  The
-infimum itself is also evaluated directly (grid plus golden-section) as a
-numerical cross-check oracle for the closed path.  The oracle's price grid
-and V on it depend only on the grid's ends and size, never on the reserves,
-so each TradingFunction memoises them per grid; V is evaluated directly, as
-f from the segments plus p g(p) in portfolio_value's operation order, so the
-oracle stays independent of the closed path.  A call scans only the grid
-blocks that an exact bound (rounding is monotone) cannot rule out.
+infimum itself is also evaluated directly, as a numerical cross-check oracle
+for the closed path: the objective r1 + p r2 - V(p) is convex with slope
+r2 - g(p), because g is nonincreasing, so one bisection in log-price on the
+sign of g(p) - r2 finds its minimum.  The oracle reads g only through
+profile.g, and V as f from the segments plus p g(p) in portfolio_value's
+operation order, never through g_inverse, so it stays independent of the
+closed path.
 
 Pools are immutable values: operations return new states.  Trades are
 accepted exactly when they do not decrease the invariant level (fee-free
@@ -27,10 +27,9 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
-    InvalidParameterError,
     InvalidReservesError,
     NumericalError,
     UnboundedTradingFunctionError,
@@ -38,8 +37,6 @@ from .errors import (
 from .replication import ReplicationProfile, infinite_cost_error
 
 _TRADE_TOL = 1e-12
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_BLOCK = 16  # grid points per block of the infimum oracle's first-minimum scan
 
 
 @dataclass(frozen=True)
@@ -47,32 +44,6 @@ class TradingFunction:
     """The pool invariant induced by a replication profile."""
 
     profile: ReplicationProfile
-    # (lo, top, grid_points) -> (grid prices, V at each, block bounds or None
-    # if the Vs' sum is not finite), filled by trading_function_infimum.  A
-    # write that races another thread only stores the same values again.
-    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-
-def _first_minimum(r1: float, r2: float, candidates: list, v_grid: list, blocks) -> tuple:
-    """(index, value) of the grid's first minimum (see trading_function_infimum)."""
-    def objective(pairs) -> list:
-        return [r1 + (0.0 if p == 0.0 else p * r2) - v for p, v in pairs]
-
-    runs = [(0, candidates, v_grid)]  # the plain scan
-    if blocks is not None and math.isfinite(r1) and math.isfinite(r2):
-        bounds = objective(blocks)
-        k = bounds.index(min(bounds)) * _BLOCK
-        cap = min(objective(zip(candidates[k:k + _BLOCK], v_grid[k:k + _BLOCK])))
-        kept = [i * _BLOCK for i, b in enumerate(bounds) if b <= cap]
-        if 4 * len(kept) <= len(bounds):
-            runs = [(i, candidates[i:i + _BLOCK], v_grid[i:i + _BLOCK]) for i in kept]
-    best = None
-    for lo, prices, vs in runs:
-        values = objective(zip(prices, vs))
-        least = min(values)
-        if best is None or least < best[1]:  # a tie keeps the earlier point
-            best = lo + values.index(least), least
-    return best
 
 
 def _check_reserves(tf: TradingFunction, r1: float, r2: float):
@@ -102,103 +73,55 @@ def trading_function_eval(tf: TradingFunction, r1: float, r2: float) -> float:
     return r1 + value - tf.profile.portfolio_value(p_star)
 
 
-def trading_function_infimum(
-    tf: TradingFunction,
-    r1: float,
-    r2: float,
-    grid_points: int = 512,
-) -> float:
+def trading_function_infimum(tf: TradingFunction, r1: float, r2: float) -> float:
     """inf over prices of r1 + p*r2 - V(p), evaluated directly.
 
-    Log-spaced grid over the interval (cut where r2 - g(p) turns positive
-    when beta is unbounded; when alpha is 0, its floor walks down while
-    g(floor) < r2), then golden-section refinement on the bracketing cell.
-    Used as the independent oracle for trading_function_eval.  The grid, V
-    on it and each block of _BLOCK points' lowest price and highest V are
-    memoised on tf, keyed by the grid's ends and size.  V is f from the
-    segments plus p*g(p), with g from profile.g at every grid point, in
-    portfolio_value's operation order, never from a closed form.
-
-    Its first minimum comes from a pruned scan: rounding is monotone and
-    r2 >= 0, so no point of a block is below r1 + pmin*r2 - vmax.  The block
-    with the lowest bound caps the answer; then only blocks with a bound at
-    most the cap are scanned, in index order.  All points are scanned when a
-    V, r1 or r2 is not finite, or when over a quarter of the blocks survive.
+    The objective h(p) = r1 + p*r2 - V(p) is convex, with slope r2 - g(p),
+    since g is nonincreasing.  So one bisection in log-price on the sign of
+    g(p) - r2 closes on its minimum: it stops when sqrt(a)*sqrt(b) is no
+    longer strictly between the ends a and b, which are then a few ulps
+    apart, and the answer is the least of h at alpha, a and b.  The
+    bracket is [alpha, beta], its top doubling while g(top) >= r2 when beta
+    is unbounded, and its floor walking down while g(floor) < r2 when alpha
+    is 0.  V is f from the segments plus p*g(p), with g from profile.g, in
+    portfolio_value's operation order: the oracle never reads g_inverse, so
+    it stays independent of trading_function_eval.
     """
-    if grid_points < 16:
-        raise InvalidParameterError(f"grid_points must be >= 16, got {grid_points}")
     _check_reserves(tf, r1, r2)
     profile = tf.profile
     alpha, beta = profile.interval.alpha, profile.interval.beta
+    f_values, bps, g = profile.payoff._values, profile.payoff.breakpoints, profile.g
 
     if profile.interval.bounded:
         top = beta
+    elif r2 == 0.0:
+        # The objective decreases toward r1 - lim V; no finite price attains it.
+        return r1 - profile.payoff.limit_at_infinity()
     else:
-        # Past g_inverse(r2) the integrand r2 - g(p) is positive and the
-        # objective only climbs; stop a little beyond the sign change.
-        top = max(alpha, max(profile.payoff.breakpoints, default=0.0), 1.0)
-        if r2 > 0.0:
-            while profile.g(top) >= r2:
-                if top > sys.float_info.max / 4:
-                    raise NumericalError(
-                        f"infimum bracket reached {top!r} with g still >= risky reserve {r2!r}")
-                top *= 2.0
+        top = max(alpha, max(bps, default=0.0), 1.0)
+        while g(top) >= r2:
+            if top > sys.float_info.max / 4:
+                raise NumericalError(
+                    f"infimum bracket reached {top!r} with g still >= risky reserve {r2!r}")
             top *= 2.0
-        else:
-            top *= 4.0
-
-    lo = alpha if alpha > 0.0 else min(
-        top * 1e-9, min(profile.payoff.breakpoints, default=top) * 1e-3)
-    while alpha == 0.0 and r2 > 0.0 and lo > sys.float_info.min and profile.g(lo) < r2:
+    lo = alpha if alpha > 0.0 else min(top * 1e-9, min(bps, default=top) * 1e-3)
+    while alpha == 0.0 and r2 > 0.0 and lo > sys.float_info.min and g(lo) < r2:
         lo = max(lo * 1e-3, sys.float_info.min)
-    f_values, bps, g = profile.payoff._values, profile.payoff.breakpoints, profile.g
-    grid = tf._grids.get((lo, top, grid_points))
-    if grid is None:
-        candidates = [alpha] if alpha < lo else []
-        # The ends are lo and top exactly: exp(log(x)) can miss x by an ulp.
-        span = math.log(top) - math.log(lo)
-        candidates += [lo] + [math.exp(math.log(lo) + span * i / (grid_points - 1))
-                              for i in range(1, grid_points - 1)] + [top]
-        # portfolio_value at each price, inline: f, then g, at every price.
-        v_grid = [f + (0.0 if p == 0.0 else p * gp) for p in candidates
-                  for f, gp in [(f_values[bisect_left(bps, p)](p), g(p))]]
-        blocks = [(min(candidates[i:i + _BLOCK]), max(v_grid[i:i + _BLOCK]))
-                  for i in range(0, len(v_grid), _BLOCK)]
-        grid = tf._grids[lo, top, grid_points] = (
-            candidates, v_grid, blocks if math.isfinite(sum(v_grid)) else None)
-    candidates = grid[0]
-    best, best_value = _first_minimum(r1, r2, *grid)
 
-    # Golden-section on the bracketing cell, in log-price (the objective is
-    # unimodal: its slope r2 - g(p) changes sign at most once), with V in
-    # portfolio_value's operation order, as on the grid.
+    a, b = lo, top
+    mid = math.sqrt(a) * math.sqrt(b)
+    while a < mid < b:
+        if g(mid) >= r2:
+            a = mid
+        else:
+            b = mid
+        mid = math.sqrt(a) * math.sqrt(b)
+
     def objective(p: float) -> float:
         v = f_values[bisect_left(bps, p)](p) + (0.0 if p == 0.0 else p * g(p))
         return r1 + (0.0 if p == 0.0 else p * r2) - v
 
-    left = candidates[max(best - 1, 0)]
-    right = candidates[min(best + 1, len(candidates) - 1)]
-    if left <= 0.0:
-        left = min(right * 1e-6, candidates[1])
-    a, b = math.log(left), math.log(right)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = objective(math.exp(x1)), objective(math.exp(x2))
-    while b - a > 1e-12:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = objective(math.exp(x1))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = objective(math.exp(x2))
-
-    refined = min(best_value, f1, f2)
-    if not profile.interval.bounded and r2 == 0.0:
-        # The objective decreases toward r1 - lim V; no finite grid attains it.
-        refined = min(refined, r1 - profile.payoff.limit_at_infinity())
-    return refined
+    return min(objective(alpha), objective(a), objective(b))
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def run_verification(profile: ReplicationProfile, seed: int = 7, samples: int = 
             continue
         r1 = payoff.value(p) + rng.uniform(0.0, 1.0)
         direct = trading_function_eval(tf, r1, r2)
-        oracle = trading_function_infimum(tf, r1, r2, 256)
+        oracle = trading_function_infimum(tf, r1, r2)
         worst_psi = max(worst_psi, psi_residual(direct, oracle))
     record("trading function matches infimum oracle", worst_psi, PSI_TOLERANCE)
 

@@ -132,7 +132,7 @@ def cmd_trading_function(cfg: argparse.Namespace) -> int:
             continue
         row = f"{_fmt(r2)},{_fmt(g_inverse(profile, r2))},{_fmt(psi)}"
         if cfg.check_infimum:
-            psi_inf = trading_function_infimum(tf, 0.0, r2, 512)
+            psi_inf = trading_function_infimum(tf, 0.0, r2)
             row += f",{_fmt(psi_inf)}"
             if psi_residual(psi, psi_inf) > PSI_TOLERANCE:
                 mismatch = True

@@ -114,7 +114,7 @@ def test_criterion_2_infimum_oracle():
             count += 1
             r1 = prof.payoff.value(p) + rng.uniform(0.0, 2.0)
             direct = trading_function_eval(tf, r1, r2)
-            oracle = trading_function_infimum(tf, r1, r2, 512)
+            oracle = trading_function_infimum(tf, r1, r2)
             rel = abs(direct - oracle) / max(1.0, abs(direct), abs(oracle))
             assert rel <= 1e-6, f"{name}: psi={direct!r} inf={oracle!r} at p={p}"
             worst = max(worst, rel)

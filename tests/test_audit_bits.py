@@ -4,9 +4,10 @@ trading_function_infimum is the oracle `verify` and `trading-function
 --check-infimum` hold psi against, and portfolio_value_integral the one
 they hold V against.  The digests below hash float.hex of each over a
 seeded batch of calls: every catalog family on its natural interval and on
-a cut one, an 8-point table with two jumps and its NumericProfile, grid
-sizes 64, 256 and 512, the reserve edges r2 = 0, r2 = g(alpha) and signed
-zeros, and a capped call cut below its cap, whose payoff is flat below p0.
+a cut one, an 8-point table with two jumps and its NumericProfile, three
+seeded batches of reserves, the reserve edges r2 = 0, r2 = g(alpha) and
+signed zeros, and a capped call cut below its cap, whose payoff is flat
+below p0.
 A call that raises contributes its error's name.
 """
 
@@ -35,9 +36,10 @@ from cfmmrep import (
     make_piecewise_payoff,
     pool_init,
     portfolio_value_integral,
+    trading_function_eval,
     trading_function_infimum,
 )
-from cfmmrep import cfmm, replication
+from cfmmrep import replication
 from cfmmrep.checks import sample_price_range
 from cfmmrep.errors import CfmmRepError
 from cfmmrep.quadrature import adaptive_simpson
@@ -94,8 +96,8 @@ def _reserves(rng, profile, lo, hi, prices):
     return pairs
 
 
-# sha256 of the lines "label|grid points|r1 hex|r2 hex|outcome".
-INFIMUM_BITS = "acbc0cf01111d634312831ef164b58393acb047bf205148adbe6d9d4d8606533"
+# sha256 of the lines "label|batch|r1 hex|r2 hex|outcome".
+INFIMUM_BITS = "d83c09aba196d0b83195df54b3226363d8fec38a40f332b8e642901cc2db249b"
 
 
 def test_infimum_keeps_its_bits():
@@ -105,13 +107,38 @@ def test_infimum_keeps_its_bits():
         tf = TradingFunction(profile)
         rng = random.Random(label)
         numeric = isinstance(profile, NumericProfile)
-        for n in (64, 256, 512):
+        for batch in range(3):
             for r1, r2 in _reserves(rng, profile, lo, hi, 1 if numeric else 3):
-                got = _outcome(lambda: trading_function_infimum(tf, r1, r2, n))
-                digest.update(f"{label}|{n}|{r1.hex()}|{r2.hex()}|{got}\n".encode())
+                got = _outcome(lambda: trading_function_infimum(tf, r1, r2))
+                digest.update(f"{label}|{batch}|{r1.hex()}|{r2.hex()}|{got}\n".encode())
                 calls += 1
     assert calls > 400
     assert digest.hexdigest() == INFIMUM_BITS
+
+
+@pytest.mark.parametrize("spec", [make_catalog_payoff(CashOrNothing(2.0)),
+                                  make_piecewise_payoff(*TABLE)], ids=["cash", "table"])
+def test_infimum_at_a_jump_is_psi_to_within_rounding(spec):
+    # g drops at a payoff jump, so every r2 in the drop has its minimum on
+    # the jump's price: the bisection closes on it to a few ulps of psi.
+    # The rows are trading-function's at --grid 20 (r1 = 0), then seeded
+    # r1 > 0 with r2 drawn inside each jump's drop.
+    profile = ReplicationProfile(spec)
+    tf = TradingFunction(profile)
+    top = profile.g_alpha
+    if math.isinf(top):
+        top = profile.g(sample_price_range(profile)[0])
+    rows = [(0.0, min(top * i / 19, top)) for i in range(20)]
+    rng = random.Random(43)
+    for q, _ in spec.jumps:
+        low, high = profile.g(math.nextafter(q, math.inf)), profile.g(q)
+        assert low < high
+        rows += [(rng.uniform(0.0, 2.0), rng.uniform(low, high)) for _ in range(10)]
+    for r1, r2 in rows:
+        psi = trading_function_eval(tf, r1, r2)
+        u = 2.0 ** -52 * max(1.0, abs(psi))
+        oracle = trading_function_infimum(tf, r1, r2)
+        assert psi - 4 * u <= oracle <= psi + 4 * u, (r1, r2, psi, oracle)
 
 
 # sha256 of the lines "label|p hex|outcome".
@@ -138,144 +165,6 @@ def test_integral_keeps_its_bits_on_repeated_calls():
             calls += 1
     assert calls > 100
     assert digest.hexdigest() == INTEGRAL_BITS
-
-
-# ---------------------------------------------------------------------------
-# The pruned first-minimum scan against the plain one
-# ---------------------------------------------------------------------------
-
-def _plain(r1, r2, candidates, v_grid):
-    """The first minimum as a full scan finds it: (index, value)."""
-    values = [r1 + (0.0 if p == 0.0 else p * r2) - v for p, v in zip(candidates, v_grid)]
-    best = values.index(min(values))
-    return best, values[best]
-
-
-def _blocks(candidates, v_grid):
-    """The (lowest price, highest V) of each 16 grid points, as the oracle stores them."""
-    return [(min(candidates[i:i + 16]), max(v_grid[i:i + 16])) for i in range(0, len(v_grid), 16)]
-
-
-def _same(got, want):
-    assert (got[0], got[1].hex()) == (want[0], want[1].hex())
-
-
-class _Reads(list):
-    """A list that records its reads: each slice, and "all" for a full pass."""
-
-    def __getitem__(self, key):
-        self.read.append(key)
-        return list.__getitem__(self, key)
-
-    def __iter__(self):
-        self.read.append("all")
-        return list.__iter__(self)
-
-
-def _scan(r1, r2, candidates, v_grid, blocks):
-    """The pruned scan's answer, checked against the plain one, and its
-    reads of V."""
-    v_read = _Reads(v_grid)
-    v_read.read = []
-    got = cfmm._first_minimum(r1, r2, candidates, v_read, blocks)
-    _same(got, _plain(r1, r2, candidates, v_grid))
-    return got, v_read.read
-
-
-def test_pruned_scan_finds_the_plain_first_minimum_on_the_oracle_grids():
-    # Every grid the digest's calls build, against every reserve pair of its
-    # profile: the index and the bits of the first minimum, and each block's
-    # bound below every value in the block.  Most calls prune.
-    scans = pruned = 0
-    for label, make, (lo, hi) in _profiles():
-        profile = make()
-        tf = TradingFunction(profile)
-        rng = random.Random(label)
-        pairs, prices = [], 1 if isinstance(profile, NumericProfile) else 3
-        for n in (64, 256, 512):
-            for r1, r2 in _reserves(rng, profile, lo, hi, prices):
-                _outcome(lambda: trading_function_infimum(tf, r1, r2, n))
-                pairs.append((r1, r2))
-        for candidates, v_grid, blocks in tf._grids.values():
-            assert blocks == _blocks(candidates, v_grid)
-            for r1, r2 in pairs:
-                _, read = _scan(r1, r2, candidates, v_grid, blocks)
-                scans += 1
-                pruned += "all" not in read
-                values = [r1 + (0.0 if p == 0.0 else p * r2) - v
-                          for p, v in zip(candidates, v_grid)]
-                for k, (pmin, vmax) in enumerate(blocks):
-                    bound = r1 + (0.0 if pmin == 0.0 else pmin * r2) - vmax
-                    assert all(bound <= x for x in values[16 * k:16 * k + 16]), (label, k)
-    assert scans > 1000 and pruned > scans // 2, (scans, pruned)
-
-
-def _synthetic(n=257, seed=0):
-    rng = random.Random(seed)
-    candidates = sorted(rng.uniform(0.0, 10.0) for _ in range(n - 1))
-    return [0.0] + candidates, [rng.uniform(0.0, 5.0) for _ in range(n)]
-
-
-def test_pruned_scan_keeps_the_first_of_a_tie_across_a_block_boundary():
-    candidates, v_grid = _synthetic()
-    for first, second in ((15, 16), (16, 47), (31, 32), (0, 256)):
-        v = list(v_grid)
-        v[first] = v[second] = 9.0  # r2 = 0: the highest V is the minimum
-        for r1 in (0.0, -0.0, 1.5):
-            got = cfmm._first_minimum(r1, 0.0, candidates, v, _blocks(candidates, v))
-            assert got[0] == first
-            _same(got, _plain(r1, 0.0, candidates, v))
-    # Signed zeros tie: the earlier of -0.0 and +0.0 is kept, with its sign.
-    v = [-1.0] * len(v_grid)
-    v[15], v[16] = 0.0, -0.0
-    got = cfmm._first_minimum(-0.0, -0.0, candidates, v, _blocks(candidates, v))
-    assert (got[0], got[1].hex()) == (15, (-0.0).hex())
-    _same(got, _plain(-0.0, -0.0, candidates, v))
-    v[15], v[16] = -0.0, 0.0
-    _same(cfmm._first_minimum(-0.0, -0.0, candidates, v, _blocks(candidates, v)),
-          _plain(-0.0, -0.0, candidates, v))
-
-
-def test_pruned_scan_with_overflowing_values():
-    # p*r2 overflows to +inf on the upper part of a grid up to 1e300.
-    candidates = [0.0] + [10.0 ** (300 * i / 511) for i in range(512)]
-    v_grid = [math.log1p(p) for p in candidates]
-    for r2 in (1e10, 1e-300, 1e308):
-        assert (candidates[-1] * r2 == math.inf) == (r2 > 1e-300)
-        for r1 in (0.0, 1e308):
-            got = cfmm._first_minimum(r1, r2, candidates, v_grid, _blocks(candidates, v_grid))
-            _same(got, _plain(r1, r2, candidates, v_grid))
-
-
-def test_pruned_scan_falls_back_on_non_finite_input():
-    candidates, v_grid = _synthetic(seed=3)
-    blocks = _blocks(candidates, v_grid)
-    # r1 or r2 not finite: the full scan, and nothing before it.
-    for r1, r2, full in ((0.5, 0.5, False), (math.inf, 0.5, True), (0.5, math.inf, True),
-                         (math.inf, math.inf, True)):
-        assert (_scan(r1, r2, candidates, v_grid, blocks)[1] == ["all"]) == full, (r1, r2)
-    # A flat objective: every block survives the cap, so the full scan
-    # follows the cap's block.
-    flat = [1.0] * len(v_grid)
-    assert _scan(0.5, 0.0, candidates, flat, _blocks(candidates, flat)) == (
-        (0, -0.5), [slice(0, 16), "all"])
-    # A V that is not finite leaves the grid without blocks (see below);
-    # the scan then reads every point, a NaN included.
-    for bad in (math.inf, -math.inf, math.nan):
-        v = list(v_grid)
-        v[40] = bad
-        _same(cfmm._first_minimum(0.25, 0.5, candidates, v, None),
-              _plain(0.25, 0.5, candidates, v))
-
-
-def test_oracle_stores_no_blocks_for_a_grid_with_a_non_finite_v(monkeypatch):
-    profile = ReplicationProfile(make_piecewise_payoff(*TABLE))
-    g = profile.g
-    monkeypatch.setattr(profile, "g", lambda p: math.inf if 2.0 < p < 2.1 else g(p))
-    tf = TradingFunction(profile)
-    trading_function_infimum(tf, profile.payoff.value(1.5) + 0.25, profile.g(1.5), 512)
-    (candidates, v_grid, blocks), = tf._grids.values()
-    assert math.inf in v_grid and blocks is None
 
 
 # ---------------------------------------------------------------------------

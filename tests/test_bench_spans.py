@@ -96,21 +96,20 @@ def test_every_route_evaluates_g_through_the_method(g_calls):
         assert got == [repr(profile.g(p)) for p in prices]
 
 
-@pytest.mark.parametrize("beta,first,again", [(4.0, 512 + 50, 50),
-                                               (math.inf, 2 + 512 + 50, 2 + 50)])
-def test_infimum_g_count_is_pinned(g_calls, beta, first, again):
-    # A fresh TradingFunction pays for its grid once: V at 512 prices, plus
-    # 50 golden-section steps, plus (unbounded) two steps doubling the top.
+@pytest.mark.parametrize("beta,count", [(4.0, 53 + 3), (math.inf, 1 + 53 + 3)],
+                         ids=["bounded", "unbounded"])
+def test_infimum_g_count_is_pinned(g_calls, beta, count):
+    # 53 bisection steps from [0.5, 4] to a few ulps, then V at alpha and
+    # at both ends, plus (unbounded) one g at the top, which closes at 4.
+    # Nothing is memoised: a second call costs the same.
     points, jumps = TABLE
     profile = ReplicationProfile(make_piecewise_payoff(points, jumps).with_bounds(0.5, beta))
     tf = TradingFunction(profile)
     r1, r2 = profile.payoff.value(1.5) + 0.25, profile.g(1.5)
-    g_calls.clear()
-    trading_function_infimum(tf, r1, r2, 512)
-    assert len(g_calls) == first
-    g_calls.clear()
-    trading_function_infimum(tf, r1, r2, 512)
-    assert len(g_calls) == again
+    for _ in range(2):
+        g_calls.clear()
+        trading_function_infimum(tf, r1, r2)
+        assert len(g_calls) == count
 
 
 def test_a_one_piece_list_takes_g_from_the_kernel(g_calls):

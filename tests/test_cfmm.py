@@ -12,7 +12,6 @@ from cfmmrep import (
     CashOrNothing,
     ConstantProportion,
     DomainError,
-    InvalidParameterError,
     InvalidReservesError,
     Logarithmic,
     NumericalError,
@@ -24,7 +23,6 @@ from cfmmrep import (
     arbitrage_to_price,
     constant_product_level,
     make_catalog_payoff,
-    make_piecewise_payoff,
     pool_init,
     spot_price,
     trading_function_eval,
@@ -115,20 +113,20 @@ class TestInfimumOracle:
         tf = TradingFunction(prof)
         r2 = prof.g(1.5)
         direct = trading_function_eval(tf, 1.5, r2)
-        oracle = trading_function_infimum(tf, 1.5, r2, 512)
+        oracle = trading_function_infimum(tf, 1.5, r2)
         assert direct == pytest.approx(1.0, rel=1e-12)
         assert abs(direct - oracle) <= 1e-6 * max(1.0, abs(direct))
 
     def test_cash_or_nothing_value(self):
         tf = TradingFunction(ReplicationProfile(make_catalog_payoff(CashOrNothing(2.0))))
-        assert trading_function_infimum(tf, 1.0, 0.5, 512) == pytest.approx(1.0, abs=1e-9)
+        assert trading_function_infimum(tf, 1.0, 0.5) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_at_lp_allocations(self):
         for prof, lo, hi in profile_suite():
             tf = TradingFunction(prof)
             p = math.sqrt(lo * hi)
             r1, r2 = prof.payoff.value(p), prof.g(p)
-            oracle = trading_function_infimum(tf, r1, r2, 512)
+            oracle = trading_function_infimum(tf, r1, r2)
             assert abs(oracle) <= 1e-6, f"{prof.payoff.catalog}: {oracle}"
 
     def test_matches_eval_on_random_reserves(self):
@@ -142,7 +140,7 @@ class TestInfimumOracle:
                     continue
                 r1 = prof.payoff.value(p) + rng.uniform(0.0, 2.0)
                 direct = trading_function_eval(tf, r1, r2)
-                oracle = trading_function_infimum(tf, r1, r2, 256)
+                oracle = trading_function_infimum(tf, r1, r2)
                 assert abs(direct - oracle) <= 1e-6 * max(1.0, abs(direct), abs(oracle)), (
                     f"{prof.payoff.catalog} at p={p}")
 
@@ -157,82 +155,6 @@ class TestInfimumOracle:
         with pytest.raises(NumericalError,
                            match=r"reached 4\.49423283715579e\+307 .* risky reserve 1e-308"):
             trading_function_infimum(tf, 0.0, 1e-308)
-
-    def test_grid_points_validated(self):
-        tf = TradingFunction(ReplicationProfile(make_catalog_payoff(CashOrNothing(2.0))))
-        with pytest.raises(InvalidParameterError):
-            trading_function_infimum(tf, 1.0, 0.1, 8)
-
-
-class TestInfimumMemo:
-    """The oracle evaluates V once per distinct grid of a TradingFunction."""
-
-    def test_one_grid_on_a_bounded_interval(self):
-        prof = ReplicationProfile(make_catalog_payoff(CappedCall(1.0, E)))
-        evaluated = []
-        g = prof.g
-
-        def counting(p):
-            evaluated.append(p)
-            return g(p)
-
-        tf = TradingFunction(prof)
-        rng = random.Random(31)
-        calls = []
-        for _ in range(50):
-            p = math.exp(rng.uniform(math.log(0.05), math.log(E)))
-            calls.append((prof.payoff.value(p) + rng.uniform(0.0, 1.0), g(p)))
-        prof.g = counting
-        for r1, r2 in calls:
-            trading_function_infimum(tf, r1, r2, 512)
-        cold = len(evaluated)
-        (grid, _, _), = tf._grids.values()
-        # alpha is 0: the floor walk's one g(lo) comes first, then the grid.
-        assert evaluated[0] == grid[1]
-        assert evaluated[1:len(grid) + 1] == grid
-        evaluated.clear()
-        for r1, r2 in calls:
-            trading_function_infimum(tf, r1, r2, 512)
-        # One grid of 512 prices plus alpha; the same calls made again on
-        # the warm grid take the same golden-section steps and no grid.
-        assert cold - len(evaluated) == len(grid) == 512 + 1
-
-    def test_shared_matches_fresh_per_call(self):
-        jumpy = make_piecewise_payoff([(0.5, 0.1), (1.0, 0.3), (2.0, 0.5), (4.0, 1.5)],
-                                      jumps=[(1.0, 0.2), (2.0, 0.25)])
-        suite = profile_suite() + [(ReplicationProfile(jumpy), 0.5, 4.0)]
-        rng = random.Random(37)
-        for prof, lo, hi in suite:
-            pairs = []
-            for _ in range(12):
-                p = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-                pairs.append((prof.payoff.value(p) + rng.uniform(0.0, 1.0), prof.g(p),
-                              rng.choice((128, 256))))
-            if math.isfinite(prof.payoff.limit_at_infinity()):
-                pairs.append((1.0, 0.0, 128))
-            pairs += pairs[:4]
-            rng.shuffle(pairs)
-            shared = TradingFunction(prof)
-            warm = [trading_function_infimum(shared, r1, r2, n) for r1, r2, n in pairs]
-            cold = [trading_function_infimum(TradingFunction(prof), r1, r2, n)
-                    for r1, r2, n in pairs]
-            assert warm == cold, prof.payoff.catalog
-
-    @pytest.mark.parametrize("alpha,beta", [(0.0, 4.0), (7.0, 30.0), (0.37, math.inf)])
-    def test_grid_prices_lie_in_the_interval(self, alpha, beta):
-        # Grid ends are alpha (or lo) and beta (or top) exactly, not their
-        # exp(log(x)) round trips, which can miss by an ulp either way.
-        table = make_piecewise_payoff([(0.5, 0.1), (1.0, 0.3), (2.0, 0.5), (4.0, 1.5),
-                                       (40.0, 3.0)], jumps=[(1.0, 0.2)] if alpha < 1.0 else []
-                                      ).with_bounds(alpha, beta)
-        prof = ReplicationProfile(table)
-        tf = TradingFunction(prof)
-        for p in (alpha or 0.6, 3.0, 12.0):
-            if prof.interval.contains(p):
-                trading_function_infimum(tf, table.value(p) + 0.1, prof.g(p), 64)
-        assert tf._grids
-        for prices, _, _ in tf._grids.values():
-            assert all(alpha <= p <= beta for p in prices), (min(prices), max(prices))
 
 
 class TestPsiShape:

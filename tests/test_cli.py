@@ -248,7 +248,7 @@ class TestTradingFunction:
                                            ("0.4", "1"), ("50", "1e-6")])
     def test_check_infimum_below_the_default_floor(self, capsys, sigma, tau):
         # At K = 1e-300 the minimising price of small r2 lies far below the
-        # oracle's first grid floor; before the floor walked down, the oracle
+        # oracle's first floor; before the floor walked down, the oracle
         # answered 0 there ("mismatch at r2=2.04e+298") and the run exited 1.
         code, out, err = run_cli(
             capsys, "trading-function", "--payoff", "catalog:black_scholes_binary",
@@ -296,6 +296,42 @@ class TestTradingFunction:
             "--param", "w=0.5", "--param", "C=1", "--grid", "5")
         assert code == 0
         assert "unbounded" in err
+
+
+# The extreme-parameter sweep of --check-infimum, fixed before its first run:
+# each family at every price parameter, every ordered capped pair p0 < p1
+# (and p0 = 0 where the family allows it), the binary's sigma x tau at K = 1
+# and constant_proportion's w x C.  69 sets.
+_PRICES = ["1e-300", "1e-6", "1", "1e6", "1e300"]
+_PAIRS = [(p0, p1) for i, p0 in enumerate(_PRICES) for p1 in _PRICES[i + 1:]]
+_SWEEP = (
+    [("cash_or_nothing", f"p0={p}") for p in _PRICES]
+    + [("logarithmic", f"p0={p}") for p in _PRICES]
+    + [("capped_call", f"p0={p0} p1={p1}") for p0, p1 in _PAIRS]
+    + [("capped_power", f"p0={p0} p1={p1} a={a}")
+       for p0, p1 in _PAIRS + [("0", p) for p in _PRICES] for a in ("0.5", "2.5")]
+    + [("black_scholes_binary", f"K={k} sigma=0.4 tau=1") for k in _PRICES]
+    + [("black_scholes_binary", f"K=1 sigma={sigma} tau={tau}")
+       for sigma in ("0", "0.4", "50") for tau in ("1e-6", "1") if (sigma, tau) != ("0.4", "1")]
+    + [("constant_proportion", f"w={w} C={c}")
+       for w in ("1e-6", "0.3", "0.999999") for c in ("1e-300", "1", "1e300")]
+)
+
+
+@pytest.mark.parametrize("family,params", _SWEEP,
+                         ids=[f"{name}-{params.replace(' ', '-')}" for name, params in _SWEEP])
+def test_check_infimum_sweep(capsys, family, params):
+    # f itself passes the float range at a = 2.5 up to p1 = 1e300: the one
+    # correct rejection.  Every other set agrees with its oracle on every row.
+    argv = ["trading-function", "--check-infimum", "--payoff", f"catalog:{family}"]
+    for item in params.split():
+        argv += ["--param", item]
+    code, _, err = run_cli(capsys, *argv)
+    if family == "capped_power" and params.endswith("p1=1e300 a=2.5"):
+        assert code == 1 and "the payoff overflows the float range" in err
+    else:
+        assert code == 0, err
+        assert "mismatch" not in err and "error" not in err
 
 
 class TestSimulate:

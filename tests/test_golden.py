@@ -69,8 +69,8 @@ def _cases():
             cases[f"{cmd}-{name}"] = argv
     # The large runs: 20 x 500 paths draw about 1,500 normals from the inverse
     # CDF's tail form, and 200-row tables run the infimum oracle on two
-    # unbounded intervals, where its grid top moves with r2, and on the
-    # bounded table, where every row shares one grid.
+    # unbounded intervals, where its bracket's top moves with r2, and on the
+    # bounded table, where every row's bracket is the interval.
     walks = {"logarithmic": _payoff_args("logarithmic", ["p0=1e-6"]),
              "piecewise": ["--payoff", PIECEWISE, "--p-start", "1.5"]}
     for name, payoff in walks.items():

@@ -154,7 +154,7 @@ def test_psi_monotone_and_matches_oracle(piecewise_profiles):
             r1 = prof.payoff.value(p) + rng.uniform(0.0, 1.0)
             level = trading_function_eval(tf, r1, r2)
             assert trading_function_eval(tf, r1 + 0.5, r2) >= level - 1e-12
-            oracle = trading_function_infimum(tf, r1, r2, 128)
+            oracle = trading_function_infimum(tf, r1, r2)
             assert abs(level - oracle) <= 1e-6 * max(1.0, abs(level), abs(oracle))
 
 

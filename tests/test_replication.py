@@ -570,9 +570,8 @@ class TestConcurrentEvaluation:
         assert threaded == serial
 
     def test_shared_trading_function_across_threads(self):
-        """The infimum oracle memoises its grids on the TradingFunction; a
-        write that races only stores the same grid again, so threads sharing
-        one must match serial calls on fresh ones exactly."""
+        """Threads sharing one TradingFunction must match serial calls of
+        the infimum oracle on fresh ones exactly."""
         from concurrent.futures import ThreadPoolExecutor
 
         rng = random.Random(41)
@@ -583,12 +582,12 @@ class TestConcurrentEvaluation:
             for _ in range(64):
                 p = math.exp(rng.uniform(math.log(lo), math.log(hi)))
                 reserves.append((prof.payoff.value(p) + rng.uniform(0.0, 1.0), prof.g(p)))
-            serial = [trading_function_infimum(TradingFunction(prof), r1, r2, 256)
+            serial = [trading_function_infimum(TradingFunction(prof), r1, r2)
                       for r1, r2 in reserves]
             shared = TradingFunction(prof)
 
             def oracle(reserve):
-                return trading_function_infimum(shared, *reserve, 256)
+                return trading_function_infimum(shared, *reserve)
 
             with ThreadPoolExecutor(max_workers=8) as pool:
                 threaded = list(pool.map(oracle, reserves))

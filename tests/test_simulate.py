@@ -192,7 +192,8 @@ class TestBatchedDraws:
         assert sum(u > 1.0 - _REF_CENTRE for u in uniforms) > 100
         assert SplitMix64(seed).normals(n) == [reference_norm_inv(u) for u in uniforms]
 
-    @pytest.mark.parametrize("seed,n,digest", NORMALS_SHA256)
+    @pytest.mark.parametrize("seed,n,digest", NORMALS_SHA256,
+                             ids=[f"{seed}-{n}" for seed, n, _ in NORMALS_SHA256])
     def test_normals_keep_their_bits(self, seed, n, digest):
         # One lane block and part or all of a second; sha256 of the hex draws.
         draws = " ".join(x.hex() for x in SplitMix64(seed).normals(n))
