@@ -9,11 +9,10 @@ Its zero level set is exactly the liquidity-provider curve
 {(f(p), g(p))}, psi is nondecreasing in both reserves, and concave.  The
 infimum itself is also evaluated directly, as a numerical cross-check oracle
 for the closed path: the objective r1 + p r2 - V(p) is convex with slope
-r2 - g(p), because g is nonincreasing, so one bisection in log-price on the
-sign of g(p) - r2 finds its minimum.  The oracle reads g only through
-profile.g, and V as f from the segments plus p g(p) in portfolio_value's
-operation order, never through g_inverse, so it stays independent of the
-closed path.
+r2 - g(p), because g is nonincreasing, so its minimum lies where g crosses
+r2, which replication.crossing brackets by bisection.  The oracle reads g
+only through profile.g, never through g_inverse, so it stays independent
+of the closed path.
 
 Pools are immutable values: operations return new states.  Trades are
 accepted exactly when they do not decrease the invariant level (fee-free
@@ -25,7 +24,6 @@ Both use only f and g; a minted pool's level is zero, derived on demand.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -34,7 +32,7 @@ from .errors import (
     NumericalError,
     UnboundedTradingFunctionError,
 )
-from .replication import ReplicationProfile, infinite_cost_error
+from .replication import ReplicationProfile, crossing, portfolio_at
 
 _TRADE_TOL = 1e-12
 
@@ -77,51 +75,26 @@ def trading_function_infimum(tf: TradingFunction, r1: float, r2: float) -> float
     """inf over prices of r1 + p*r2 - V(p), evaluated directly.
 
     The objective h(p) = r1 + p*r2 - V(p) is convex, with slope r2 - g(p),
-    since g is nonincreasing.  So one bisection in log-price on the sign of
-    g(p) - r2 closes on its minimum: it stops when sqrt(a)*sqrt(b) is no
-    longer strictly between the ends a and b, which are then a few ulps
-    apart, and the answer is the least of h at alpha, a and b.  The
-    bracket is [alpha, beta], its top doubling while g(top) >= r2 when beta
-    is unbounded, and its floor walking down while g(floor) < r2 when alpha
-    is 0.  V is f from the segments plus p*g(p), with g from profile.g, in
-    portfolio_value's operation order: the oracle never reads g_inverse, so
-    it stays independent of trading_function_eval.
+    since g is nonincreasing, so its minimum lies where g crosses r2: the
+    answer is the least of h at alpha and at the ends a and b of
+    replication.crossing, a few ulps apart.  V is f from the segments plus
+    p*g(p), in portfolio_value's operation order, and g is read only through
+    profile.g: the oracle never reads g_inverse, so it stays independent of
+    trading_function_eval.
     """
     _check_reserves(tf, r1, r2)
     profile = tf.profile
-    alpha, beta = profile.interval.alpha, profile.interval.beta
-    f_values, bps, g = profile.payoff._values, profile.payoff.breakpoints, profile.g
-
-    if profile.interval.bounded:
-        top = beta
-    elif r2 == 0.0:
+    if r2 == 0.0 and not profile.interval.bounded:
         # The objective decreases toward r1 - lim V; no finite price attains it.
         return r1 - profile.payoff.limit_at_infinity()
-    else:
-        top = max(alpha, max(bps, default=0.0), 1.0)
-        while g(top) >= r2:
-            if top > sys.float_info.max / 4:
-                raise NumericalError(
-                    f"infimum bracket reached {top!r} with g still >= risky reserve {r2!r}")
-            top *= 2.0
-    lo = alpha if alpha > 0.0 else min(top * 1e-9, min(bps, default=top) * 1e-3)
-    while alpha == 0.0 and r2 > 0.0 and lo > sys.float_info.min and g(lo) < r2:
-        lo = max(lo * 1e-3, sys.float_info.min)
-
-    a, b = lo, top
-    mid = math.sqrt(a) * math.sqrt(b)
-    while a < mid < b:
-        if g(mid) >= r2:
-            a = mid
-        else:
-            b = mid
-        mid = math.sqrt(a) * math.sqrt(b)
+    a, b = crossing(profile, r2)
+    f_values, bps, g = profile.payoff._values, profile.payoff.breakpoints, profile.g
 
     def objective(p: float) -> float:
         v = f_values[bisect_left(bps, p)](p) + (0.0 if p == 0.0 else p * g(p))
         return r1 + (0.0 if p == 0.0 else p * r2) - v
 
-    return min(objective(alpha), objective(a), objective(b))
+    return min(objective(profile.interval.alpha), objective(a), objective(b))
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +131,8 @@ class ArbStepProfit:
 
 
 def _mint(tf: TradingFunction, p: float) -> PoolState:
-    """The replicating allocation (f(p), g(p)) at price p: portfolios((p,))'s
-    bits and errors, without its list layer."""
-    profile = tf.profile
-    profile.interval.check(p)
-    payoff = profile.payoff
-    r1, r2 = payoff._values[bisect_left(payoff.breakpoints, p)](p), profile.g(p)
-    if r2 == math.inf:
-        raise infinite_cost_error(p)
-    return PoolState(tf, r1, r2, p)
+    """The replicating allocation (f(p), g(p)) at price p (see portfolio_at)."""
+    return PoolState(tf, *portfolio_at(tf.profile, p), p)
 
 
 def pool_init(profile: ReplicationProfile, p: float) -> PoolState:

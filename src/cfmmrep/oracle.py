@@ -2,7 +2,8 @@
 
 NumericProfile answers everything a ReplicationProfile answers, without
 the exact route: g(p) integrates f'(q)/q from p to beta with the jump
-terms added exactly, and g_inverse bisects on that g.  It shares no code
+terms added exactly, and g_inverse bisects on that g with
+replication.crossing, the psi infimum oracle's bisection.  It shares no code
 with the exact route's costs, so the tests hold that route against it.
 Unbounded price intervals are folded to (0, 1/p] with the substitution
 u = 1/q before integrating.
@@ -11,11 +12,11 @@ u = 1/q before integrating.
 from __future__ import annotations
 
 import math
+import sys
 
-from .errors import NumericalError
 from .payoffs import ConstantForm, LogForm, PayoffSpec
 from .quadrature import DEFAULT_OPTIONS, QuadratureOptions, adaptive_simpson, integrate_from_zero
-from .replication import ReplicationProfile
+from .replication import ReplicationProfile, crossing
 
 
 def _segment_integrand(spec: PayoffSpec, lo: float, hi: float):
@@ -135,37 +136,14 @@ class NumericProfile(ReplicationProfile):
         return quadrature_replication_cost(self.payoff, p, self.opts)
 
     def _solve_inverse(self, r2: float) -> float:
-        """Rightmost price with g >= r2, for 0 < r2 <= g(alpha), by bisection.
-
-        The bracket starts at alpha (or, from alpha = 0, descends by halving
-        from the first breakpoint) and at beta (or, when unbounded, expands
-        by doubling).  Geometric bisection then returns the last point that
-        actually evaluated on the >= side, so the supremum convention
-        survives a jump of g exactly at the boundary.
-        """
-        alpha, beta = self.interval.alpha, self.interval.beta
-        lo = alpha
-        if lo == 0.0:
-            lo = min(self.payoff.breakpoints + (beta, 1.0))
-            while self.g(lo) < r2:
-                if r2 == self.g_alpha:  # the first form rises: g(p) < g(0) for all p > 0
-                    return 0.0
-                lo *= 0.5
-        if self.interval.bounded:
-            hi = beta
-        else:
-            hi = lo * 2.0
-            while hi and self.g(hi) >= r2:  # a walk that reached lo = 0 answers 0
-                lo, hi = hi, hi * 2.0
-                if hi > 1e300:
-                    raise NumericalError(
-                        f"g_inverse bracket passed 1e300 with g still >= risky reserve {r2!r}")
-        while hi - lo > 1e-12 * lo:  # relative width
-            mid = math.sqrt(lo * hi)
-            if mid <= lo or mid >= hi:
-                break
-            if self.g(mid) >= r2:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        """Rightmost price with g >= r2, for 0 < r2 <= g(alpha): the low end
+        of replication.crossing, or alpha where g is below r2 even there."""
+        alpha = self.interval.alpha
+        # g(first breakpoint or 1) < g(0): only 0 holds g(0), and the floor
+        # walk toward it would fail in quadrature near price 1e-16.
+        if r2 == self.g_alpha and alpha == 0.0 and self.g(
+                min(self.payoff.breakpoints + (self.interval.beta, 1.0))) < r2:
+            return 0.0
+        a, _ = crossing(self, r2)
+        # Only a floor at or under the least normal float can hold g < r2.
+        return alpha if a <= sys.float_info.min and self.g(a) < r2 else a

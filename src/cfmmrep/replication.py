@@ -15,13 +15,14 @@ Every payoff has one exact route: g sums its segment forms' exact costs
 and its jump terms, and g_inverse solves on the crossing segment with that
 form's inverse cost (payoffs.piecewise_exact_forms), on any interval.
 ReplicationProfile takes that route and no other; oracle.NumericProfile,
-on quadrature and bisection, is the oracle the tests hold it against.
+on quadrature and crossing's bisection, is the oracle the tests hold it against.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
@@ -154,8 +155,13 @@ def replication_cost(profile: ReplicationProfile, p: float) -> float:
 
 
 def portfolio_at(profile: ReplicationProfile, p: float):
-    """(numeraire, risky) holdings at price p, as profile.portfolios((p,)) mints them."""
-    (r1,), (r2,) = profile.portfolios((p,))
+    """(numeraire, risky) holdings (f(p), g(p)) at price p, with the bits and
+    errors of profile.portfolios((p,)): an infinite g raises infinite_cost_error."""
+    profile.interval.check(p)
+    payoff = profile.payoff
+    r1, r2 = payoff._values[bisect_left(payoff.breakpoints, p)](p), profile.g(p)
+    if r2 == math.inf:
+        raise infinite_cost_error(p)
     return r1, r2
 
 
@@ -205,6 +211,40 @@ def portfolio_value_integral(profile: ReplicationProfile, p: float) -> float:
         if b > a:
             total += cell(a, b, lambda: adaptive_simpson(profile.g, a, b))
     return total
+
+
+def crossing(profile: ReplicationProfile, r2: float) -> tuple:
+    """The prices a <= b, a few ulps apart, where g falls below r2, for
+    0 <= r2 <= g(alpha) (r2 > 0 when beta is inf): one bisection in
+    log-price on g(p) >= r2, through profile.g only, until sqrt(a)*sqrt(b)
+    is no longer strictly between a and b.  The bracket's top is beta or
+    doubles from max(alpha, breakpoints, 1) while g >= r2, raising
+    NumericalError past a quarter of the largest float; from alpha = 0 its
+    floor walks down to the least normal float, where g may stay below r2."""
+    alpha, beta = profile.interval.alpha, profile.interval.beta
+    bps, g = profile.payoff.breakpoints, profile.g
+    if profile.interval.bounded:
+        top = beta
+    else:
+        top = max(alpha, max(bps, default=0.0), 1.0)
+        while g(top) >= r2:
+            if top > sys.float_info.max / 4:
+                raise NumericalError(
+                    f"infimum bracket reached {top!r} with g still >= risky reserve {r2!r}")
+            top *= 2.0
+    lo = alpha if alpha > 0.0 else min(top * 1e-9, min(bps, default=top) * 1e-3)
+    while alpha == 0.0 and r2 > 0.0 and lo > sys.float_info.min and g(lo) < r2:
+        lo = max(lo * 1e-3, sys.float_info.min)
+
+    a, b = lo, top
+    mid = math.sqrt(a) * math.sqrt(b)
+    while a < mid < b:
+        if g(mid) >= r2:
+            a = mid
+        else:
+            b = mid
+        mid = math.sqrt(a) * math.sqrt(b)
+    return a, b
 
 
 def g_inverse(profile: ReplicationProfile, r2: float) -> float:

@@ -318,20 +318,63 @@ _SWEEP = (
 )
 
 
+def run_sweep_set(capsys, command, family, params):
+    """(stdout, stderr) of one sweep set, which must exit 0; None for the
+    one correct rejection: f itself passes the float range at a = 2.5 up to
+    p1 = 1e300."""
+    argv = [*command, "--payoff", f"catalog:{family}"]
+    for item in params.split():
+        argv += ["--param", item]
+    code, out, err = run_cli(capsys, *argv)
+    if family == "capped_power" and params.endswith("p1=1e300 a=2.5"):
+        assert code == 1 and "the payoff overflows the float range" in err
+        return None
+    assert code == 0, err
+    return out, err
+
+
 @pytest.mark.parametrize("family,params", _SWEEP,
                          ids=[f"{name}-{params.replace(' ', '-')}" for name, params in _SWEEP])
 def test_check_infimum_sweep(capsys, family, params):
-    # f itself passes the float range at a = 2.5 up to p1 = 1e300: the one
-    # correct rejection.  Every other set agrees with its oracle on every row.
-    argv = ["trading-function", "--check-infimum", "--payoff", f"catalog:{family}"]
-    for item in params.split():
-        argv += ["--param", item]
-    code, _, err = run_cli(capsys, *argv)
-    if family == "capped_power" and params.endswith("p1=1e300 a=2.5"):
-        assert code == 1 and "the payoff overflows the float range" in err
-    else:
-        assert code == 0, err
-        assert "mismatch" not in err and "error" not in err
+    # Every set but the rejection agrees with its oracle on every row.
+    outputs = run_sweep_set(capsys, ["trading-function", "--check-infimum"], family, params)
+    if outputs is not None:
+        assert "mismatch" not in outputs[1] and "error" not in outputs[1]
+
+
+# verify over the same 69 sets, fixed before its first run.  Beside the five
+# rejections above, each set that exits 1 is a strict xfail naming its item.
+_NONCONVERGED = "item 16: Simpson's integral of g does not converge"
+_OVERFLOWS = "item 16: quadrature g overflows or meets an infinite integrand"
+_FAILS = "item 12: a check FAILs on its residual's scale"
+_FAR_PAIRS = [(p0, p1) for p0, p1 in _PAIRS if p0 == "1e-300" or p1 == "1e300"]
+_VERIFY_XFAIL = {
+    **{("capped_call", f"p0={p0} p1={p1}"): _NONCONVERGED for p0, p1 in _FAR_PAIRS},
+    **{("capped_power", f"p0={p0} p1={p1} a=0.5"): _NONCONVERGED for p0, p1 in _FAR_PAIRS},
+    ("black_scholes_binary", "K=1e-300 sigma=0.4 tau=1"): _NONCONVERGED,
+    ("black_scholes_binary", "K=1 sigma=50 tau=1"): _NONCONVERGED,
+    ("constant_proportion", "w=1e-6 C=1"): _OVERFLOWS,
+    ("constant_proportion", "w=1e-6 C=1e300"): _OVERFLOWS,
+    ("constant_proportion", "w=0.3 C=1e300"): _OVERFLOWS,
+    ("capped_power", "p0=1e-6 p1=1e6 a=0.5"): _FAILS + " (integral identity)",
+    ("capped_power", "p0=1e-6 p1=1e6 a=2.5"): _FAILS + " (psi, telescoping)",
+    ("capped_power", "p0=1 p1=1e6 a=2.5"): _FAILS + " (concavity, psi, telescoping)",
+    ("capped_power", "p0=0 p1=1e6 a=2.5"): _FAILS + " (psi)",
+    ("capped_power", "p0=0 p1=1e300 a=0.5"): _FAILS + " (psi)",
+    ("constant_proportion", "w=0.999999 C=1"): _FAILS + " (telescoping)",
+    ("constant_proportion", "w=0.999999 C=1e300"): _FAILS + " (psi, telescoping)",
+}
+
+
+@pytest.mark.parametrize("family,params", [
+    pytest.param(name, params,
+                 marks=pytest.mark.xfail(strict=True, reason=_VERIFY_XFAIL[name, params]))
+    if (name, params) in _VERIFY_XFAIL else (name, params) for name, params in _SWEEP],
+    ids=[f"{name}-{params.replace(' ', '-')}" for name, params in _SWEEP])
+def test_verify_sweep(capsys, family, params):
+    outputs = run_sweep_set(capsys, ["verify"], family, params)
+    if outputs is not None:
+        assert "FAIL" not in outputs[0]
 
 
 class TestSimulate:

@@ -35,6 +35,7 @@ from cfmmrep import (
     portfolio_value,
     portfolio_value_integral,
     replication_cost,
+    trading_function_eval,
     trading_function_infimum,
 )
 import cfmmrep
@@ -397,13 +398,22 @@ class TestGInverse:
         assert numeric.g_inverse_value(1.0) == pytest.approx(1.0, rel=1e-9)
 
     def test_bracket_past_1e300_raises(self):
-        # The closed route answers about 1e301; the doubling bracket used to
-        # stop at 1e300 and return inf.
+        # The exact route answers about 1e301, and the numeric route's
+        # bracket, the psi infimum oracle's, closes there to a few ulps (its
+        # own bracket used to stop at 1e300).  At 1e-310 the price is past
+        # the float range: psi on both routes and the infimum oracle raise.
         spec = make_catalog_payoff(Logarithmic(1.0))
-        assert ReplicationProfile(spec).g_inverse_value(1e-301) > 1e300
-        numeric = NumericProfile(spec)
-        with pytest.raises(NumericalError, match="risky reserve 1e-301"):
-            numeric.g_inverse_value(1e-301)
+        exact, numeric = ReplicationProfile(spec), NumericProfile(spec)
+        want = exact.g_inverse_value(1e-301)
+        assert want > 1e300
+        assert abs(numeric.g_inverse_value(1e-301) - want) <= 4 * math.ulp(want)
+        with pytest.raises(NumericalError):
+            numeric.g_inverse_value(1e-310)
+        for profile in (exact, numeric):
+            with pytest.raises(NumericalError):
+                trading_function_eval(TradingFunction(profile), 0.0, 1e-310)
+        with pytest.raises(NumericalError, match="risky reserve 1e-310"):
+            trading_function_infimum(TradingFunction(exact), 0.0, 1e-310)
 
     def test_numeric_at_g_alpha_from_a_steep_origin(self):
         # g falls from g(0) at once, so only price 0 holds g(0): the walk
