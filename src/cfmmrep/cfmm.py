@@ -24,7 +24,6 @@ Both use only f and g; a minted pool's level is zero, derived on demand.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import (
@@ -77,10 +76,9 @@ def trading_function_infimum(tf: TradingFunction, r1: float, r2: float) -> float
     The objective h(p) = r1 + p*r2 - V(p) is convex, with slope r2 - g(p),
     since g is nonincreasing, so its minimum lies where g crosses r2: the
     answer is the least of h at alpha and at the ends a and b of
-    replication.crossing, a few ulps apart.  V is f from the segments plus
-    p*g(p), in portfolio_value's operation order, and g is read only through
-    profile.g: the oracle never reads g_inverse, so it stays independent of
-    trading_function_eval.
+    replication.crossing, a few ulps apart.  V is profile.portfolio_value,
+    and g is read only through profile.g: the oracle never reads g_inverse,
+    so it stays independent of trading_function_eval.
     """
     _check_reserves(tf, r1, r2)
     profile = tf.profile
@@ -88,11 +86,9 @@ def trading_function_infimum(tf: TradingFunction, r1: float, r2: float) -> float
         # The objective decreases toward r1 - lim V; no finite price attains it.
         return r1 - profile.payoff.limit_at_infinity()
     a, b = crossing(profile, r2)
-    f_values, bps, g = profile.payoff._values, profile.payoff.breakpoints, profile.g
 
     def objective(p: float) -> float:
-        v = f_values[bisect_left(bps, p)](p) + (0.0 if p == 0.0 else p * g(p))
-        return r1 + (0.0 if p == 0.0 else p * r2) - v
+        return r1 + (0.0 if p == 0.0 else p * r2) - profile.portfolio_value(p)
 
     return min(objective(profile.interval.alpha), objective(a), objective(b))
 
@@ -130,14 +126,9 @@ class ArbStepProfit:
     to_price: float
 
 
-def _mint(tf: TradingFunction, p: float) -> PoolState:
-    """The replicating allocation (f(p), g(p)) at price p (see portfolio_at)."""
-    return PoolState(tf, *portfolio_at(tf.profile, p), p)
-
-
 def pool_init(profile: ReplicationProfile, p: float) -> PoolState:
     """Mint a pool at external price p with the replicating allocation."""
-    return _mint(TradingFunction(profile), p)
+    return PoolState(TradingFunction(profile), *portfolio_at(profile, p), p)
 
 
 def validate_trade(pool: PoolState, d1: float, d2: float) -> bool:
@@ -160,7 +151,7 @@ def arbitrage_to_price(pool: PoolState, p_ext: float):
     old price and feasible for the new one.  Prices outside the interval
     raise DomainError; clamp them first.
     """
-    new_pool = _mint(pool.tf, p_ext)
+    new_pool = PoolState(pool.tf, *portfolio_at(pool.tf.profile, p_ext), p_ext)
     profit = p_ext * (pool.r2 - new_pool.r2) + pool.r1 - new_pool.r1
     return new_pool, ArbStepProfit(profit, pool.price, p_ext)
 

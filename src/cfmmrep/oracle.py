@@ -37,17 +37,21 @@ def _segment_integrand(spec: PayoffSpec, lo: float, hi: float):
 
 
 def _tail_integrand(spec: PayoffSpec):
-    """The u = 1/q image of f'(q)/q on the last segment: h(u) = f'(1/u)/u."""
+    """The u = 1/q image of f'(q)/q on the last segment: h(u) = f'(1/u)/u.
+
+    At u = 0, and where 1/u overflows on a tail of growth exponent 0, h is its
+    exact limit q * f'(q): 1 for log tails, 0 for constant and normal-CDF ones.
+    A power tail, softened before u = 0, is nan there, so its quadrature raises.
+    """
     form = spec.segments[-1].form
-    # q * f'(q) at q -> inf: 1 for logarithmic tails, 0 for every other
-    # integrable tail (power tails are softened before reaching u = 0).
     limit = 1.0 if isinstance(form, LogForm) else 0.0
+    flat = form.growth_exponent() == 0.0
 
     def h(u: float) -> float:
         if u <= 0.0:
             return limit
         q = 1.0 / u
-        return form.slope(q) * q
+        return limit if q == math.inf and flat else form.slope(q) * q
 
     return h
 

@@ -278,12 +278,8 @@ class NormalCdfForm:
         k, vol = self.strike, self._vol  # where p / k underflows to 0, log(p) - log(k)
         return ((math.log(p / k) if p / k else math.log(p) - math.log(k)) - 0.5 * vol * vol) / vol
 
-    def value(self, p: float) -> float:  # norm_cdf(self.d(p)) inline; N(-inf) is 0
-        if p <= 0.0:
-            return 0.0
-        vol, k = self._vol, self.strike
-        log_ratio = math.log(p / k) if p / k else math.log(p) - math.log(k)
-        return 0.5 * math.erfc(-((log_ratio - 0.5 * vol * vol) / vol) / _SQRT2)
+    def value(self, p: float) -> float:  # N(-inf) is 0
+        return norm_cdf(self.d(p))
 
     def values(self, prices) -> list:
         d = self.d
@@ -525,6 +521,15 @@ class PayoffSpec:
         if not p >= 0.0:  # NaN fails too
             raise DomainError(f"price must be >= 0, got {p}")
         return self._values[bisect_left(self.breakpoints, p)](p)
+
+    def values(self, prices, lo: float, hi: float) -> list:
+        """f at each of prices, lowest lo and highest hi, all at least 0: one
+        list kernel when all share a segment, else each price's segment form."""
+        bps, values = self.breakpoints, self._values
+        k = bisect_left(bps, lo)
+        if k == bisect_left(bps, hi):
+            return self.segments[k].form.values(prices)
+        return [values[bisect_left(bps, p)](p) for p in prices]
 
     def slope(self, p: float) -> float:
         return self._segment_at(p).form.slope(p)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -81,18 +80,16 @@ class ReplicationProfile:
 
     def portfolio_value(self, p: float) -> float:
         """V(p) = f(p) + p * g(p); its limit at p = +inf.  f rejects a
-        negative or NaN price before g runs."""
+        negative or NaN price before g runs; at p = 0 it is f(0), g unread."""
         if p == math.inf:
             return self.payoff.limit_at_infinity()
-        f = self.payoff.value(p)
-        g = self.g(p)
-        return f + (0.0 if p == 0.0 else p * g)  # 0 * inf -> 0 at the left edge
+        return self.payoff.value(p) + (0.0 if p == 0.0 else p * self.g(p))
 
     def portfolios(self, prices) -> tuple:
         """The replicating holdings at each price: lists (f(p)), (g(p)).
 
-        Each price must lie in the interval.  f runs as one list kernel when
-        all prices share a payoff segment, else per price as PayoffSpec.value;
+        Each price must lie in the interval.  f is PayoffSpec.values: one list
+        kernel when all prices share a payoff segment, else per price;
         g runs as its list kernel, with g's bits, on prices strictly inside
         a one-piece g's piece or on finite prices of a table's g, else once
         per price.  An infinite g raises infinite_cost_error(p).
@@ -108,12 +105,8 @@ class ReplicationProfile:
         return self._portfolios(prices, lo, hi)
 
     def _portfolios(self, prices, lo: float, hi: float) -> tuple:
-        payoff, g = self.payoff, self.g  # prices lie in the interval, lowest lo, highest hi
-        bps, values = payoff.breakpoints, payoff._values
-        k = bisect_left(bps, lo)
-        r1 = (payoff.segments[k].form.values(prices) if k == bisect_left(bps, hi)
-              else [values[bisect_left(bps, p)](p) for p in prices])
-        piece = self._g_values
+        g, piece = self.g, self._g_values  # prices lie in the interval, lowest lo, highest hi
+        r1 = self.payoff.values(prices, lo, hi)
         try:
             r2 = (piece[2](prices) if piece is not None and piece[0] < lo and hi < piece[1]
                   else [g(p) for p in prices])
@@ -158,8 +151,7 @@ def portfolio_at(profile: ReplicationProfile, p: float):
     """(numeraire, risky) holdings (f(p), g(p)) at price p, with the bits and
     errors of profile.portfolios((p,)): an infinite g raises infinite_cost_error."""
     profile.interval.check(p)
-    payoff = profile.payoff
-    r1, r2 = payoff._values[bisect_left(payoff.breakpoints, p)](p), profile.g(p)
+    r1, r2 = profile.payoff.value(p), profile.g(p)
     if r2 == math.inf:
         raise infinite_cost_error(p)
     return r1, r2

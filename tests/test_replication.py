@@ -336,6 +336,8 @@ class TestPortfoliosMatchPerPrice:
             for ps in inside + crossing:
                 assert prof.portfolios(ps) == ([spec.value(p) for p in ps],
                                                [prof.g(p) for p in ps])
+                # [b] * 3 puts both ends on a jump: the lower segment's kernel.
+                assert spec.values(ps, min(ps), max(ps)) == [spec.value(p) for p in ps]
 
     def test_nan_or_outside_price_anywhere_raises(self):
         rng = random.Random(13)
@@ -401,13 +403,15 @@ class TestGInverse:
         # The exact route answers about 1e301, and the numeric route's
         # bracket, the psi infimum oracle's, closes there to a few ulps (its
         # own bracket used to stop at 1e300).  At 1e-310 the price is past
-        # the float range: psi on both routes and the infimum oracle raise.
+        # the float range: psi on both routes and the infimum oracle raise,
+        # and the numeric route raises its bracket's own error, as the
+        # infimum oracle does.
         spec = make_catalog_payoff(Logarithmic(1.0))
         exact, numeric = ReplicationProfile(spec), NumericProfile(spec)
         want = exact.g_inverse_value(1e-301)
         assert want > 1e300
         assert abs(numeric.g_inverse_value(1e-301) - want) <= 4 * math.ulp(want)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="risky reserve 1e-310"):
             numeric.g_inverse_value(1e-310)
         for profile in (exact, numeric):
             with pytest.raises(NumericalError):
@@ -726,3 +730,19 @@ class TestQuadratureConvergence:
         # TestDegenerateCatalogConfigs.
         prof = NumericProfile(make_catalog_payoff(CappedPower(0.0, 4.0, a)))
         assert prof.g(0.0) == pytest.approx(a / (a - 1.0) * 4.0 ** (a - 1.0), rel=1e-10)
+
+    # At p = 2**1022 the tail's u = 1/q runs through subnormals, where 1/u
+    # overflows: h there is a log tail's limit 1, a normal-CDF tail's 0.
+    def test_log_tail_past_the_float_range(self):
+        g = NumericProfile(make_catalog_payoff(Logarithmic(1.0))).g(2.0**1022)
+        assert g == pytest.approx(2.2250738585072014e-308, rel=1e-15, abs=0.0)
+
+    def test_binary_tail_past_the_float_range(self):
+        binary = NumericProfile(make_catalog_payoff(BlackScholesBinary(1.0, 0.4, 1.0)))
+        assert binary.g(2.0**1022) == 0.0
+
+    def test_power_tail_past_the_float_range_raises(self):
+        # A power tail takes no limit where 1/u overflows: one would be
+        # silently wrong, so the quadrature's own error stands.
+        with pytest.raises(NumericalError):
+            NumericProfile(make_catalog_payoff(ConstantProportion(0.5, 1.0))).g(1e306)
