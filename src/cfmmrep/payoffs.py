@@ -288,7 +288,8 @@ class NormalCdfForm:
     def slope(self, p: float) -> float:
         if p <= 0.0:
             return 0.0
-        return norm_pdf(self.d(p)) / (p * self._vol)
+        density = norm_pdf(self.d(p))  # 0 too where p * vol underflows to 0
+        return density / (p * self._vol) if density else 0.0
 
     def direction(self) -> float:
         return 1.0

@@ -22,6 +22,7 @@ from cfmmrep import (
     InvalidParameterError,
     Logarithmic,
     MonotonicityError,
+    NumericProfile,
     NumericalError,
     PayoffParseError,
     PayoffSpec,
@@ -135,6 +136,13 @@ class TestDerivative:
     def test_form_slope_at_zero(self, form, slope):
         assert form.slope(0.0) == slope
 
+    def test_binary_slope_at_the_least_subnormal_price(self):
+        # p * vol underflows to 0 there, and so does the density: f' is 0,
+        # and the numeric oracle's g, which integrates f'(q)/q, is finite.
+        spec = make_catalog_payoff(BlackScholesBinary(1.0, 0.2, 1.0))
+        assert eval_payoff_derivative(spec, 5e-324) == 0.0
+        assert NumericProfile(spec).g(5e-324) == pytest.approx(1.0, rel=1e-9)
+
     def test_breakpoint_rejected(self):
         spec = make_catalog_payoff(CappedCall(1.0, E))
         with pytest.raises(BreakpointDerivativeError):
@@ -160,6 +168,13 @@ class TestDerivative:
                 deriv = eval_payoff_derivative(spec, p)
                 assert diff == pytest.approx(deriv, rel=1e-6, abs=1e-9), (
                     f"{spec.catalog} at p={p}")
+
+
+@pytest.mark.parametrize("form, limit", [
+    (PowerForm(0.0, 2.0, 3.0), 3.0), (PowerForm(1.0, 0.5, 3.0), math.inf)])
+def test_power_form_limit_at_infinity(form, limit):
+    # A zero scale leaves the constant offset.
+    assert form.limit_at_infinity() == limit
 
 
 class TestBreakpoints:
@@ -268,6 +283,11 @@ class TestPiecewise:
         spec = make_piecewise_payoff([(1.0, 0.0), (3.0, 2.0)])
         assert spec.interval == PriceInterval(1.0, 3.0)
         assert make_piecewise_payoff([(2.0, 1.0)]).interval == PriceInterval(2.0, math.inf)
+
+    def test_a_zero_jump_at_a_table_price_is_dropped(self):
+        spec = make_piecewise_payoff([(1.0, 0.0), (2.0, 1.0), (3.0, 2.0)],
+                                     jumps=[(1.0, 0.0), (2.0, 0.5)])
+        assert spec.jumps == ((2.0, 0.5),)
 
     def test_jump_must_be_a_table_price(self):
         with pytest.raises(InvalidParameterError):
