@@ -686,6 +686,16 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "replicate", "--payoff", "/no/such/file.json")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["replicate", "trading-function"])
+    def test_grid_of_one_is_a_usage_error(self, capsys, command):
+        # Without the check, a one-row grid divides by zero and exits 1.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--payoff", "catalog:logarithmic", "--param", "p0=1", "--grid", "1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "error: --grid must be at least 2" in captured.err
+
 
 # ---------------------------------------------------------------------------
 # argv fuzz: every run exits 0, 1 or 2 without a traceback

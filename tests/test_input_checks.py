@@ -11,6 +11,7 @@ import pytest
 
 from cfmmrep import (
     BlackScholesBinary,
+    CappedCall,
     ConstantProportion,
     DomainError,
     GbmParams,
@@ -32,7 +33,7 @@ from cfmmrep import (
     serialize_payoff,
     trading_function_eval,
 )
-from cfmmrep.checks import run_verification
+from cfmmrep.checks import run_verification, sample_price_range
 from cfmmrep.cli import main
 from cfmmrep.payoffs import (ConstantForm, LinearForm, LogForm, NormalCdfForm, PowerForm, Segment,
                              family)
@@ -410,6 +411,12 @@ class TestLibraryInput:
         profile = ReplicationProfile(make_catalog_payoff(Logarithmic(1.0)))
         with pytest.raises(InvalidParameterError, match="samples must be at least 1"):
             run_verification(profile, samples=samples)
+
+    def test_sampled_range_is_never_one_price(self):
+        # Cut at an eighth of the first breakpoint, the range's two ends meet;
+        # the low end then halves.
+        spec = make_catalog_payoff(CappedCall(1.0, 4.0)).with_bounds(0.0, 0.125)
+        assert sample_price_range(ReplicationProfile(spec)) == (0.0625, 0.125)
 
     def test_integral_from_zero_to_zero(self):
         r = integrate_from_zero(lambda u: 1.0, 0.0)

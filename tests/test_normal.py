@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtri
 
-from cfmmrep.normal import norm_cdf, norm_inv, norm_pdf
+from cfmmrep.normal import norm_cdf, norm_inv, norm_invs, norm_pdf
 from cfmmrep.rng import SplitMix64
 
 
@@ -71,6 +71,12 @@ def test_inverse_edges():
         norm_inv(1.1)
     with pytest.raises(ValueError):
         norm_inv(math.nan)
+
+
+def test_list_inverse_edges():
+    # The list form sends 0 and 1 to norm_inv, not to the standard library's
+    # quantile, which rejects them.
+    assert norm_invs([0.0, 0.5, 1.0]) == [-math.inf, 0.0, math.inf]
 
 
 def test_symmetry():
