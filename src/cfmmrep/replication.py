@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -163,33 +164,44 @@ def portfolio_value(profile: ReplicationProfile, p: float) -> float:
     return profile.portfolio_value(p)
 
 
-def portfolio_value_integral(profile: ReplicationProfile, p: float) -> float:
+def portfolio_value_integral(profile: ReplicationProfile, p):
     """V(p) through the integral identity V(alpha) + integral of g.
 
     Cross-check path for portfolio_value; the two must agree to the default
-    quadrature tolerance.  Raises NumericalError when a cell does not converge.
-    Each whole cell below p keeps its result on the profile: one per segment.
+    quadrature tolerance.  Given an ascending sequence of prices for p, it
+    integrates g once, up to the highest, and returns the list of V at each:
+    cells are cut at the breakpoints and at the prices, and added left to
+    right to one running total.  Raises NumericalError, naming the first
+    price that needs it, when a cell does not converge.  Each cell with no
+    price at either end keeps its result on the profile: one per segment.
     """
-    profile.interval.check(p)
-    if math.isinf(p):
+    single = isinstance(p, (int, float))
+    prices = [p] if single else list(p)
+    # A NaN fails <= against its neighbour, and against inf when it is last.
+    if not single and not all(a <= b for a, b in zip(prices, prices[1:] + [math.inf])):
+        raise InvalidParameterError("prices must be ascending and not NaN")
+    if not prices:
+        return []
+    top = prices[-1]
+    profile.interval.check(prices[0])
+    profile.interval.check(top)
+    if math.isinf(top):
         raise DomainError("integral form needs a finite price")
-    alpha = profile.interval.alpha
-    total = profile.v_alpha
-
-    what = f"integral of g up to price {p}"
+    alpha, bps, given = profile.interval.alpha, profile.payoff.breakpoints, set(prices)
+    total, at = profile.v_alpha, {}
 
     def cell(a: float, b: float, integrate) -> float:
-        hit = profile._cells.get((a, b)) if b < p else integrate()
+        hit = integrate() if a in given or b in given else profile._cells.get((a, b))
         if hit is None:
             hit = profile._cells[a, b] = integrate()
-        return hit.checked(what)  # a cell that fell short raises on every use
+        # a cell that fell short raises on every use
+        return hit.checked(f"integral of g up to price {prices[bisect_left(prices, b)]}")
 
     lo = alpha
     if alpha == 0.0:
         origin = profile.payoff.origin_growth_exponent()
         if origin is not None:
-            cuts = profile.payoff.breakpoints
-            first = min(cuts[0] if cuts else p, p)
+            first = min(bps[0], prices[0]) if bps else prices[0]
             # g ~ q**(origin - 1) near 0 below exponent 1, and ~ -log q at
             # exactly 1: soften both (any positive exponent tames the log);
             # above 1, g is finite at 0.
@@ -198,11 +210,13 @@ def portfolio_value_integral(profile: ReplicationProfile, p: float) -> float:
                 profile.g, first, singular_exponent=s))
             lo = first
 
-    cells = [lo] + [b for b in profile.payoff.breakpoints if lo < b < p] + [p]
-    for a, b in zip(cells, cells[1:]):
+    a = lo
+    for b in sorted(given.union(q for q in bps if lo < q < top)):
         if b > a:
             total += cell(a, b, lambda: adaptive_simpson(profile.g, a, b))
-    return total
+            a = b
+        at[b] = total
+    return at[p] if single else [at[q] for q in prices]
 
 
 def crossing(profile: ReplicationProfile, r2: float) -> tuple:

@@ -23,7 +23,9 @@ from cfmmrep import (
     CappedPower,
     CashOrNothing,
     ConstantProportion,
+    DomainError,
     InfiniteReplicationCostError,
+    InvalidParameterError,
     Logarithmic,
     NumericalError,
     NumericProfile,
@@ -42,7 +44,7 @@ from cfmmrep import (
 from cfmmrep import replication
 from cfmmrep.checks import sample_price_range
 from cfmmrep.errors import CfmmRepError
-from cfmmrep.quadrature import adaptive_simpson
+from cfmmrep.quadrature import QuadratureResult, adaptive_simpson
 
 FAMILIES = [CashOrNothing(2.0), CappedCall(1.0, math.e), BlackScholesBinary(1.0, 0.2, 1.0),
             Logarithmic(1.0), CappedPower(1.0, 4.0, 2.0), ConstantProportion(0.5, 1.0)]
@@ -194,6 +196,49 @@ def test_a_cell_that_falls_short_raises_on_every_call(monkeypatch):
             portfolio_value_integral(profile, 5.0)
     kept = profile._cells.values()
     assert kept and not all(r.converged for r in kept)
+
+
+def test_a_list_call_agrees_with_float_calls():
+    # One sweep over 20 sorted prices: its first value is the float call's,
+    # bit for bit, every value agrees with the float call at its price, and
+    # the memo still holds at most one cell per segment.
+    for label, make, (lo, hi) in _profiles():
+        if label == "numeric table":  # quadrature over a quadrature g: seconds a call
+            continue
+        rng = random.Random(label)
+        prices = sorted(_log_uniform(rng, lo, hi) for _ in range(20))
+        profile, single = make(), make()
+        swept = portfolio_value_integral(profile, prices)
+        assert len(profile._cells) <= len(profile.payoff.segments) + 1, label
+        assert swept[0].hex() == portfolio_value_integral(single, prices[0]).hex(), label
+        for p, v in zip(prices, swept):
+            want = portfolio_value_integral(single, p)
+            assert abs(v - want) <= 1e-9 * max(1.0, abs(want)), (label, p)
+
+
+def test_a_list_call_checks_its_prices():
+    profile = ReplicationProfile(make_piecewise_payoff(*TABLE))  # on [0.15, 9]
+    assert portfolio_value_integral(profile, []) == []
+    assert portfolio_value_integral(profile, (1.0, 1.0, 2.0)) == [
+        portfolio_value_integral(profile, p) for p in (1.0, 1.0, 2.0)]
+    for prices in ([2.0, 1.0], [1.0, math.nan], [math.nan], [math.nan, 1.0]):
+        with pytest.raises(InvalidParameterError, match="ascending and not NaN"):
+            portfolio_value_integral(profile, prices)
+    for prices in ([0.1, 1.0], [1.0, 10.0]):
+        with pytest.raises(DomainError, match="outside replication interval"):
+            portfolio_value_integral(profile, prices)
+    unbounded = ReplicationProfile(make_catalog_payoff(Logarithmic(1.0)))
+    with pytest.raises(DomainError, match="finite price"):
+        portfolio_value_integral(unbounded, [1.0, math.inf])
+
+
+def test_a_list_call_names_the_first_price_a_short_cell_holds_up(monkeypatch):
+    profile = ReplicationProfile(make_piecewise_payoff(*TABLE))
+    real = replication.adaptive_simpson
+    monkeypatch.setattr(replication, "adaptive_simpson", lambda f, a, b: (
+        QuadratureResult(0.0, 1.0, False) if a >= 2.8 else real(f, a, b)))
+    with pytest.raises(NumericalError, match=r"up to price 3\.0 did not converge"):
+        portfolio_value_integral(profile, [0.5, 2.5, 3.0, 8.0])
 
 
 # ---------------------------------------------------------------------------
