@@ -219,8 +219,9 @@ def test_a_list_call_agrees_with_float_calls():
 def test_a_list_call_checks_its_prices():
     profile = ReplicationProfile(make_piecewise_payoff(*TABLE))  # on [0.15, 9]
     assert portfolio_value_integral(profile, []) == []
-    assert portfolio_value_integral(profile, (1.0, 1.0, 2.0)) == [
-        portfolio_value_integral(profile, p) for p in (1.0, 1.0, 2.0)]
+    swept = portfolio_value_integral(profile, (1.0, 1.0, 2.0))  # any sequence; ties allowed
+    assert swept[:2] == [portfolio_value_integral(profile, 1.0)] * 2
+    assert swept[2] == pytest.approx(portfolio_value_integral(profile, 2.0), rel=1e-12)
     for prices in ([2.0, 1.0], [1.0, math.nan], [math.nan], [math.nan, 1.0]):
         with pytest.raises(InvalidParameterError, match="ascending and not NaN"):
             portfolio_value_integral(profile, prices)
