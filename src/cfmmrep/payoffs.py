@@ -548,12 +548,6 @@ class PayoffSpec:
         up to an unbounded beta.  Sublinear growth keeps the cost finite."""
         return not self.interval.bounded and self.tail_growth_exponent() >= 1.0
 
-    def origin_growth_exponent(self) -> Optional[float]:
-        """Exponent e with f ~ p**e near 0, or None when f is flat there."""
-        first = self.segments[0].form
-        e = first.growth_exponent()
-        return e if e > 0.0 else None
-
 
 def eval_payoff(spec: PayoffSpec, p: float) -> float:
     """f(p).  At a jump the lower value is returned."""

@@ -44,8 +44,8 @@ class ReplicationProfile:
     g and g_inverse take the exact route of every payoff (see
     piecewise_exact_forms), and psi is r1 + p* r2 - V(p*) through them (see
     cfmm.trading_function_eval).  The numeric oracle, oracle.NumericProfile,
-    replaces _build_routes, g and _solve_inverse.  Safe to share across
-    threads; past construction only its integral-cell memo changes.
+    replaces _build_routes, g and _solve_inverse.  Nothing on it changes
+    after construction, so it is safe to share across threads.
     """
 
     # psi has one route; the benchmark's tracer (bench/spans.py) still reads
@@ -55,7 +55,6 @@ class ReplicationProfile:
     def __init__(self, payoff: PayoffSpec):
         self.payoff = payoff
         self.interval = payoff.interval
-        self._cells = {}  # (a, b) -> QuadratureResult, see portfolio_value_integral
         if payoff.cost_diverges():
             raise InfiniteReplicationCostError(
                 "payoff grows at least linearly up to an unbounded price: the required "
@@ -172,8 +171,7 @@ def portfolio_value_integral(profile: ReplicationProfile, p):
     integrates g once, up to the highest, and returns the list of V at each:
     cells are cut at the breakpoints and at the prices, and added left to
     right to one running total.  Raises NumericalError, naming the first
-    price that needs it, when a cell does not converge.  Each cell with no
-    price at either end keeps its result on the profile: one per segment.
+    price that needs it, when a cell does not converge.
     """
     single = isinstance(p, (int, float))
     prices = [p] if single else list(p)
@@ -187,33 +185,18 @@ def portfolio_value_integral(profile: ReplicationProfile, p):
     profile.interval.check(top)
     if math.isinf(top):
         raise DomainError("integral form needs a finite price")
-    alpha, bps, given = profile.interval.alpha, profile.payoff.breakpoints, set(prices)
-    total, at = profile.v_alpha, {}
-
-    def cell(a: float, b: float, integrate) -> float:
-        hit = integrate() if a in given or b in given else profile._cells.get((a, b))
-        if hit is None:
-            hit = profile._cells[a, b] = integrate()
-        # a cell that fell short raises on every use
-        return hit.checked(f"integral of g up to price {prices[bisect_left(prices, b)]}")
-
-    lo = alpha
-    if alpha == 0.0:
-        origin = profile.payoff.origin_growth_exponent()
-        if origin is not None:
-            first = min(bps[0], prices[0]) if bps else prices[0]
-            # g ~ q**(origin - 1) near 0 below exponent 1, and ~ -log q at
-            # exactly 1: soften both (any positive exponent tames the log);
-            # above 1, g is finite at 0.
-            s = 1.0 - origin if origin < 1.0 else 0.5 if origin == 1.0 else 0.0
-            total += cell(0.0, first, lambda: integrate_from_zero(
-                profile.g, first, singular_exponent=s))
-            lo = first
-
-    a = lo
-    for b in sorted(given.union(q for q in bps if lo < q < top)):
+    alpha, g, given = profile.interval.alpha, profile.g, set(prices)
+    # g ~ q**(e - 1) near 0 below exponent 1, and ~ -log q at exactly 1:
+    # a cell from 0 softens both (any positive exponent tames the log);
+    # above 1, or where f is flat at 0, g is finite there.
+    e = profile.payoff.segments[0].form.growth_exponent()
+    s = 1.0 - e if 0.0 < e < 1.0 else 0.5 if e == 1.0 else 0.0
+    total, at, a = profile.v_alpha, {}, alpha
+    for b in sorted(given.union(q for q in profile.payoff.breakpoints if alpha < q < top)):
         if b > a:
-            total += cell(a, b, lambda: adaptive_simpson(profile.g, a, b))
+            cell = (integrate_from_zero(g, b, singular_exponent=s) if a == 0.0 and s > 0.0
+                    else adaptive_simpson(g, a, b))
+            total += cell.checked(f"integral of g up to price {prices[bisect_left(prices, b)]}")
             a = b
         at[b] = total
     return at[p] if single else [at[q] for q in prices]

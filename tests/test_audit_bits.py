@@ -11,6 +11,7 @@ below p0.
 A call that raises contributes its error's name.
 """
 
+import copy
 import hashlib
 import math
 import random
@@ -42,7 +43,7 @@ from cfmmrep import (
     trading_function_infimum,
 )
 from cfmmrep import replication
-from cfmmrep.checks import sample_price_range
+from cfmmrep.checks import run_verification, sample_price_range
 from cfmmrep.errors import CfmmRepError
 from cfmmrep.quadrature import QuadratureResult, adaptive_simpson
 
@@ -170,20 +171,31 @@ def test_integral_keeps_its_bits_on_repeated_calls():
 
 
 # ---------------------------------------------------------------------------
-# The integral check's memo of whole cells
+# The integral check keeps nothing on the profile
 # ---------------------------------------------------------------------------
 
-def test_integral_memo_holds_one_cell_per_segment():
-    profile = ReplicationProfile(make_piecewise_payoff(*TABLE))
-    rng = random.Random(41)
-    prices = [_log_uniform(rng, 0.15, 9.0) for _ in range(1000)]
-    assert len(set(prices)) == 1000
-    for k, p in enumerate(prices):
-        got = portfolio_value_integral(profile, p)
-        if k % 50 == 0:
-            fresh = ReplicationProfile(profile.payoff)
-            assert got.hex() == portfolio_value_integral(fresh, p).hex()
-    assert 0 < len(profile._cells) <= len(profile.payoff.segments) + 1
+def test_no_public_call_changes_a_profile():
+    for label, make, (lo, hi) in _profiles():
+        if label == "numeric table":  # quadrature over a quadrature g: seconds a call
+            continue
+        profile = make()
+        before = {k: copy.copy(v) for k, v in vars(profile).items()}
+        prices = sorted(_log_uniform(random.Random(label), lo, hi) for _ in range(5))
+        for p in prices:
+            profile.g(p)
+            portfolio_value_integral(profile, p)
+        profile.portfolios(prices)
+        profile.g_inverse_value(0.5 * profile.g(prices[2]))
+        portfolio_value_integral(profile, prices)
+        run_verification(profile, samples=20)
+        assert vars(profile) == before, label
+
+
+def test_a_list_call_from_price_0_softens_its_first_cell():
+    # Price 0 empties the cell from 0; the next cell from 0 needs the softening too.
+    profile = ReplicationProfile(make_catalog_payoff(ConstantProportion(0.5, 1.0)))
+    assert profile.interval.alpha == 0.0
+    assert portfolio_value_integral(profile, [0.0, 1.0]) == [0.0, 2.0]
 
 
 def test_a_cell_that_falls_short_raises_on_every_call(monkeypatch):
@@ -191,17 +203,14 @@ def test_a_cell_that_falls_short_raises_on_every_call(monkeypatch):
     shallow = QuadratureOptions(max_depth=1)
     monkeypatch.setattr(replication, "adaptive_simpson",
                         lambda f, a, b: adaptive_simpson(f, a, b, shallow))
-    for _ in range(3):  # the memo keeps the result, and checks it on each use
+    for _ in range(3):
         with pytest.raises(NumericalError, match="did not converge"):
             portfolio_value_integral(profile, 5.0)
-    kept = profile._cells.values()
-    assert kept and not all(r.converged for r in kept)
 
 
 def test_a_list_call_agrees_with_float_calls():
     # One sweep over 20 sorted prices: its first value is the float call's,
-    # bit for bit, every value agrees with the float call at its price, and
-    # the memo still holds at most one cell per segment.
+    # bit for bit, and every value agrees with the float call at its price.
     for label, make, (lo, hi) in _profiles():
         if label == "numeric table":  # quadrature over a quadrature g: seconds a call
             continue
@@ -209,7 +218,6 @@ def test_a_list_call_agrees_with_float_calls():
         prices = sorted(_log_uniform(rng, lo, hi) for _ in range(20))
         profile, single = make(), make()
         swept = portfolio_value_integral(profile, prices)
-        assert len(profile._cells) <= len(profile.payoff.segments) + 1, label
         assert swept[0].hex() == portfolio_value_integral(single, prices[0]).hex(), label
         for p, v in zip(prices, swept):
             want = portfolio_value_integral(single, p)
