@@ -194,8 +194,10 @@ def portfolio_value_integral(profile: ReplicationProfile, p):
     total, at, a = profile.v_alpha, {}, alpha
     for b in sorted(given.union(q for q in profile.payoff.breakpoints if alpha < q < top)):
         if b > a:
+            # The cell takes g's right limit at its left end: a jump at a is not the cell's.
+            right = math.nextafter(a, math.inf)
             cell = (integrate_from_zero(g, b, singular_exponent=s) if a == 0.0 and s > 0.0
-                    else adaptive_simpson(g, a, b))
+                    else adaptive_simpson(lambda q: g(right if q == a else q), a, b))
             total += cell.checked(f"integral of g up to price {prices[bisect_left(prices, b)]}")
             a = b
         at[b] = total

@@ -198,6 +198,14 @@ def test_a_list_call_from_price_0_softens_its_first_cell():
     assert portfolio_value_integral(profile, [0.0, 1.0]) == [0.0, 2.0]
 
 
+def test_a_cell_from_a_jump_takes_gs_right_limit():
+    # g drops by the jump's size over its price at p0 = 2; the cell from 2 up
+    # holds g = 0, not g(2) = 0.5, and adds nothing to V = 1.
+    profile = ReplicationProfile(make_catalog_payoff(CashOrNothing(2.0)))
+    for p in (1e3, 1e6, 1e300):
+        assert portfolio_value_integral(profile, p) == 1.0
+
+
 def test_a_cell_that_falls_short_raises_on_every_call(monkeypatch):
     profile = ReplicationProfile(make_piecewise_payoff(*TABLE))
     shallow = QuadratureOptions(max_depth=1)
