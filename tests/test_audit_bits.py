@@ -145,7 +145,7 @@ def test_infimum_at_a_jump_is_psi_to_within_rounding(spec):
 
 
 # sha256 of the lines "label|p hex|outcome".
-INTEGRAL_BITS = "d976b0fc1137273080b603ec61b3a120b4d4e0a633929d49fa5c6491adb21d60"
+INTEGRAL_BITS = "961e489948355c85a6ec56d146975b8f660cc286ed2de44ffd1a50544adea7d2"
 
 
 def test_integral_keeps_its_bits_on_repeated_calls():

@@ -352,7 +352,6 @@ _VERIFY_XFAIL = {
     **{("capped_call", f"p0={p0} p1={p1}"): _NONCONVERGED for p0, p1 in _FAR_PAIRS},
     **{("capped_power", f"p0={p0} p1={p1} a=0.5"): _NONCONVERGED for p0, p1 in _FAR_PAIRS},
     ("black_scholes_binary", "K=1e-300 sigma=0.4 tau=1"): _NONCONVERGED,
-    ("black_scholes_binary", "K=1 sigma=50 tau=1"): _NONCONVERGED,
     ("constant_proportion", "w=1e-6 C=1"): _OVERFLOWS,
     ("constant_proportion", "w=1e-6 C=1e300"): _OVERFLOWS,
     ("constant_proportion", "w=0.3 C=1e300"): _OVERFLOWS,
