@@ -726,7 +726,7 @@ class TestQuadratureConvergence:
     @pytest.mark.xfail(strict=True, reason=(
         "item 16: Simpson sets its error budget from its crude first estimate"))
     def test_integral_holds_verify_tolerance_under_a_high_first_estimate(self):
-        # The first three-point estimate on [0, 2.9] overshoots, so the budget
+        # The first three-point estimate on [1e-6, 2.9] overshoots, so the budget
         # is loose: the value stops 1.08e-7 off V against verify's 1e-8.
         prof = ReplicationProfile(make_catalog_payoff(Logarithmic(1e-6)).with_bounds(0.0, 3.0))
         direct = portfolio_value(prof, 2.9)
