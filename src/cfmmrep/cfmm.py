@@ -10,9 +10,10 @@ Its zero level set is exactly the liquidity-provider curve
 infimum itself is also evaluated directly, as a numerical cross-check oracle
 for the closed path: the objective r1 + p r2 - V(p) is convex with slope
 r2 - g(p), because g is nonincreasing, so its minimum lies where g crosses
-r2, which replication.crossing brackets by bisection.  The oracle reads g
-only through profile.g, never through g_inverse, so it stays independent
-of the closed path.
+r2, which replication.crossing brackets by bisection.  Only profile.g and V
+decide the oracle's answer: g_inverse's crossing is a proposal that g
+certifies (g never rises from a double to the next), so a wrong one costs
+g calls and never changes a bit, and the oracle stays independent of psi.
 
 Pools are immutable values: operations return new states.  Trades are
 accepted exactly when they do not decrease the invariant level (fee-free
@@ -67,7 +68,10 @@ def trading_function_eval(tf: TradingFunction, r1: float, r2: float) -> float:
         raise NumericalError(f"price at risky reserve {r2!r} overflows the float range")
     # At r2 = 0, p* r2 = 0 by the 0 * inf convention and V(inf) is V's limit.
     value = 0.0 if p_star == 0.0 or r2 == 0.0 else p_star * r2
-    return r1 + value - tf.profile.portfolio_value(p_star)
+    psi = r1 + value - tf.profile.portfolio_value(p_star)
+    if not math.isfinite(psi) and p_star < math.inf:  # V(p*) or p* r2 passed the float range
+        raise NumericalError(f"psi at reserves ({r1!r}, {r2!r}) overflows the float range")
+    return psi
 
 
 def trading_function_infimum(tf: TradingFunction, r1: float, r2: float) -> float:
@@ -77,8 +81,8 @@ def trading_function_infimum(tf: TradingFunction, r1: float, r2: float) -> float
     since g is nonincreasing, so its minimum lies where g crosses r2: the
     answer is the least of h at alpha and at the ends a and b of
     replication.crossing, a few ulps apart.  V is profile.portfolio_value,
-    and g is read only through profile.g: the oracle never reads g_inverse,
-    so it stays independent of trading_function_eval.
+    v_alpha at alpha; only profile.g decides the crossing, which g_inverse
+    merely proposes, so the oracle stays independent of trading_function_eval.
     """
     _check_reserves(tf, r1, r2)
     profile = tf.profile
@@ -88,7 +92,8 @@ def trading_function_infimum(tf: TradingFunction, r1: float, r2: float) -> float
     a, b = crossing(profile, r2)
 
     def objective(p: float) -> float:
-        return r1 + (0.0 if p == 0.0 else p * r2) - profile.portfolio_value(p)
+        v = profile.v_alpha if p == profile.interval.alpha else profile.portfolio_value(p)
+        return r1 + (0.0 if p == 0.0 else p * r2) - v
 
     return min(objective(profile.interval.alpha), objective(a), objective(b))
 

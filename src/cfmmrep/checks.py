@@ -41,8 +41,9 @@ PSI_TOLERANCE = 1e-6  # verify's and trading-function --check-infimum's bound on
 
 
 def psi_residual(psi: float, oracle: float) -> float:
-    """psi's distance from its infimum oracle, relative to max(1, |psi|, |oracle|)."""
-    return abs(psi - oracle) / max(1.0, abs(psi), abs(oracle))
+    """|psi - oracle| / max(1, |psi|, |oracle|); inf, a mismatch, where that is NaN."""
+    residual = abs(psi - oracle) / max(1.0, abs(psi), abs(oracle))
+    return math.inf if math.isnan(residual) else residual
 
 
 def sample_price_range(profile: ReplicationProfile):

@@ -27,7 +27,7 @@ from .payoffs import (
     parse_payoff_document,
     parse_payoff_file,
 )
-from .replication import ReplicationProfile, g_inverse
+from .replication import ReplicationProfile, g_inverse, infinite_cost_error
 from .simulate import GbmParams, earnings_mean_stderr, monte_carlo_reports
 
 
@@ -114,12 +114,14 @@ def cmd_replicate(cfg: argparse.Namespace) -> int:
 def cmd_trading_function(cfg: argparse.Namespace) -> int:
     profile = ReplicationProfile(load_payoff(cfg))
     tf = TradingFunction(profile)
-    r2_hi = profile.g_alpha
-    if math.isinf(r2_hi):
-        lo, _ = sample_price_range(profile)
-        r2_hi = profile.g(lo)
+    r2_hi, at = profile.g_alpha, profile.interval.alpha
+    if math.isinf(r2_hi) and at == 0.0:  # above 0 an infinite g is overflow
+        at, _ = sample_price_range(profile)
+        r2_hi = profile.g(at)
         print(f"warning: risky reserve range is unbounded; tabulating up to "
-              f"g({_fmt(lo)}) = {_fmt(r2_hi)}", file=sys.stderr)
+              f"g({_fmt(at)}) = {_fmt(r2_hi)}", file=sys.stderr)
+    if math.isinf(r2_hi):
+        raise infinite_cost_error(at)
     header = "r2,g_inv,psi_at_zero_r1" + (",psi_inf" if cfg.check_infimum else "")
     lines = [header]
     mismatch = False

@@ -92,7 +92,8 @@ class ReplicationProfile:
         kernel when all prices share a payoff segment, else per price;
         g runs as its list kernel, with g's bits, on prices strictly inside
         a one-piece g's piece or on finite prices of a table's g, else once
-        per price.  An infinite g raises infinite_cost_error(p).
+        per price.  An infinite g raises infinite_cost_error(p), an infinite
+        f at a finite price NumericalError.
         """
         if not prices:
             return [], []
@@ -102,7 +103,11 @@ class ReplicationProfile:
         if not interval.alpha <= lo <= hi <= interval.beta or math.isnan(sum(prices)):
             for p in (lo, hi, math.nan):
                 interval.check(p)
-        return self._portfolios(prices, lo, hi)
+        r1, r2 = self._portfolios(prices, lo, hi)
+        for p, f in zip(prices, r1):  # f's limit at p = inf may be inf
+            if f == math.inf and p < math.inf:
+                raise NumericalError(f"payoff at price {p} overflows the float range")
+        return r1, r2
 
     def _portfolios(self, prices, lo: float, hi: float) -> tuple:
         g, piece = self.g, self._g_values  # prices lie in the interval, lowest lo, highest hi
@@ -154,6 +159,8 @@ def portfolio_at(profile: ReplicationProfile, p: float):
     r1, r2 = profile.payoff.value(p), profile.g(p)
     if r2 == math.inf:
         raise infinite_cost_error(p)
+    if r1 == math.inf and p < math.inf:
+        raise NumericalError(f"payoff at price {p} overflows the float range")
     return r1, r2
 
 
@@ -211,7 +218,11 @@ def crossing(profile: ReplicationProfile, r2: float) -> tuple:
     is no longer strictly between a and b.  The bracket's top is beta or
     doubles from max(alpha, breakpoints, 1) while g >= r2, raising
     NumericalError past a quarter of the largest float; from alpha = 0 its
-    floor walks down to the least normal float, where g may stay below r2."""
+    floor walks down to the least normal float, where g may stay below r2.
+    The exact g_inverse's proposal x, clamped inside (lo, top), and g at up to
+    8 prices stepping from it by 1, 2, 4, ... ulps certify ok (g >= r2) and
+    ko (g < r2); as g never rises from a double to the next, mids <= ok or
+    >= ko skip g with the same bits, and a wrong x costs only g calls."""
     alpha, beta = profile.interval.alpha, profile.interval.beta
     bps, g = profile.payoff.breakpoints, profile.g
     if profile.interval.bounded:
@@ -227,10 +238,21 @@ def crossing(profile: ReplicationProfile, r2: float) -> tuple:
     while alpha == 0.0 and r2 > 0.0 and lo > sys.float_info.min and g(lo) < r2:
         lo = max(lo * 1e-3, sys.float_info.min)
 
+    ok, ko, x = lo, top, math.nan
+    if profile.g_inverse_closed_form is not None and r2 > 0.0:
+        try:
+            x = min(max(profile.g_inverse_closed_form(r2), math.nextafter(lo, top)),
+                    math.nextafter(top, lo))
+        except (ArithmeticError, ValueError):
+            pass
+    step, last = math.ulp(x), 128.0 * math.ulp(x)
+    while ok < x < ko and step <= last:
+        ok, ko, x = (x, ko, x + step) if g(x) >= r2 else (ok, x, x - step)
+        step *= 2.0
     a, b = lo, top
     mid = math.sqrt(a) * math.sqrt(b)
     while a < mid < b:
-        if g(mid) >= r2:
+        if mid <= ok or mid < ko and g(mid) >= r2:
             a = mid
         else:
             b = mid

@@ -96,14 +96,19 @@ def test_every_route_evaluates_g_through_the_method(g_calls):
         assert got == [repr(profile.g(p)) for p in prices]
 
 
-@pytest.mark.parametrize("beta,count", [(4.0, 53 + 3), (math.inf, 1 + 53 + 3)],
-                         ids=["bounded", "unbounded"])
-def test_infimum_g_count_is_pinned(g_calls, beta, count):
-    # 53 bisection steps from [0.5, 4] to a few ulps, then V at alpha and
-    # at both ends, plus (unbounded) one g at the top, which closes at 4.
-    # Nothing is memoised: a second call costs the same.
+@pytest.mark.parametrize("beta,numeric,count", [(4.0, False, 2 + 2), (math.inf, False, 1 + 2 + 2),
+                                                (4.0, True, 53 + 2)],
+                         ids=["bounded", "unbounded", "numeric"])
+def test_infimum_g_count_is_pinned(g_calls, beta, numeric, count):
+    # Two g values certify the exact route's crossing, where g falls from
+    # above r2 to below it between adjacent doubles, so the 53 bisection
+    # steps from [0.5, 4] replay without g; then V at both ends (V at alpha
+    # is the build's).  Unbounded adds one g at the top, which closes at 4.
+    # NumericProfile has no exact route: its 53 steps evaluate g.  Nothing
+    # is memoised: a second call costs the same.
     points, jumps = TABLE
-    profile = ReplicationProfile(make_piecewise_payoff(points, jumps).with_bounds(0.5, beta))
+    spec = make_piecewise_payoff(points, jumps).with_bounds(0.5, beta)
+    profile = (NumericProfile if numeric else ReplicationProfile)(spec)
     tf = TradingFunction(profile)
     r1, r2 = profile.payoff.value(1.5) + 0.25, profile.g(1.5)
     for _ in range(2):

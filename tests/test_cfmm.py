@@ -29,6 +29,7 @@ from cfmmrep import (
     trading_function_infimum,
     validate_trade,
 )
+from cfmmrep.checks import psi_residual
 from cfmmrep.payoffs import PayoffSpec, PowerForm, Segment
 
 E = math.e
@@ -105,6 +106,23 @@ class TestTradingFunctionEval:
         tf = TradingFunction(ReplicationProfile(make_catalog_payoff(CashOrNothing(2.0))))
         assert trading_function_eval(tf, 2.0, 0.0) == pytest.approx(1.0)
         assert trading_function_infimum(tf, 2.0, 0.0) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestOverflowedPsi:
+    def test_psi_past_the_float_range_raises(self):
+        # At r2 = 0 on [1, 1e30], p* = 1e30 and psi = -V(1e30), past the
+        # float range; psi used to return -inf, and the oracle agreed.
+        tf = TradingFunction(ReplicationProfile(make_catalog_payoff(
+            ConstantProportion(0.3, 1e300)).with_bounds(1.0, 1e30)))
+        assert trading_function_infimum(tf, 0.0, 0.0) == -math.inf
+        with pytest.raises(NumericalError, match=r"psi at reserves \(0.0, 0.0\) overflows"):
+            trading_function_eval(tf, 0.0, 0.0)
+        assert math.isfinite(trading_function_eval(tf, 0.0, tf.profile.g_alpha))
+
+    def test_a_nan_residual_is_a_mismatch(self):
+        assert psi_residual(-math.inf, -math.inf) == math.inf
+        assert psi_residual(math.nan, 1.0) == psi_residual(1.0, math.nan) == math.inf
+        assert psi_residual(2.0, 1.0) == 0.5
 
 
 class TestInfimumOracle:

@@ -499,6 +499,52 @@ class TestNumericalErrors:
         assert all(math.isfinite(float(x)) for row in rows for x in row)
 
 
+_HUGE = ("--payoff", "catalog:constant_proportion", "--param", "w=0.3", "--param", "C=1e300")
+
+
+class TestOverflowIsNotAbsorbed:
+    """An overflowed g, f or psi is never printed as a value or passed as a residual."""
+
+    @pytest.mark.parametrize("argv, cause", [
+        # Above price 0 an infinite g(alpha) is overflow, not an unbounded reserve range.
+        (("trading-function", *_HUGE, "--alpha", "1e-30", "--beta", "1e30",
+          "--check-infimum", "--grid", "5"),
+         "replication cost at price 1e-30 overflows the float range"),
+        # From alpha = 0 the table runs up to g at the sampled floor, infinite too.
+        (("trading-function", "--payoff", "catalog:constant_proportion", "--param", "w=0.3",
+          "--param", "C=1e308", "--grid", "3"),
+         "replication cost at price 0.05 overflows the float range"),
+        (("replicate", *_HUGE, "--alpha", "1", "--beta", "1e30", "--grid", "3"),
+         "payoff at price 9.999999999999976e+29 overflows the float range"),
+    ], ids=["g_alpha", "g_floor", "f"])
+    def test_overflow_exits_1(self, capsys, argv, cause):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == f"error: {cause}"
+
+    def test_an_overflowed_psi_row_is_not_printed(self, capsys):
+        # At r2 = 0, psi = -V(1e30) is past the float range: the row used to
+        # read 0,1e+30,-inf,-inf and pass, its residual NaN.
+        _, out, err = run_cli(capsys, "trading-function", *_HUGE, "--alpha", "1",
+                              "--beta", "1e30", "--check-infimum", "--grid", "4")
+        assert "skipping r2=0: psi at reserves (0.0, 0.0) overflows the float range" in err
+        assert len(out.splitlines()) == 4 and "-inf" not in out and "nan" not in out
+
+    def test_a_nan_residual_is_a_mismatch(self, capsys, monkeypatch):
+        monkeypatch.setattr(cfmmrep.cli, "trading_function_infimum", lambda *args: math.nan)
+        code, _, err = run_cli(
+            capsys, "trading-function", "--payoff", "catalog:capped_call",
+            "--param", "p0=1", "--param", "p1=2", "--grid", "3", "--check-infimum")
+        assert code == 1 and err.count("mismatch at r2=") == 3
+
+    def test_a_nan_residual_fails_verify(self, capsys, monkeypatch):
+        monkeypatch.setattr(cfmmrep.checks, "trading_function_infimum", lambda *args: math.nan)
+        code, out, _ = run_cli(capsys, "verify", "--payoff", "catalog:capped_call",
+                               "--param", "p0=1", "--param", "p1=2")
+        assert code == 1
+        assert "FAIL  trading function matches infimum oracle: worst residual inf" in out
+
+
 class TestVerify:
     def test_constant_proportion_all_pass(self, capsys):
         code, out, _ = run_cli(

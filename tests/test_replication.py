@@ -283,6 +283,33 @@ class TestPortfolio:
                 assert vm >= 0.5 * (vp + vq) - 1e-10
 
 
+class TestOverflowedPayoff:
+    """f(1e30) = 1e300 * 1e30**0.3 passes the float range on [1, 1e30]."""
+
+    @pytest.fixture
+    def profile(self):
+        return ReplicationProfile(make_catalog_payoff(
+            ConstantProportion(0.3, 1e300)).with_bounds(1.0, 1e30))
+
+    def test_portfolios_name_the_first_price(self, profile):
+        prices = [1.0, 1e20, 1e29, 1e28, 1e30]
+        with pytest.raises(NumericalError, match=r"payoff at price 1e\+29 overflows the float range"):
+            profile.portfolios(prices)
+        assert profile.portfolios(prices[:2])[0] == [profile.payoff.value(p) for p in prices[:2]]
+
+    def test_mints_raise_what_portfolios_raises(self, profile):
+        with pytest.raises(NumericalError, match=r"payoff at price 1e\+30 overflows the float range"):
+            pool_init(profile, 1e30)
+        with pytest.raises(NumericalError, match=r"payoff at price 1e\+30 overflows the float range"):
+            portfolio_at(profile, 1e30)
+
+    def test_an_infinite_limit_at_infinity_is_a_value(self):
+        # f(inf) is the payoff's limit there, not an overflow.
+        prof = ReplicationProfile(make_catalog_payoff(Logarithmic(1.0)))
+        assert prof.portfolios([1.0, math.inf]) == ([0.0, math.inf], [1.0, 0.0])
+        assert portfolio_at(prof, math.inf) == (math.inf, 0.0)
+
+
 class TestPortfoliosMatchPerPrice:
     """portfolios gives f and g exactly as one call per price does, whether
     its prices lie in one payoff segment (one list kernel) or not (each
